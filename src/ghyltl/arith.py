@@ -264,40 +264,10 @@ def _is_set_var(name: str) -> bool:
     return name[0].isupper()
 
 
-class _ArithParser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.pos = 0
+class _ArithParser(pl._Parser):
+    Not, Or = RawNot, RawOr
 
-    def error(self, msg: str):
-        if self.pos < len(self.toks):
-            _, v, line, col = self.toks[self.pos]
-            raise ParseError(f"{msg}, found {v!r}", line, col)
-        if self.toks:
-            _, _, line, col = self.toks[-1]
-            raise ParseError(f"{msg} at end of input", line, col)
-        raise ParseError(msg, 1, 1)
-
-    def peek(self):
-        if self.pos < len(self.toks):
-            kind, v, _, _ = self.toks[self.pos]
-            return kind, v
-        return None
-
-    def take(self, value: str | None = None) -> str:
-        nxt = self.peek()
-        if nxt is None or (value is not None and nxt[1] != value):
-            self.error(f"expected {value!r}" if value else "unexpected end of input")
-        self.pos += 1
-        return nxt[1]
-
-    def parse(self):
-        f = self.quantified()
-        if self.peek() is not None:
-            self.error("trailing input after sentence")
-        return f
-
-    def quantified(self):
+    def formula(self):
         nxt = self.peek()
         if nxt is not None and nxt[0] == "id" and nxt[1] in ("forall", "exists"):
             kind = self.take()
@@ -306,46 +276,10 @@ class _ArithParser:
                 self.error("expected a variable name")
             var = self.take()
             self.take(".")
-            body = self.quantified()
+            body = self.formula()
             order = "second" if _is_set_var(var) else "first"
             return RawQuant(f"{kind}-{order}", var, body)
         return self.iff()
-
-    def iff(self):
-        f = self.implies()
-        while self.peek() == ("sym", "<->"):
-            self.take()
-            g = self.implies()
-            f = RawNot(RawOr(RawNot(RawOr(RawNot(f), g)), RawNot(RawOr(RawNot(g), f))))
-        return f
-
-    def implies(self):
-        f = self.disj()
-        if self.peek() == ("sym", "->"):
-            self.take()
-            return RawOr(RawNot(f), self.implies())
-        return f
-
-    def disj(self):
-        f = self.conj()
-        while self.peek() == ("sym", "|"):
-            self.take()
-            f = RawOr(f, self.conj())
-        return f
-
-    def conj(self):
-        f = self.unary()
-        while self.peek() == ("sym", "&"):
-            self.take()
-            g = self.unary()
-            f = RawNot(RawOr(RawNot(f), RawNot(g)))
-        return f
-
-    def unary(self):
-        if self.peek() == ("sym", "!"):
-            self.take()
-            return RawNot(self.unary())
-        return self.primary()
 
     def primary(self):
         nxt = self.peek()
@@ -354,7 +288,7 @@ class _ArithParser:
             save = self.pos
             try:
                 self.take("(")
-                f = self.quantified()
+                f = self.formula()
                 self.take(")")
                 if self.peek() is not None and self.peek()[1] in ("=", "<", "+", "*", "in"):
                     raise ParseError("term context", 1, 1)
@@ -974,8 +908,7 @@ def gadget_assignment(encoding: str, n1: int, n2: int, n3: int) -> dict[str, Poi
     return out
 
 
-def gadget_universe(relation: str, encoding: str, n1: int, n2: int, n3: int,
-                    extra_family: bool = True) -> list[LassoTrace]:
+def gadget_universe(relation: str, encoding: str, n1: int, n2: int, n3: int) -> list[LassoTrace]:
     """Constructed witness traces plus a small enumerated family of decoys."""
     traces: list[LassoTrace] = []
     if encoding == "stutter":
@@ -995,16 +928,15 @@ def gadget_universe(relation: str, encoding: str, n1: int, n2: int, n3: int,
         periods = {n1, n1 - 1, n2, n2 - 1} - {0, -1}
         for period in sorted(periods):
             traces.append(PeriodicWitnessSpec(period).build(DLR))
-    if extra_family:
-        dollar = DLR
-        traces.append(LassoTrace(frozenset({dollar}), (), (frozenset(),)))
-        traces.append(LassoTrace(frozenset({dollar}), (), (frozenset({dollar}),)))
-        traces.append(LassoTrace(frozenset({dollar}), (), (frozenset({dollar}), frozenset())))
-        if encoding == "stutter":
-            traces.append(spike_trace((), num_prop("y3"), 0))
-            traces.append(PeriodicWitnessSpec(1).build(DLRP))
-        else:
-            traces.append(spike_trace((), HASH, 0))
+    dollar = frozenset({DLR})
+    traces.append(LassoTrace(dollar, (), (frozenset(),)))
+    traces.append(LassoTrace(dollar, (), (dollar,)))
+    traces.append(LassoTrace(dollar, (), (dollar, frozenset())))
+    if encoding == "stutter":
+        traces.append(spike_trace((), num_prop("y3"), 0))
+        traces.append(PeriodicWitnessSpec(1).build(DLRP))
+    else:
+        traces.append(spike_trace((), HASH, 0))
     # deduplicate by value, preserving order
     seen: set[LassoTrace] = set()
     out = []
@@ -1018,8 +950,7 @@ def gadget_universe(relation: str, encoding: str, n1: int, n2: int, n3: int,
 def verify_gadget(relation: str, n1: int, n2: int, n3: int, encoding: str,
                   bounds: GadgetBounds | None = None,
                   cfg: EvalConfig | None = None,
-                  strict_fidelity: bool = False,
-                  extra_family: bool = True) -> bool:
+                  strict_fidelity: bool = False) -> bool:
     """Evaluate the compiled addition/multiplication gadget on directly
     constructed witness traces; True iff the gadget accepts (n1, n2, n3)."""
     if relation not in ("add", "mul"):
@@ -1036,7 +967,7 @@ def verify_gadget(relation: str, n1: int, n2: int, n3: int, encoding: str,
             f"(need period {need_period}, marker {need_marker})")
     formula = gadget_formula(relation, encoding, strict_fidelity)
     assignment = gadget_assignment(encoding, n1, n2, n3)
-    universe = gadget_universe(relation, encoding, n1, n2, n3, extra_family)
+    universe = gadget_universe(relation, encoding, n1, n2, n3)
     context = hy.all_vars(formula) | set(assignment)
     verdict = evaluate(universe, assignment, context, formula,
                        cfg or EvalConfig())

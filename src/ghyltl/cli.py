@@ -31,6 +31,8 @@ class RunReport:
     reason: str | None = None
     detail: dict = field(default_factory=dict)
     timing_ms: float = 0.0
+    # printed after the text report only; not part of the JSON report
+    text_tail: str | None = None
 
     def to_obj(self) -> dict:
         obj = {
@@ -59,6 +61,8 @@ class RunReport:
             print(f"reason: {self.reason}")
         for k in sorted(self.detail):
             print(f"{k}: {self.detail[k]}")
+        if self.text_tail is not None:
+            print(self.text_tail)
 
 
 def read_formula_file(path: str) -> tuple[frozenset[str], semantics.Hyper]:
@@ -87,37 +91,30 @@ def _eval_flags(sp) -> None:
     sp.add_argument("--json", action="store_true")
 
 
-def cmd_eval(args) -> int:
-    t0 = time.perf_counter()
+def cmd_eval(args) -> RunReport:
     with open(args.traces, encoding="utf-8") as fp:
         _, universe = traces.load_trace_set(fp)
     _, formula = read_formula_file(args.formula)
     verdict = semantics.check_traceset(universe, formula, _cfg(args))
-    report = RunReport(
+    return RunReport(
         "eval", {"traces": args.traces, "formula": args.formula},
         {"until_cutoff": args.until_cutoff, "cycle_margin": args.cycle_margin},
-        verdict.status, verdict.reason, timing_ms=(time.perf_counter() - t0) * 1e3)
-    report.emit(args.json)
-    return EXIT[verdict.status]
+        verdict.status, verdict.reason)
 
 
-def cmd_check(args) -> int:
-    t0 = time.perf_counter()
+def cmd_check(args) -> RunReport:
     with open(args.system, encoding="utf-8") as fp:
         ts = traces.load_transition_system(fp)
     _, formula = read_formula_file(args.formula)
     verdict = semantics.check_ts(ts, formula, args.max_prefix, args.max_loop, _cfg(args))
-    report = RunReport(
+    return RunReport(
         "check", {"system": args.system, "formula": args.formula},
         {"max_prefix": args.max_prefix, "max_loop": args.max_loop,
          "until_cutoff": args.until_cutoff, "cycle_margin": args.cycle_margin},
-        verdict.status, verdict.reason, timing_ms=(time.perf_counter() - t0) * 1e3)
-    report.emit(args.json)
-    return EXIT[verdict.status]
+        verdict.status, verdict.reason)
 
 
-def cmd_compile(args) -> int:
-    t0 = time.perf_counter()
+def cmd_compile(args) -> RunReport:
     raw = arith.parse_arith(Path(args.arith).read_text(encoding="utf-8"))
     flat = arith.flatten(raw)
     if args.encoding == "stutter":
@@ -133,19 +130,15 @@ def cmd_compile(args) -> int:
         json.dump({"encoding": artifact.encoding, "varmap": artifact.var_map},
                   fp, sort_keys=True, indent=2)
         fp.write("\n")
-    report = RunReport(
+    return RunReport(
         "compile", {"arith": args.arith, "encoding": args.encoding,
                     "strict_fidelity": args.strict_fidelity},
         {}, "holds", None,
         {"outdir": str(out),
-         "fragment": semantics.fragment_of(transform.hoist_prenex(artifact.sentence))},
-        timing_ms=(time.perf_counter() - t0) * 1e3)
-    report.emit(args.json)
-    return 0
+         "fragment": semantics.fragment_of(transform.hoist_prenex(artifact.sentence))})
 
 
-def cmd_gadget(args) -> int:
-    t0 = time.perf_counter()
+def cmd_gadget(args) -> RunReport:
     bounds = None
     if args.max_period is not None or args.max_marker is not None:
         if args.max_period is None or args.max_marker is None:
@@ -155,41 +148,32 @@ def cmd_gadget(args) -> int:
                              bounds=bounds, cfg=_cfg(args),
                              strict_fidelity=args.strict_fidelity)
     verdict = "holds" if ok else "fails"
-    report = RunReport(
+    return RunReport(
         "gadget",
         {"encoding": args.encoding, "op": args.op,
          "n1": args.n1, "n2": args.n2, "n3": args.n3,
          "strict_fidelity": args.strict_fidelity},
         {"max_period": args.max_period, "max_marker": args.max_marker,
          "until_cutoff": args.until_cutoff, "cycle_margin": args.cycle_margin},
-        verdict, timing_ms=(time.perf_counter() - t0) * 1e3)
-    report.emit(args.json)
-    return EXIT[verdict]
+        verdict)
 
 
-def cmd_prenex(args) -> int:
-    t0 = time.perf_counter()
+def cmd_prenex(args) -> RunReport:
     ap, formula = read_formula_file(args.formula)
     out_formula = transform.prenexify(formula, ap)
     out_ap = ap if out_formula is formula else ap | {transform.MARK}
     rendered = semantics.render_hyper(out_formula)
     if args.out:
         write_formula_file(args.out, out_ap, out_formula)
-    report = RunReport(
-        "prenex", {"formula": args.formula}, {"pos_bound": args.pos_bound},
-        "holds", None,
+    return RunReport(
+        "prenex", {"formula": args.formula}, {}, "holds", None,
         {"already_prenex": out_formula is formula,
          "output": args.out if args.out else rendered,
          "ap": ", ".join(sorted(out_ap))},
-        timing_ms=(time.perf_counter() - t0) * 1e3)
-    report.emit(args.json)
-    if not args.out and not args.json:
-        print(rendered)
-    return 0
+        text_tail=None if args.out else rendered)
 
 
-def cmd_sat(args) -> int:
-    t0 = time.perf_counter()
+def cmd_sat(args) -> RunReport:
     ap, formula = read_formula_file(args.formula)
     model = semantics.bounded_sat(formula, args.max_traces, args.max_prefix,
                                   args.max_loop, ap, _cfg(args))
@@ -204,28 +188,23 @@ def cmd_sat(args) -> int:
             detail["model"] = args.out
         else:
             detail["model"] = json.dumps(obj, sort_keys=True)
-    report = RunReport(
+    return RunReport(
         "sat", {"formula": args.formula},
         {"max_traces": args.max_traces, "max_prefix": args.max_prefix,
          "max_loop": args.max_loop, "until_cutoff": args.until_cutoff,
          "cycle_margin": args.cycle_margin},
-        verdict, None, detail, timing_ms=(time.perf_counter() - t0) * 1e3)
-    report.emit(args.json)
-    return EXIT[verdict]
+        verdict, None, detail)
 
 
-def cmd_oracle(args) -> int:
-    t0 = time.perf_counter()
+def cmd_oracle(args) -> RunReport:
     raw = arith.parse_arith(Path(args.arith).read_text(encoding="utf-8"))
     flat = arith.flatten(raw)
     value = arith.arith_eval_bounded(flat, args.bound, args.bit_cap)
     verdict = "holds" if value else "fails"
-    report = RunReport(
+    return RunReport(
         "oracle", {"arith": args.arith},
         {"bound": args.bound, "bit_cap": args.bit_cap},
-        verdict, timing_ms=(time.perf_counter() - t0) * 1e3)
-    report.emit(args.json)
-    return EXIT[verdict]
+        verdict)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("prenex", help="hoist quantifiers using position traces")
     sp.add_argument("formula")
-    sp.add_argument("--pos-bound", type=int, default=8)
     sp.add_argument("--out", default=None)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_prenex)
@@ -294,14 +272,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
-    except ParseError as exc:
+        report = args.func(args)
+        report.timing_ms = (time.perf_counter() - t0) * 1e3
+        report.emit(args.json)
+    except (OSError, ValueError, KeyError) as exc:  # ParseError and JSON errors included
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    return EXIT[report.verdict]
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .traces import LassoTrace
 
@@ -299,8 +300,24 @@ def tokenize(text: str, symbols: tuple[str, ...] = _SYMBOLS) -> list[tuple[str, 
     return toks
 
 
-class _PltlParser:
-    def __init__(self, toks: list[tuple[str, str, int, int]], ap: frozenset[str]):
+class _Parser:
+    """Token cursor and boolean ladder shared by the PLTL, hyper and
+    arithmetic front ends.
+
+    The ladder, loosest first, is ``<->`` (left-associative), ``->``
+    (right-associative), ``|``, ``&``, built from the subclass's ``Not``/``Or``
+    node classes: ``a & b`` is ``!(!a | !b)``, ``a -> b`` is ``!a | b`` and
+    ``a <-> b`` is ``(a -> b) & (b -> a)``; the unary level reads ``!``.  A
+    subclass supplies ``primary`` and may extend ``formula`` (the entry level,
+    also used inside parentheses), ``untils`` (the level right below ``&``)
+    and ``unary``.
+    """
+
+    Not: type
+    Or: type
+
+    def __init__(self, toks: list[tuple[str, str, int, int]],
+                 ap: frozenset[str] = frozenset()):
         self.toks = toks
         self.pos = 0
         self.ap = ap
@@ -327,68 +344,81 @@ class _PltlParser:
         self.pos += 1
         return nxt[1]
 
-    def parse(self) -> Pltl:
-        f = self.iff()
+    def parse(self):
+        f = self.formula()
         if self.peek() is not None:
             self.error("trailing input after formula")
         return f
 
-    def iff(self) -> Pltl:
+    def formula(self):
+        return self.iff()
+
+    def _and(self, a, b):
+        return self.Not(self.Or(self.Not(a), self.Not(b)))
+
+    def iff(self):
         f = self.implies()
         while self.peek() == ("sym", "<->"):
             self.take()
-            f = p_iff(f, self.implies())
+            g = self.implies()
+            f = self._and(self.Or(self.Not(f), g), self.Or(self.Not(g), f))
         return f
 
-    def implies(self) -> Pltl:
+    def implies(self):
         f = self.disj()
         if self.peek() == ("sym", "->"):
             self.take()
-            return p_implies(f, self.implies())
+            return self.Or(self.Not(f), self.implies())
         return f
 
-    def disj(self) -> Pltl:
+    def disj(self):
         f = self.conj()
         while self.peek() == ("sym", "|"):
             self.take()
-            f = Or(f, self.conj())
+            f = self.Or(f, self.conj())
         return f
 
-    def conj(self) -> Pltl:
+    def conj(self):
         f = self.untils()
         while self.peek() == ("sym", "&"):
             self.take()
-            f = p_and(f, self.untils())
+            f = self._and(f, self.untils())
         return f
+
+    def untils(self):
+        return self.unary()
+
+    def unary(self):
+        if self.peek() == ("sym", "!"):
+            self.take()
+            return self.Not(self.unary())
+        return self.primary()
+
+
+class _PltlParser(_Parser):
+    Not, Or = Not, Or
 
     def untils(self) -> Pltl:
         f = self.unary()
-        nxt = self.peek()
-        if nxt == ("id", "U"):
-            self.take()
-            return Until(f, self.untils())
-        if nxt == ("id", "S"):
-            self.take()
-            return Since(f, self.untils())
+        if self.peek() in (("id", "U"), ("id", "S")):
+            op = self.take()
+            return (Until if op == "U" else Since)(f, self.untils())
         return f
 
     def unary(self) -> Pltl:
         nxt = self.peek()
-        if nxt == ("sym", "!"):
-            self.take()
-            return Not(self.unary())
         if nxt is not None and nxt[0] == "id" and nxt[1] in ("X", "Y", "F", "G", "O", "H"):
             op = self.take()
             sub = self.unary()
             return {"X": Next, "Y": Yesterday, "F": eventually,
                     "G": always, "O": once, "H": historically}[op](sub)
-        return self.primary()
+        return super().unary()
 
     def primary(self) -> Pltl:
         nxt = self.peek()
         if nxt == ("sym", "("):
             self.take()
-            f = self.iff()
+            f = self.formula()
             self.take(")")
             return f
         if nxt is not None and nxt[0] == "id":
@@ -411,68 +441,97 @@ def parse_pltl(text: str, ap: frozenset[str] | set[str]) -> Pltl:
     return _PltlParser(tokenize(text), frozenset(ap)).parse()
 
 
-# rendering with minimal parentheses; recognizes the canonical sugar expansions
-_PREC_IFF, _PREC_IMPL, _PREC_OR, _PREC_AND, _PREC_UNTIL, _PREC_UNARY = range(6)
+# Rendering with minimal parentheses, recognizing the canonical sugar
+# expansions.  One printer serves the PLTL and hyper families; the quantifier
+# level only occurs in hyper formulas.
+_PREC_QUANT, _PREC_IFF, _PREC_IMPL, _PREC_OR, _PREC_AND, _PREC_UNTIL, _PREC_UNARY = range(7)
 
 
-def _match_implies(f: Pltl):
-    if isinstance(f, Or) and isinstance(f.left, Not):
+@dataclass(frozen=True)
+class _Family:
+    """What the shared printer needs to know about one formula family."""
+
+    Not: type
+    Or: type
+    Next: type
+    Until: type
+    Yesterday: type
+    Since: type
+    index: Callable[[object], str]  # text after X/Y/U/S/F/G/O/H, e.g. "[p]"
+    leaf: Callable[[object, int], str]  # (node, prec) for the other node classes
+
+
+def _match_implies(f, fam: _Family):
+    if isinstance(f, fam.Or) and isinstance(f.left, fam.Not):
         return (f.left.sub, f.right)
     return None
 
 
-def _resugar(f: Pltl):
-    """Return (tag, payload) for recognized sugar shapes, else None."""
-    if isinstance(f, Until) and f.left == tautology_over(f.right):
-        return ("F", f.right)
-    if isinstance(f, Since) and f.left == tautology_over(f.right):
-        return ("O", f.right)
+def _resugar(f, fam: _Family):
+    """(tag, indexed node, payload) for recognized sugar shapes, else None."""
+    Not, Or = fam.Not, fam.Or
+    if isinstance(f, fam.Until) and f.left == Or(f.right, Not(f.right)):
+        return ("F", f, f.right)
+    if isinstance(f, fam.Since) and f.left == Or(f.right, Not(f.right)):
+        return ("O", f, f.right)
     if isinstance(f, Not):
         s = f.sub
-        if isinstance(s, Until) and isinstance(s.right, Not) and s.left == tautology_over(s.right):
-            return ("G", s.right.sub)
-        if isinstance(s, Since) and isinstance(s.right, Not) and s.left == tautology_over(s.right):
-            return ("H", s.right.sub)
+        if isinstance(s, fam.Until) and isinstance(s.right, Not) \
+                and s.left == Or(s.right, Not(s.right)):
+            return ("G", s, s.right.sub)
+        if isinstance(s, fam.Since) and isinstance(s.right, Not) \
+                and s.left == Or(s.right, Not(s.right)):
+            return ("H", s, s.right.sub)
         if isinstance(s, Or) and isinstance(s.left, Not) and isinstance(s.right, Not):
             a, b = s.left.sub, s.right.sub
-            ia, ib = _match_implies(a), _match_implies(b)
+            ia, ib = _match_implies(a, fam), _match_implies(b, fam)
             if ia and ib and ia[0] == ib[1] and ia[1] == ib[0]:
-                return ("<->", (ia[0], ia[1]))
-            return ("&", (a, b))
-    imp = _match_implies(f)
+                return ("<->", None, (ia[0], ia[1]))
+            return ("&", None, (a, b))
+    imp = _match_implies(f, fam)
     if imp is not None:
-        return ("->", imp)
+        return ("->", None, imp)
     return None
 
 
-def render_pltl(f: Pltl, prec: int = 0) -> str:
-    sug = _resugar(f)
+def _render(f, prec: int, fam: _Family) -> str:
+    sug = _resugar(f, fam)
     if sug is not None:
-        tag, payload = sug
+        tag, node, payload = sug
         if tag in ("&", "->", "<->"):
             a, b = payload
             lv = {"&": _PREC_AND, "->": _PREC_IMPL, "<->": _PREC_IFF}[tag]
-            left = render_pltl(a, lv + 1 if tag == "->" else lv)
-            right = render_pltl(b, lv if tag == "->" else lv + 1)
+            left = _render(a, lv + 1 if tag == "->" else lv, fam)
+            right = _render(b, lv if tag == "->" else lv + 1, fam)
             s = f"{left} {tag} {right}"
             return f"({s})" if prec > lv else s
-        s = f"{tag} {render_pltl(payload, _PREC_UNARY)}"
+        s = f"{tag}{fam.index(node)} {_render(payload, _PREC_UNARY, fam)}"
         return f"({s})" if prec > _PREC_UNARY else s
+    if isinstance(f, fam.Not):
+        return f"!{_render(f.sub, _PREC_UNARY, fam)}"
+    if isinstance(f, fam.Or):
+        s = f"{_render(f.left, _PREC_OR, fam)} | {_render(f.right, _PREC_OR + 1, fam)}"
+        return f"({s})" if prec > _PREC_OR else s
+    if isinstance(f, (fam.Next, fam.Yesterday)):
+        op = "X" if isinstance(f, fam.Next) else "Y"
+        s = f"{op}{fam.index(f)} {_render(f.sub, _PREC_UNARY, fam)}"
+        return f"({s})" if prec > _PREC_UNARY else s
+    if isinstance(f, (fam.Until, fam.Since)):
+        op = "U" if isinstance(f, fam.Until) else "S"
+        s = (f"{_render(f.left, _PREC_UNARY, fam)} {op}{fam.index(f)} "
+             f"{_render(f.right, _PREC_UNTIL, fam)}")
+        return f"({s})" if prec > _PREC_UNTIL else s
+    return fam.leaf(f, prec)
+
+
+def _pltl_leaf(f, prec: int) -> str:
     if isinstance(f, Atom):
         return f.name
-    if isinstance(f, Not):
-        return f"!{render_pltl(f.sub, _PREC_UNARY)}"
-    if isinstance(f, Or):
-        s = f"{render_pltl(f.left, _PREC_OR)} | {render_pltl(f.right, _PREC_OR + 1)}"
-        return f"({s})" if prec > _PREC_OR else s
-    if isinstance(f, Next):
-        return f"X {render_pltl(f.sub, _PREC_UNARY)}"
-    if isinstance(f, Yesterday):
-        return f"Y {render_pltl(f.sub, _PREC_UNARY)}"
-    if isinstance(f, Until):
-        s = f"{render_pltl(f.left, _PREC_UNARY)} U {render_pltl(f.right, _PREC_UNTIL)}"
-        return f"({s})" if prec > _PREC_UNTIL else s
-    if isinstance(f, Since):
-        s = f"{render_pltl(f.left, _PREC_UNARY)} S {render_pltl(f.right, _PREC_UNTIL)}"
-        return f"({s})" if prec > _PREC_UNTIL else s
     raise TypeError(f"not a PLTL node: {f!r}")
+
+
+_PLTL = _Family(Not, Or, Next, Until, Yesterday, Since, lambda f: "", _pltl_leaf)
+
+
+def render_pltl(f: Pltl, prec: int = 0) -> str:
+    return _render(f, prec, _PLTL)

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import stutter
 from . import pltl as pl
-from .pltl import ParseError, _PltlParser, render_pltl, tokenize
+from .pltl import _PREC_QUANT, _PREC_UNARY, ParseError, _PltlParser, render_pltl, tokenize
 from .traces import LassoTrace, PointedTrace, TransitionSystem, enumerate_lassos, \
     enumerate_ts_traces, normalize
 
@@ -653,29 +653,16 @@ def bounded_sat(f: Hyper, max_traces: int, max_prefix: int, max_loop: int,
 # atoms p_x; booleans ! | & -> <->; sugar F[g] G[g] O[g] H[g]; parentheses.
 
 
-class _HyperParser:
-    def __init__(self, toks, ap: frozenset[str]):
-        self.toks = toks
-        self.pos = 0
-        self.ap = ap
+class _HyperParser(pl._Parser):
+    Not, Or = Not, Or
 
-    error = _PltlParser.error
-    peek = _PltlParser.peek
-    take = _PltlParser.take
-
-    def parse(self) -> Hyper:
-        f = self.quantified()
-        if self.peek() is not None:
-            self.error("trailing input after formula")
-        return f
-
-    def quantified(self) -> Hyper:
+    def formula(self) -> Hyper:
         nxt = self.peek()
         if nxt is not None and nxt[0] == "id" and nxt[1] in ("forall", "exists"):
             kind = self.take()
             var = self.ident("quantified variable")
             self.take(".")
-            body = self.quantified()
+            body = self.formula()
             return (Forall if kind == "forall" else Exists)(var, body)
         return self.iff()
 
@@ -685,34 +672,6 @@ class _HyperParser:
             self.error(f"expected {what}")
         self.take()
         return nxt[1]
-
-    def iff(self) -> Hyper:
-        f = self.implies()
-        while self.peek() == ("sym", "<->"):
-            self.take()
-            f = h_iff(f, self.implies())
-        return f
-
-    def implies(self) -> Hyper:
-        f = self.disj()
-        if self.peek() == ("sym", "->"):
-            self.take()
-            return h_implies(f, self.implies())
-        return f
-
-    def disj(self) -> Hyper:
-        f = self.conj()
-        while self.peek() == ("sym", "|"):
-            self.take()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Hyper:
-        f = self.untils()
-        while self.peek() == ("sym", "&"):
-            self.take()
-            f = h_and(f, self.untils())
-        return f
 
     def untils(self) -> Hyper:
         f = self.unary()
@@ -731,7 +690,7 @@ class _HyperParser:
             while True:
                 sub = _PltlParser(self.toks, self.ap)
                 sub.pos = self.pos
-                members.append(sub.iff())
+                members.append(sub.formula())
                 self.pos = sub.pos
                 if self.peek() == ("sym", ","):
                     self.take()
@@ -742,9 +701,6 @@ class _HyperParser:
 
     def unary(self) -> Hyper:
         nxt = self.peek()
-        if nxt == ("sym", "!"):
-            self.take()
-            return Not(self.unary())
         if nxt is not None and nxt[0] == "id" and nxt[1] in ("X", "Y", "F", "G", "O", "H"):
             op = self.take()
             g = self.gamma()
@@ -761,13 +717,13 @@ class _HyperParser:
                 vs.append(self.ident("context variable"))
             self.take("}")
             return Context(frozenset(vs), self.unary())
-        return self.primary()
+        return super().unary()
 
     def primary(self) -> Hyper:
         nxt = self.peek()
         if nxt == ("sym", "("):
             self.take()
-            f = self.quantified()
+            f = self.formula()
             self.take(")")
             return f
         if nxt is not None and nxt[0] == "id":
@@ -788,81 +744,25 @@ def parse_hyper(text: str, ap: Iterable[str]) -> Hyper:
     return _HyperParser(tokenize(text), frozenset(ap)).parse()
 
 
-_PREC_QUANT, _PREC_IFF, _PREC_IMPL, _PREC_OR, _PREC_AND, _PREC_UNTIL, _PREC_UNARY = range(7)
+def _render_index(f: Hyper) -> str:
+    return "[" + ", ".join(sorted(render_pltl(th) for th in f.gamma)) + "]"
 
 
-def _render_gamma(g: Gamma) -> str:
-    return "[" + ", ".join(sorted(render_pltl(th) for th in g)) + "]"
-
-
-def _match_h_implies(f: Hyper):
-    if isinstance(f, Or) and isinstance(f.left, Not):
-        return (f.left.sub, f.right)
-    return None
-
-
-def _resugar(f: Hyper):
-    if isinstance(f, Until) and f.left == tautology_over(f.right):
-        return ("F", f.gamma, f.right)
-    if isinstance(f, Since) and f.left == tautology_over(f.right):
-        return ("O", f.gamma, f.right)
-    if isinstance(f, Not):
-        s = f.sub
-        if isinstance(s, Until) and isinstance(s.right, Not) and s.left == tautology_over(s.right):
-            return ("G", s.gamma, s.right.sub)
-        if isinstance(s, Since) and isinstance(s.right, Not) and s.left == tautology_over(s.right):
-            return ("H", s.gamma, s.right.sub)
-        if isinstance(s, Or) and isinstance(s.left, Not) and isinstance(s.right, Not):
-            a, b = s.left.sub, s.right.sub
-            ia, ib = _match_h_implies(a), _match_h_implies(b)
-            if ia and ib and ia[0] == ib[1] and ia[1] == ib[0]:
-                return ("<->", None, (ia[0], ia[1]))
-            return ("&", None, (a, b))
-    imp = _match_h_implies(f)
-    if imp is not None:
-        return ("->", None, imp)
-    return None
-
-
-def render_hyper(f: Hyper, prec: int = 0) -> str:
+def _render_leaf(f: Hyper, prec: int) -> str:
+    if isinstance(f, Atom):
+        return f"{f.prop}_{f.var}"
     if isinstance(f, (Exists, Forall)):
         kind = "exists" if isinstance(f, Exists) else "forall"
         s = f"{kind} {f.var}. {render_hyper(f.sub, _PREC_QUANT)}"
         return f"({s})" if prec > _PREC_QUANT else s
-    sug = _resugar(f)
-    if sug is not None:
-        tag, g, payload = sug
-        if tag in ("&", "->", "<->"):
-            a, b = payload
-            lv = {"&": _PREC_AND, "->": _PREC_IMPL, "<->": _PREC_IFF}[tag]
-            left = render_hyper(a, lv + 1 if tag == "->" else lv)
-            right = render_hyper(b, lv if tag == "->" else lv + 1)
-            s = f"{left} {tag} {right}"
-            return f"({s})" if prec > lv else s
-        s = f"{tag}{_render_gamma(g)} {render_hyper(payload, _PREC_UNARY)}"
-        return f"({s})" if prec > _PREC_UNARY else s
-    if isinstance(f, Atom):
-        return f"{f.prop}_{f.var}"
-    if isinstance(f, Not):
-        return f"!{render_hyper(f.sub, _PREC_UNARY)}"
-    if isinstance(f, Or):
-        s = f"{render_hyper(f.left, _PREC_OR)} | {render_hyper(f.right, _PREC_OR + 1)}"
-        return f"({s})" if prec > _PREC_OR else s
     if isinstance(f, Context):
         s = f"C{{{','.join(sorted(f.vars))}}} {render_hyper(f.sub, _PREC_UNARY)}"
         return f"({s})" if prec > _PREC_UNARY else s
-    if isinstance(f, Next):
-        s = f"X{_render_gamma(f.gamma)} {render_hyper(f.sub, _PREC_UNARY)}"
-        return f"({s})" if prec > _PREC_UNARY else s
-    if isinstance(f, Yesterday):
-        s = f"Y{_render_gamma(f.gamma)} {render_hyper(f.sub, _PREC_UNARY)}"
-        return f"({s})" if prec > _PREC_UNARY else s
-    if isinstance(f, Until):
-        s = (f"{render_hyper(f.left, _PREC_UNARY)} U{_render_gamma(f.gamma)} "
-             f"{render_hyper(f.right, _PREC_UNTIL)}")
-        return f"({s})" if prec > _PREC_UNTIL else s
-    if isinstance(f, Since):
-        s = (f"{render_hyper(f.left, _PREC_UNARY)} S{_render_gamma(f.gamma)} "
-             f"{render_hyper(f.right, _PREC_UNTIL)}")
-        return f"({s})" if prec > _PREC_UNTIL else s
     raise TypeError(f"not a hyper formula node: {f!r}")
+
+
+_HYPER = pl._Family(Not, Or, Next, Until, Yesterday, Since, _render_index, _render_leaf)
+
+
+def render_hyper(f: Hyper, prec: int = 0) -> str:
+    return pl._render(f, prec, _HYPER)

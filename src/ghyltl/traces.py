@@ -46,10 +46,6 @@ class LassoTrace:
             return self.prefix[i]
         return self.loop[(i - len(self.prefix)) % len(self.loop)]
 
-    def letters(self, n: int) -> list[Letter]:
-        """The first n letters, unrolled."""
-        return [self.letter(i) for i in range(n)]
-
     def sort_key(self) -> tuple:
         return (
             len(self.prefix),
@@ -274,13 +270,47 @@ def trace_set_to_obj(ap: Iterable[str], traces: Iterable[LassoTrace]) -> dict:
     }
 
 
+def _get(obj, path: str, key: str):
+    """obj[key]; the ValueErrors name the field by its path in the document."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path or 'document'} must be a JSON object")
+    if key not in obj:
+        raise ValueError(f"missing field {path + '.' if path else ''}{key}")
+    return obj[key]
+
+
+def _list(obj, path: str, key: str, item=None, what: str = "") -> list:
+    """obj[key] checked to be a list whose members all satisfy item."""
+    val = _get(obj, path, key)
+    if not isinstance(val, list) or (item is not None and not all(map(item, val))):
+        raise ValueError(f"field {path + '.' if path else ''}{key} must be a list{what}")
+    return val
+
+
+def _is_name(v) -> bool:
+    return isinstance(v, str)
+
+
+def _is_letter(v) -> bool:
+    return isinstance(v, list) and all(map(_is_name, v))
+
+
+def _is_vertex(v) -> bool:
+    return isinstance(v, (str, int))
+
+
+def _word(obj, path: str, key: str) -> tuple[Letter, ...]:
+    return tuple(frozenset(l) for l in
+                 _list(obj, path, key, _is_letter, " of letters (lists of strings)"))
+
+
 def trace_set_from_obj(obj: dict) -> tuple[frozenset[str], list[LassoTrace]]:
-    ap = frozenset(obj["ap"])
-    traces = [
-        LassoTrace(ap, tuple(frozenset(l) for l in e["prefix"]),
-                   tuple(frozenset(l) for l in e["loop"]), e.get("name"))
-        for e in obj["traces"]
-    ]
+    ap = frozenset(_list(obj, "", "ap", _is_name, " of strings"))
+    traces = []
+    for i, e in enumerate(_list(obj, "", "traces")):
+        path = f"traces[{i}]"
+        traces.append(LassoTrace(ap, _word(e, path, "prefix"), _word(e, path, "loop"),
+                                 e.get("name")))
     return ap, traces
 
 
@@ -303,12 +333,23 @@ def ts_to_obj(ts: TransitionSystem) -> dict:
 
 
 def ts_from_obj(obj: dict) -> TransitionSystem:
+    ids, labels = [], {}
+    for i, v in enumerate(_list(obj, "", "vertices")):
+        path = f"vertices[{i}]"
+        vid = _get(v, path, "id")
+        if not _is_vertex(vid):
+            raise ValueError(f"field {path}.id must be a string or integer")
+        ids.append(vid)
+        labels[vid] = frozenset(_list(v, path, "label", _is_name, " of strings"))
+    edges = _list(obj, "", "edges",
+                  lambda e: isinstance(e, list) and len(e) == 2 and all(map(_is_vertex, e)),
+                  " of [source, target] vertex pairs")
     return TransitionSystem(
-        ap=frozenset(obj["ap"]),
-        vertices=tuple(v["id"] for v in obj["vertices"]),
-        edges=frozenset((s, d) for s, d in obj["edges"]),
-        initial=frozenset(obj["initial"]),
-        labels={v["id"]: frozenset(v["label"]) for v in obj["vertices"]},
+        ap=frozenset(_list(obj, "", "ap", _is_name, " of strings")),
+        vertices=tuple(ids),
+        edges=frozenset((s, d) for s, d in edges),
+        initial=frozenset(_list(obj, "", "initial", _is_vertex, " of vertices")),
+        labels=labels,
     )
 
 

@@ -88,33 +88,6 @@ def _is_taut(f: Hyper) -> bool:
     return isinstance(f, Or) and isinstance(f.right, Not) and f.right.sub == f.left
 
 
-def rename_vars(f: Hyper, ren: dict[str, str]) -> Hyper:
-    """Uniform variable renaming over atoms, binders, and context sets."""
-    if not ren:
-        return f
-    if isinstance(f, Atom):
-        return Atom(f.prop, ren.get(f.var, f.var))
-    if isinstance(f, Not):
-        return Not(rename_vars(f.sub, ren))
-    if isinstance(f, Or):
-        return Or(rename_vars(f.left, ren), rename_vars(f.right, ren))
-    if isinstance(f, Context):
-        return Context(frozenset(ren.get(v, v) for v in f.vars), rename_vars(f.sub, ren))
-    if isinstance(f, Next):
-        return Next(f.gamma, rename_vars(f.sub, ren))
-    if isinstance(f, Until):
-        return Until(f.gamma, rename_vars(f.left, ren), rename_vars(f.right, ren))
-    if isinstance(f, Yesterday):
-        return Yesterday(f.gamma, rename_vars(f.sub, ren))
-    if isinstance(f, Since):
-        return Since(f.gamma, rename_vars(f.left, ren), rename_vars(f.right, ren))
-    if isinstance(f, Exists):
-        return Exists(ren.get(f.var, f.var), rename_vars(f.sub, ren))
-    if isinstance(f, Forall):
-        return Forall(ren.get(f.var, f.var), rename_vars(f.sub, ren))
-    raise TypeError(f"not a hyper formula node: {f!r}")
-
-
 def alpha_unique(f: Hyper) -> Hyper:
     """Rename binders so every bound variable name is used exactly once."""
     used: set[str] = set(all_vars(f))

@@ -198,3 +198,46 @@ def test_oracle_command(workdir, capsys):
     (workdir / "b.txt").write_text("exists a. a < a", encoding="utf-8")
     code, _ = run(["oracle", workdir / "b.txt"], capsys)
     assert code == 1
+
+
+GOOD_SYSTEM = {
+    "ap": ["p"],
+    "vertices": [{"id": "a", "label": []}],
+    "edges": [["a", "a"]],
+    "initial": ["a"],
+}
+
+# (command, malformed document, field the error must name)
+MALFORMED_JSON = [
+    ("eval", {"ap": ["p"], "traces": [{"prefix": [], "loop": 5}]}, "traces[0].loop"),
+    ("eval", {"ap": ["p"], "traces": [{"prefix": "p", "loop": [[]]}]}, "traces[0].prefix"),
+    ("eval", {"ap": ["p"], "traces": [{"prefix": [[1]], "loop": [[]]}]}, "traces[0].prefix"),
+    ("eval", {"ap": ["p"], "traces": [{"loop": [[]]}]}, "traces[0].prefix"),
+    ("eval", {"ap": ["p"]}, "traces"),
+    ("eval", {"ap": ["p"], "traces": [5]}, "traces[0]"),
+    ("eval", {"ap": "p", "traces": []}, "ap"),
+    ("eval", [], "document"),
+    ("check", {**GOOD_SYSTEM, "vertices": None}, "vertices"),
+    ("check", {k: v for k, v in GOOD_SYSTEM.items() if k != "vertices"},
+     "vertices"),
+    ("check", {**GOOD_SYSTEM, "vertices": ["a"]}, "vertices[0]"),
+    ("check", {**GOOD_SYSTEM, "vertices": [{"id": [], "label": []}]}, "vertices[0].id"),
+    ("check", {**GOOD_SYSTEM, "vertices": [{"id": "a", "label": 3}]}, "vertices[0].label"),
+    ("check", {**GOOD_SYSTEM, "edges": [["a"]]}, "edges"),
+    ("check", {**GOOD_SYSTEM, "initial": [["a"]]}, "initial"),
+]
+
+
+@pytest.mark.parametrize("command,doc,field", MALFORMED_JSON,
+                         ids=[f"{c}:{f}:{i}" for i, (c, _, f) in enumerate(MALFORMED_JSON)])
+def test_malformed_json_exit_three(workdir, capsys, command, doc, field):
+    (workdir / "bad.json").write_text(json.dumps(doc), encoding="utf-8")
+    (workdir / "f.ghyltl").write_text("ap: p\nexists x. p_x\n", encoding="utf-8")
+    code = main([command, str(workdir / "bad.json"), str(workdir / "f.ghyltl")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert field in lines[0]
+    assert "Traceback" not in captured.err

@@ -124,3 +124,86 @@ def test_render_parse_roundtrip():
     for _ in range(300):
         f = gen_pltl(rng, ap, rng.randint(0, 4))
         assert parse_pltl(render_pltl(f), set(ap)) == f
+
+
+A, B, C = pl.Atom("a"), pl.Atom("b"), pl.Atom("c")
+
+# exact text, so a change in the shared printer shows up as a byte diff
+RENDER_GOLDEN = [
+    (pl.eventually(A), "F a"),
+    (pl.always(pl.p_implies(A, pl.eventually(B))), "G (a -> F b)"),
+    (pl.once(pl.historically(A)), "O H a"),
+    (pl.Not(pl.always(A)), "!G a"),
+    (pl.true_over("a"), "a | !a"),
+    (pl.p_and(pl.Or(A, B), C), "(a | b) & c"),
+    (pl.Or(A, pl.p_and(B, C)), "a | b & c"),
+    (pl.Not(pl.p_and(A, B)), "!(a & b)"),
+    (pl.p_implies(A, pl.p_implies(B, C)), "a -> b -> c"),
+    (pl.p_implies(pl.p_implies(A, B), C), "(a -> b) -> c"),
+    (pl.p_iff(pl.p_iff(A, B), C), "a <-> b <-> c"),
+    (pl.p_iff(A, pl.p_iff(B, C)), "a <-> (b <-> c)"),
+    (pl.p_iff(pl.p_implies(A, B), pl.Or(B, C)), "a -> b <-> b | c"),
+    (pl.Until(A, pl.Until(B, C)), "a U b U c"),
+    (pl.Until(pl.Until(A, B), C), "(a U b) U c"),
+    (pl.Since(A, pl.Until(B, C)), "a S b U c"),
+    (pl.p_and(pl.Since(A, B), C), "a S b & c"),
+    (pl.Until(pl.Not(A), pl.Or(B, C)), "!a U (b | c)"),
+    (pl.Next(pl.Yesterday(pl.Or(A, B))), "X Y (a | b)"),
+]
+
+
+@pytest.mark.parametrize("f,text", RENDER_GOLDEN, ids=[t for _, t in RENDER_GOLDEN])
+def test_render_golden(f, text):
+    assert render_pltl(f) == text
+    assert parse_pltl(text, {"a", "b", "c"}) == f
+
+
+def _parse_hyper_pq(text):
+    from ghyltl.semantics import parse_hyper
+    return parse_hyper(text, ("p", "q"))
+
+
+def _parse_arith(text):
+    from ghyltl.arith import parse_arith
+    return parse_arith(text)
+
+
+def _parse_pltl_ab(text):
+    return parse_pltl(text, {"a", "b"})
+
+
+# (parser, text, line, column, message) over the three front ends
+PARSE_ERRORS = [
+    (_parse_pltl_ab, "a &\n& b", 2, 1, "expected a formula, found '&'"),
+    (_parse_pltl_ab, "unknown", 1, 1, "unknown proposition 'unknown', found 'unknown'"),
+    (_parse_pltl_ab, "(a | b", 1, 6, "expected ')' at end of input"),
+    (_parse_pltl_ab, "a b", 1, 3, "trailing input after formula, found 'b'"),
+    (_parse_pltl_ab, "", 1, 1, "expected a formula"),
+    (_parse_pltl_ab, "a $ b", 1, 3, "unexpected character '$'"),
+    (_parse_hyper_pq, "forall x.\n p_x &", 2, 6, "expected a formula at end of input"),
+    (_parse_hyper_pq, "exists x p_x", 1, 10, "expected '.', found 'p_x'"),
+    (_parse_hyper_pq, "exists x. X p_x", 1, 13, "expected '[', found 'p_x'"),
+    (_parse_hyper_pq, "exists x. C{} p_x", 1, 13, "expected context variable, found '}'"),
+    (_parse_hyper_pq, "exists x. r_x", 1, 11,
+     "expected an atom of the form prop_var over ap ['p', 'q'], found 'r_x'"),
+    (_parse_hyper_pq, "exists x. p_x)", 1, 14, "trailing input after formula, found ')'"),
+    (_parse_hyper_pq, "exists x. F[a] p_x", 1, 13, "unknown proposition 'a', found 'a'"),
+    (_parse_arith, "exists a. a <", 1, 13, "expected a term at end of input"),
+    (_parse_arith, "exists 1. 1 = 1", 1, 8, "expected a variable name, found '1'"),
+    (_parse_arith, "exists a. a = a)", 1, 16, "trailing input after formula, found ')'"),
+    (_parse_arith, "exists a. a in b", 1, 16,
+     "expected a second-order (upper-case) variable after 'in', found 'b'"),
+    (_parse_arith, "exists a. a", 1, 11, "expected '=', '<' or 'in' after a term at end of input"),
+    (_parse_arith, "exists a. X + a = a", 1, 13,
+     "second-order variable 'X' cannot appear in a term, found '+'"),
+    (_parse_arith, "exists a. (a = a", 1, 14, "expected ')', found '='"),
+]
+
+
+@pytest.mark.parametrize("parse,text,line,col,message", PARSE_ERRORS,
+                         ids=[f"{p.__name__}:{t!r}" for p, t, *_ in PARSE_ERRORS])
+def test_parse_errors_table(parse, text, line, col, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert str(exc.value) == f"{message} (line {line}, column {col})"

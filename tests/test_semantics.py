@@ -323,3 +323,36 @@ def test_parse_error_position():
     with pytest.raises(hy.ParseError) as exc:
         parse_hyper("forall x.\n p_x &", AP)
     assert exc.value.line == 2
+
+
+PX, QX, PY, QY = hy.Atom("p", "x"), hy.Atom("q", "x"), hy.Atom("p", "y"), hy.Atom("q", "y")
+E = hy.EMPTY_GAMMA
+G_PQ = frozenset({pl.Atom("q"), pl.p_and(pl.Atom("p"), pl.eventually(pl.Atom("q")))})
+
+# exact text, so a change in the shared printer shows up as a byte diff
+RENDER_GOLDEN = [
+    (hy.ev(E, PX), "F[] p_x"),
+    (hy.alw(frozenset({pl.Atom("p")}), hy.h_implies(PX, hy.ev(E, QY))), "G[p] (p_x -> F[] q_y)"),
+    (hy.once(E, hy.hist(E, PX)), "O[] H[] p_x"),
+    (hy.Next(G_PQ, PX), "X[p & F q, q] p_x"),
+    (hy.Yesterday(E, hy.Or(PX, QX)), "Y[] (p_x | q_x)"),
+    (hy.h_and(hy.Or(PX, PY), QX), "(p_x | p_y) & q_x"),
+    (hy.Or(PX, hy.h_and(PY, QX)), "p_x | p_y & q_x"),
+    (hy.h_implies(hy.h_implies(PX, PY), QX), "(p_x -> p_y) -> q_x"),
+    (hy.h_iff(PX, hy.h_iff(PY, QX)), "p_x <-> (p_y <-> q_x)"),
+    (hy.Until(E, PX, hy.Since(G_PQ, PY, QX)), "p_x U[] p_y S[p & F q, q] q_x"),
+    (hy.Until(E, hy.Until(E, PX, PY), QX), "(p_x U[] p_y) U[] q_x"),
+    (hy.Context(frozenset({"y", "x"}), hy.ev(E, PX)), "C{x,y} F[] p_x"),
+    (hy.h_and(hy.Context(frozenset({"x"}), PX), QY), "C{x} p_x & q_y"),
+    (hy.Context(frozenset({"x"}), hy.Or(PX, QY)), "C{x} (p_x | q_y)"),
+    (hy.Exists("x", hy.Forall("y", hy.h_iff(PX, PY))), "exists x. forall y. p_x <-> p_y"),
+    (hy.Forall("y", hy.Or(hy.Exists("x", PX), QY)), "forall y. (exists x. p_x) | q_y"),
+    (hy.Forall("y", hy.h_implies(QY, hy.Exists("x", PX))), "forall y. q_y -> (exists x. p_x)"),
+    (hy.Exists("x", hy.Not(hy.Exists("y", PY))), "exists x. !(exists y. p_y)"),
+]
+
+
+@pytest.mark.parametrize("f,text", RENDER_GOLDEN, ids=[t for _, t in RENDER_GOLDEN])
+def test_render_golden(f, text):
+    assert render_hyper(f) == text
+    assert parse_hyper(text, AP) == f
