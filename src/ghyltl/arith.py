@@ -20,6 +20,7 @@ from . import semantics as hy
 from .pltl import ParseError, tokenize
 from .semantics import EMPTY_GAMMA, EvalConfig, evaluate
 from .traces import LassoTrace, PointedTrace, TransitionSystem, pointwise_union, spike_trace
+from .transform import fresh_names, pos_shape, purity
 
 HASH = "hash"
 DLR = "dlr"
@@ -282,21 +283,28 @@ class _ArithParser(pl._Parser):
         return self.iff()
 
     def primary(self):
-        nxt = self.peek()
-        if nxt == ("sym", "("):
-            # either a parenthesized formula or a parenthesized term
-            save = self.pos
-            try:
-                self.take("(")
-                f = self.formula()
-                self.take(")")
-                if self.peek() is not None and self.peek()[1] in ("=", "<", "+", "*", "in"):
-                    raise ParseError("term context", 1, 1)
+        if self.peek() != ("sym", "("):
+            return self.comparison()
+        # either a parenthesized formula or a parenthesized term; when both
+        # fail, the error of the one that read further is the one to report
+        save = self.pos
+        formula_err = None
+        try:
+            self.take("(")
+            f = self.formula()
+            self.take(")")
+            if self.peek() is None or self.peek()[1] not in ("=", "<", "+", "*", "in"):
                 return f
-            except ParseError:
-                self.pos = save
-                return self.comparison()
-        return self.comparison()
+        except ParseError as exc:
+            formula_err, formula_end = exc, self.pos
+        self.pos = save
+        try:
+            return self.comparison()
+        except ParseError:
+            if formula_err is None or formula_end <= self.pos:
+                raise
+            self.pos = formula_end
+            raise formula_err from None
 
     def comparison(self):
         left = self.term()
@@ -356,16 +364,7 @@ class _Flattener:
     # each fresh variable carries its defining conjuncts; the quantifier is
     # wrapped right around them so exhaustive evaluation prunes level by level
     def __init__(self, taken: set[str]):
-        self.taken = taken
-        self.counter = 0
-
-    def fresh(self) -> str:
-        while True:
-            name = f"t{self.counter}"
-            self.counter += 1
-            if name not in self.taken:
-                self.taken.add(name)
-                return name
+        self.fresh = fresh_names("t", taken)
 
     def term(self, t, bindings: list[tuple[str, list[Arith]]]) -> str:
         if isinstance(t, TVar):
@@ -374,7 +373,7 @@ class _Flattener:
             return self.constant(t.value, bindings)
         left = self.term(t.left, bindings)
         right = self.term(t.right, bindings)
-        v = self.fresh()
+        v = next(self.fresh)
         bindings.append((v, [(Add if isinstance(t, TPlus) else Mul)(left, right, v)]))
         return v
 
@@ -382,14 +381,14 @@ class _Flattener:
         # 0 is the unique additive idempotent, 1 the other multiplicative one;
         # larger constants are built by repeated addition of 1
         if k == 0:
-            v = self.fresh()
+            v = next(self.fresh)
             bindings.append((v, [Add(v, v, v)]))
             return v
-        one = self.fresh()
+        one = next(self.fresh)
         bindings.append((one, [Mul(one, one, one), Not(Add(one, one, one))]))
         prev = one
         for _ in range(k - 1):
-            nxt = self.fresh()
+            nxt = next(self.fresh)
             bindings.append((nxt, [Add(prev, one, nxt)]))
             prev = nxt
         return prev
@@ -488,17 +487,7 @@ def dealias(f: Arith) -> Arith:
     Fresh variables pinned by order-based equality restore the precondition;
     comparison and membership atoms are alias-safe.
     """
-    taken = set(first_order_vars(f)) | set(second_order_vars(f))
-    counter = 0
-
-    def fresh() -> str:
-        nonlocal counter
-        while True:
-            name = f"u{counter}"
-            counter += 1
-            if name not in taken:
-                taken.add(name)
-                return name
+    fresh = fresh_names("u", set(first_order_vars(f)) | set(second_order_vars(f)))
 
     def split(node: Arith) -> Arith:
         ys = [node.y1, node.y2, node.y3]
@@ -507,7 +496,7 @@ def dealias(f: Arith) -> Arith:
         eqs: list[tuple[str, str]] = []
         for y in ys:
             if y in seen:
-                u = fresh()
+                u = next(fresh)
                 eqs.append((u, y))
                 renamed.append(u)
             else:
@@ -587,49 +576,34 @@ def _full_shift_ts(components: list[tuple[str, frozenset[str]]]) -> TransitionSy
                             frozenset(vertices), labels)
 
 
-def _singleton_shape(var: str, prop: str) -> hy.Hyper:
-    at = hy.Atom(prop, var)
-    return hy.Until(EMPTY_GAMMA, hy.Not(at),
-                    hy.h_and(at, hy.Next(EMPTY_GAMMA, hy.alw(EMPTY_GAMMA, hy.Not(at)))))
+class _Compiler:
+    """hyp(.): the one walk over flat arithmetic shared by both encodings.
 
+    A number y is a trace carrying a single marker(y), a set a trace carrying
+    nothing but hash; a subclass fixes marker(y) and the gadgets for + and *.
+    """
 
-def _purity(var: str, allowed: str, ap: Iterable[str]) -> hy.Hyper:
-    banned = sorted(set(ap) - {allowed})
-    return hy.alw(EMPTY_GAMMA, hy.h_all([hy.Not(hy.Atom(p, var)) for p in banned]))
-
-
-class _StutterCompiler:
-    """hyp(.) into the stuttering fragment over {hash} + per-variable markers
-    + {dlr, dlrp}."""
-
-    def __init__(self, v1: Iterable[str]):
-        self.v1 = sorted(set(v1))
-        self.ap = frozenset({HASH, DLR, DLRP} | {num_prop(y) for y in self.v1})
-        self._fresh = 0
+    def __init__(self, ap: frozenset[str]):
+        self.ap = ap
+        self.fresh = fresh_names("w", set())
         self.var_map: dict[str, str] = {}
 
-    def fresh(self) -> str:
-        name = f"w{self._fresh}"
-        self._fresh += 1
-        return name
+    def marker(self, y: str) -> str:
+        raise NotImplementedError
+
+    def at(self, y: str) -> hy.Hyper:
+        """The marker of number y on its trace variable."""
+        return hy.Atom(self.marker(y), trace_var(y))
 
     def compile(self, f: Arith) -> hy.Hyper:
-        if isinstance(f, ExistsSecond):
-            self.var_map[f.var] = trace_var(f.var)
-            return hy.Exists(trace_var(f.var),
-                             hy.h_and(_purity(trace_var(f.var), HASH, self.ap),
-                                      self.compile(f.sub)))
-        if isinstance(f, ForallSecond):
-            self.var_map[f.var] = trace_var(f.var)
-            return hy.Forall(trace_var(f.var),
-                             hy.h_implies(_purity(trace_var(f.var), HASH, self.ap),
-                                          self.compile(f.sub)))
-        if isinstance(f, (ExistsFirst, ForallFirst)):
-            self.var_map[f.var] = trace_var(f.var)
+        if isinstance(f, (ExistsFirst, ForallFirst, ExistsSecond, ForallSecond)):
             xv = trace_var(f.var)
-            guard = hy.h_and(_purity(xv, num_prop(f.var), self.ap),
-                             _singleton_shape(xv, num_prop(f.var)))
-            if isinstance(f, ExistsFirst):
+            self.var_map[f.var] = xv
+            if isinstance(f, (ExistsFirst, ForallFirst)):
+                guard = pos_shape(xv, self.marker(f.var), self.ap)
+            else:
+                guard = purity(xv, HASH, self.ap)
+            if isinstance(f, (ExistsFirst, ExistsSecond)):
                 return hy.Exists(xv, hy.h_and(guard, self.compile(f.sub)))
             return hy.Forall(xv, hy.h_implies(guard, self.compile(f.sub)))
         if isinstance(f, Not):
@@ -637,25 +611,51 @@ class _StutterCompiler:
         if isinstance(f, Or):
             return hy.Or(self.compile(f.left), self.compile(f.right))
         if isinstance(f, Member):
-            return hy.ev(EMPTY_GAMMA, hy.h_and(
-                hy.Atom(num_prop(f.y), trace_var(f.y)),
-                hy.Atom(HASH, trace_var(f.set_var))))
+            return hy.ev(EMPTY_GAMMA, hy.h_and(self.at(f.y),
+                                               hy.Atom(HASH, trace_var(f.set_var))))
         if isinstance(f, Less):
             return hy.ev(EMPTY_GAMMA, hy.h_and(
-                hy.Atom(num_prop(f.y1), trace_var(f.y1)),
-                hy.Next(EMPTY_GAMMA, hy.ev(EMPTY_GAMMA,
-                                           hy.Atom(num_prop(f.y2), trace_var(f.y2))))))
+                self.at(f.y1), hy.Next(EMPTY_GAMMA, hy.ev(EMPTY_GAMMA, self.at(f.y2)))))
         if isinstance(f, Add):
             return self.hyp_add(f.y1, f.y2, f.y3)
         if isinstance(f, Mul):
             return self.hyp_mul(f.y1, f.y2, f.y3)
         raise TypeError(f"not a flat arithmetic node: {f!r}")
 
+    def alpha_blocks(self, w: str, wp: str, wp_dollar: str,
+                     w_ap: frozenset[str]) -> hy.Hyper:
+        """alpha1 and alpha2: w is a dlr-block trace carrying nothing else of
+        w_ap, wp a wp_dollar-block trace carrying nothing else of ap, and the
+        blocks of the two start and end together."""
+        dw = hy.Atom(DLR, w)
+        dp = hy.Atom(wp_dollar, wp)
+        alpha1 = hy.h_all([
+            dw,
+            hy.alw(EMPTY_GAMMA, hy.ev(EMPTY_GAMMA, dw)),
+            hy.alw(EMPTY_GAMMA, hy.ev(EMPTY_GAMMA, hy.Not(dw))),
+            purity(w, DLR, w_ap),
+            dp,
+            hy.alw(EMPTY_GAMMA, hy.ev(EMPTY_GAMMA, dp)),
+            hy.alw(EMPTY_GAMMA, hy.ev(EMPTY_GAMMA, hy.Not(dp))),
+            purity(wp, wp_dollar, self.ap),
+        ])
+        return hy.h_and(alpha1, hy.alw(EMPTY_GAMMA, hy.h_iff(dw, dp)))
+
+
+class _StutterCompiler(_Compiler):
+    """hyp(.) into the stuttering fragment over {hash} + per-variable markers
+    + {dlr, dlrp}."""
+
+    def __init__(self, v1: Iterable[str]):
+        self.v1 = sorted(set(v1))
+        super().__init__(frozenset({HASH, DLR, DLRP} | {num_prop(y) for y in self.v1}))
+
+    def marker(self, y: str) -> str:
+        return num_prop(y)
+
     def hyp_add(self, y1: str, y2: str, y3: str) -> hy.Hyper:
-        a1 = hy.Atom(num_prop(y1), trace_var(y1))
-        a2 = hy.Atom(num_prop(y2), trace_var(y2))
-        a3 = hy.Atom(num_prop(y3), trace_var(y3))
-        w = self.fresh()
+        a1, a2, a3 = self.at(y1), self.at(y2), self.at(y3)
+        w = next(self.fresh)
         match = hy.h_and(
             hy.alw(EMPTY_GAMMA, hy.h_iff(a2, hy.Atom(num_prop(y2), w))),
             hy.alw(EMPTY_GAMMA, hy.h_iff(a3, hy.Atom(num_prop(y3), w))))
@@ -675,19 +675,6 @@ class _StutterCompiler:
         length."""
         dw = hy.Atom(DLR, w)
         dp = hy.Atom(DLRP, wp)
-        alpha1 = hy.h_all([
-            dw,
-            hy.alw(EMPTY_GAMMA, hy.ev(EMPTY_GAMMA, dw)),
-            hy.alw(EMPTY_GAMMA, hy.ev(EMPTY_GAMMA, hy.Not(dw))),
-            hy.alw(EMPTY_GAMMA, hy.h_all(
-                [hy.Not(hy.Atom(p, w)) for p in sorted(self.ap - {DLR, num_prop(y3)})])),
-            dp,
-            hy.alw(EMPTY_GAMMA, hy.ev(EMPTY_GAMMA, dp)),
-            hy.alw(EMPTY_GAMMA, hy.ev(EMPTY_GAMMA, hy.Not(dp))),
-            hy.alw(EMPTY_GAMMA, hy.h_all(
-                [hy.Not(hy.Atom(p, wp)) for p in sorted(self.ap - {DLRP})])),
-        ])
-        alpha2 = hy.alw(EMPTY_GAMMA, hy.h_iff(dw, dp))
         both = frozenset({pl.Atom(DLR), pl.Atom(DLRP)})
         primed = frozenset({pl.Atom(DLRP)})
         alpha3 = hy.alw(both, hy.h_and(
@@ -697,14 +684,12 @@ class _StutterCompiler:
             hy.h_implies(hy.Not(dw), hy.Next(primed, hy.Until(
                 EMPTY_GAMMA, hy.h_and(hy.Not(dw), dp),
                 hy.h_all([dw, dp, hy.Next(EMPTY_GAMMA, hy.Not(dp))]))))))
-        return hy.h_all([alpha1, alpha2, alpha3])
+        return hy.h_and(self.alpha_blocks(w, wp, DLRP, self.ap - {num_prop(y3)}), alpha3)
 
     def hyp_mul(self, y1: str, y2: str, y3: str) -> hy.Hyper:
-        a1 = hy.Atom(num_prop(y1), trace_var(y1))
-        a2 = hy.Atom(num_prop(y2), trace_var(y2))
-        a3 = hy.Atom(num_prop(y3), trace_var(y3))
-        w = self.fresh()
-        wp = self.fresh()
+        a1, a2, a3 = self.at(y1), self.at(y2), self.at(y3)
+        w = next(self.fresh)
+        wp = next(self.fresh)
         dw = hy.Atom(DLR, w)
         dollar = frozenset({pl.Atom(DLR)})
         alpha_mult = hy.Exists(w, hy.Exists(wp, hy.h_all([
@@ -726,87 +711,41 @@ class _StutterCompiler:
         return _full_shift_ts(components)
 
 
-class _ContextCompiler:
+class _ContextCompiler(_Compiler):
     """hyp(.) into the context fragment over {hash, dlr}."""
 
     def __init__(self, strict_fidelity: bool = False):
-        self.ap = frozenset({HASH, DLR})
+        super().__init__(frozenset({HASH, DLR}))
         self.strict_fidelity = strict_fidelity
-        self._fresh = 0
-        self.var_map: dict[str, str] = {}
 
-    def fresh(self) -> str:
-        name = f"w{self._fresh}"
-        self._fresh += 1
-        return name
-
-    def compile(self, f: Arith) -> hy.Hyper:
-        if isinstance(f, (ExistsSecond, ForallSecond)):
-            self.var_map[f.var] = trace_var(f.var)
-            xv = trace_var(f.var)
-            guard = hy.alw(EMPTY_GAMMA, hy.Not(hy.Atom(DLR, xv)))
-            if isinstance(f, ExistsSecond):
-                return hy.Exists(xv, hy.h_and(guard, self.compile(f.sub)))
-            return hy.Forall(xv, hy.h_implies(guard, self.compile(f.sub)))
-        if isinstance(f, (ExistsFirst, ForallFirst)):
-            self.var_map[f.var] = trace_var(f.var)
-            xv = trace_var(f.var)
-            guard = hy.h_and(hy.alw(EMPTY_GAMMA, hy.Not(hy.Atom(DLR, xv))),
-                             _singleton_shape(xv, HASH))
-            if isinstance(f, ExistsFirst):
-                return hy.Exists(xv, hy.h_and(guard, self.compile(f.sub)))
-            return hy.Forall(xv, hy.h_implies(guard, self.compile(f.sub)))
-        if isinstance(f, Not):
-            return hy.Not(self.compile(f.sub))
-        if isinstance(f, Or):
-            return hy.Or(self.compile(f.left), self.compile(f.right))
-        if isinstance(f, Member):
-            return hy.ev(EMPTY_GAMMA, hy.h_and(hy.Atom(HASH, trace_var(f.y)),
-                                               hy.Atom(HASH, trace_var(f.set_var))))
-        if isinstance(f, Less):
-            return hy.ev(EMPTY_GAMMA, hy.h_and(
-                hy.Atom(HASH, trace_var(f.y1)),
-                hy.Next(EMPTY_GAMMA, hy.ev(EMPTY_GAMMA, hy.Atom(HASH, trace_var(f.y2))))))
-        if isinstance(f, Add):
-            return self.hyp_add(f.y1, f.y2, f.y3)
-        if isinstance(f, Mul):
-            return self.hyp_mul(f.y1, f.y2, f.y3)
-        raise TypeError(f"not a flat arithmetic node: {f!r}")
+    def marker(self, y: str) -> str:
+        return HASH
 
     def hyp_add(self, y1: str, y2: str, y3: str) -> hy.Hyper:
         x1, x2, x3 = trace_var(y1), trace_var(y2), trace_var(y3)
         inner = hy.Context(frozenset({x2, x3}), hy.ev(EMPTY_GAMMA, hy.h_and(
-            hy.Atom(HASH, x2), hy.Atom(HASH, x3))))
+            self.at(y2), self.at(y3))))
         return hy.Context(frozenset({x1, x3}), hy.ev(EMPTY_GAMMA, hy.h_and(
-            hy.Atom(HASH, x1), inner)))
+            self.at(y1), inner)))
 
     def alpha_per(self, w: str, wp: str) -> hy.Hyper:
         dw = hy.Atom(DLR, w)
         dp = hy.Atom(DLR, wp)
-        alpha1 = hy.h_all([
-            dw, hy.alw(EMPTY_GAMMA, hy.ev(EMPTY_GAMMA, dw)),
-            hy.alw(EMPTY_GAMMA, hy.ev(EMPTY_GAMMA, hy.Not(dw))),
-            hy.alw(EMPTY_GAMMA, hy.Not(hy.Atom(HASH, w))),
-            dp, hy.alw(EMPTY_GAMMA, hy.ev(EMPTY_GAMMA, dp)),
-            hy.alw(EMPTY_GAMMA, hy.ev(EMPTY_GAMMA, hy.Not(dp))),
-            hy.alw(EMPTY_GAMMA, hy.Not(hy.Atom(HASH, wp))),
-        ])
-        alpha2 = hy.alw(EMPTY_GAMMA, hy.h_iff(dw, dp))
         alpha3 = hy.Context(frozenset({w}), hy.Until(
             EMPTY_GAMMA, dw,
             hy.h_and(hy.Not(dw),
                      hy.Context(frozenset({w, wp}),
                                 hy.alw(EMPTY_GAMMA, hy.h_iff(dw, hy.Not(dp)))))))
-        return hy.h_all([alpha1, alpha2, alpha3])
+        return hy.h_and(self.alpha_blocks(w, wp, DLR, self.ap), alpha3)
 
     def _psi_mult(self, ya: str, yb: str, y3: str) -> tuple[hy.Hyper, hy.Hyper]:
         """Premise and conclusion for the case 0 < n_a <= n_b with n_b >= 2."""
         xa, xb, x3 = trace_var(ya), trace_var(yb), trace_var(y3)
-        ha, hb, h3 = hy.Atom(HASH, xa), hy.Atom(HASH, xb), hy.Atom(HASH, x3)
+        ha, hb, h3 = self.at(ya), self.at(yb), self.at(y3)
         premise = hy.h_and(
             hy.Next(EMPTY_GAMMA, hy.ev(EMPTY_GAMMA, hy.h_and(ha, hy.ev(EMPTY_GAMMA, hb)))),
             hy.Next(EMPTY_GAMMA, hy.Next(EMPTY_GAMMA, hy.ev(EMPTY_GAMMA, hb))))
-        w0, w0p, w1, w1p = (self.fresh() for _ in range(4))
+        w0, w0p, w1, w1p = (next(self.fresh) for _ in range(4))
         d0, d1 = hy.Atom(DLR, w0), hy.Atom(DLR, w1)
         algn = hy.h_and(
             hy.h_iff(d0, hy.Not(hy.Next(EMPTY_GAMMA, d0))),
@@ -826,8 +765,7 @@ class _ContextCompiler:
         return premise, conclusion
 
     def hyp_mul(self, y1: str, y2: str, y3: str) -> hy.Hyper:
-        x1, x2, x3 = trace_var(y1), trace_var(y2), trace_var(y3)
-        h1, h2, h3 = hy.Atom(HASH, x1), hy.Atom(HASH, x2), hy.Atom(HASH, x3)
+        h1, h2, h3 = self.at(y1), self.at(y2), self.at(y3)
         psi1 = hy.h_and(hy.Or(h1, h2), h3)
         psi2 = hy.Next(EMPTY_GAMMA, hy.h_all([h1, h2, h3]))
         prem3, concl3 = self._psi_mult(y1, y2, y3)
@@ -839,6 +777,15 @@ class _ContextCompiler:
         return _full_shift_ts([("set", frozenset({HASH})), ("aux", frozenset({DLR}))])
 
 
+def _compiler(encoding: str, v1: Iterable[str], strict_fidelity: bool) -> _Compiler:
+    """The compiler of an encoding; v1 names the first-order variables."""
+    if encoding == "stutter":
+        return _StutterCompiler(v1)
+    if encoding == "context":
+        return _ContextCompiler(strict_fidelity)
+    raise ValueError(f"unknown encoding {encoding!r}")
+
+
 def _require_closed_flat(f: Arith) -> None:
     if not isinstance(f, Arith):
         raise TypeError("expected a flat arithmetic sentence; run flatten first")
@@ -846,14 +793,18 @@ def _require_closed_flat(f: Arith) -> None:
         raise ValueError(f"sentence must be closed; free variables {sorted(free_arith_vars(f))}")
 
 
+def _compile(f: Arith, encoding: str, strict_fidelity: bool) -> CompiledArtifact:
+    _require_closed_flat(f)
+    f = dealias(f)
+    comp = _compiler(encoding, first_order_vars(f), strict_fidelity)
+    sentence = comp.compile(f)
+    return CompiledArtifact(comp.system(), sentence, encoding, dict(comp.var_map))
+
+
 def compile_stutter(f: Arith) -> CompiledArtifact:
     """Compile a closed, flat sentence into the stuttering fragment plus its
     witness transition system."""
-    _require_closed_flat(f)
-    f = dealias(f)
-    comp = _StutterCompiler(first_order_vars(f))
-    sentence = comp.compile(f)
-    return CompiledArtifact(comp.system(), sentence, "stutter", dict(comp.var_map))
+    return _compile(f, "stutter", False)
 
 
 def compile_context(f: Arith, strict_fidelity: bool = False) -> CompiledArtifact:
@@ -864,11 +815,7 @@ def compile_context(f: Arith, strict_fidelity: bool = False) -> CompiledArtifact
     guard-conjunctions; strict_fidelity keeps them as bare implications,
     which validates wrong products whenever a premise is vacuously false.
     """
-    _require_closed_flat(f)
-    f = dealias(f)
-    comp = _ContextCompiler(strict_fidelity)
-    sentence = comp.compile(f)
-    return CompiledArtifact(comp.system(), sentence, "context", dict(comp.var_map))
+    return _compile(f, "context", strict_fidelity)
 
 
 # -- gadget verification ------------------------------------------------------
@@ -878,34 +825,20 @@ class GadgetBoundError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GadgetBounds:
-    max_period: int
-    max_marker: int
-
-
 _GADGET_VARS = ("y1", "y2", "y3")
 
 
 def gadget_formula(relation: str, encoding: str, strict_fidelity: bool = False) -> hy.Hyper:
     """The compiled atom formula for y1 (+|*) y2 = y3, with free trace
     variables x_y1, x_y2, x_y3."""
-    if encoding == "stutter":
-        comp = _StutterCompiler(_GADGET_VARS)
-        return comp.hyp_add(*_GADGET_VARS) if relation == "add" else comp.hyp_mul(*_GADGET_VARS)
-    if encoding == "context":
-        ccomp = _ContextCompiler(strict_fidelity)
-        return ccomp.hyp_add(*_GADGET_VARS) if relation == "add" else ccomp.hyp_mul(*_GADGET_VARS)
-    raise ValueError(f"unknown encoding {encoding!r}")
+    comp = _compiler(encoding, _GADGET_VARS, strict_fidelity)
+    return comp.hyp_add(*_GADGET_VARS) if relation == "add" else comp.hyp_mul(*_GADGET_VARS)
 
 
 def gadget_assignment(encoding: str, n1: int, n2: int, n3: int) -> dict[str, PointedTrace]:
-    values = dict(zip(_GADGET_VARS, (n1, n2, n3)))
-    out = {}
-    for y, n in values.items():
-        prop = num_prop(y) if encoding == "stutter" else HASH
-        out[trace_var(y)] = PointedTrace(spike_trace((), prop, n), 0)
-    return out
+    comp = _compiler(encoding, _GADGET_VARS, False)
+    return {trace_var(y): PointedTrace(spike_trace((), comp.marker(y), n), 0)
+            for y, n in zip(_GADGET_VARS, (n1, n2, n3))}
 
 
 def gadget_universe(relation: str, encoding: str, n1: int, n2: int, n3: int) -> list[LassoTrace]:
@@ -938,17 +871,10 @@ def gadget_universe(relation: str, encoding: str, n1: int, n2: int, n3: int) -> 
     else:
         traces.append(spike_trace((), HASH, 0))
     # deduplicate by value, preserving order
-    seen: set[LassoTrace] = set()
-    out = []
-    for t in traces:
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
+    return list(dict.fromkeys(traces))
 
 
 def verify_gadget(relation: str, n1: int, n2: int, n3: int, encoding: str,
-                  bounds: GadgetBounds | None = None,
                   cfg: EvalConfig | None = None,
                   strict_fidelity: bool = False) -> bool:
     """Evaluate the compiled addition/multiplication gadget on directly
@@ -957,14 +883,6 @@ def verify_gadget(relation: str, n1: int, n2: int, n3: int, encoding: str,
         raise ValueError(f"unknown relation {relation!r}")
     if min(n1, n2, n3) < 0:
         raise ValueError("gadget arguments must be nonnegative")
-    need_period = max(n1, n2, 1)
-    need_marker = max(n1, n2, n3, n1 * n2 + n1)
-    if bounds is None:
-        bounds = GadgetBounds(need_period, need_marker)
-    if bounds.max_period < need_period or bounds.max_marker < need_marker:
-        raise GadgetBoundError(
-            f"bounds {bounds} cannot contain the constructed witnesses "
-            f"(need period {need_period}, marker {need_marker})")
     formula = gadget_formula(relation, encoding, strict_fidelity)
     assignment = gadget_assignment(encoding, n1, n2, n3)
     universe = gadget_universe(relation, encoding, n1, n2, n3)
@@ -1020,13 +938,7 @@ def witness_universe(f: Arith, encoding: str, value_bound: int,
             prefix = tuple(frozenset({HASH}) if i in members else frozenset()
                            for i in range(max(members) + 1))
             traces.append(LassoTrace(frozenset({HASH}), prefix, (frozenset(),)))
-    seen: set[LassoTrace] = set()
-    out = []
-    for t in traces:
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
+    return list(dict.fromkeys(traces))
 
 
 def _postorder_arith(f: Arith) -> list[Arith]:

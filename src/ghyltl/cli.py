@@ -139,22 +139,15 @@ def cmd_compile(args) -> RunReport:
 
 
 def cmd_gadget(args) -> RunReport:
-    bounds = None
-    if args.max_period is not None or args.max_marker is not None:
-        if args.max_period is None or args.max_marker is None:
-            raise ValueError("--max-period and --max-marker must be given together")
-        bounds = arith.GadgetBounds(args.max_period, args.max_marker)
     ok = arith.verify_gadget(args.op, args.n1, args.n2, args.n3, args.encoding,
-                             bounds=bounds, cfg=_cfg(args),
-                             strict_fidelity=args.strict_fidelity)
+                             cfg=_cfg(args), strict_fidelity=args.strict_fidelity)
     verdict = "holds" if ok else "fails"
     return RunReport(
         "gadget",
         {"encoding": args.encoding, "op": args.op,
          "n1": args.n1, "n2": args.n2, "n3": args.n3,
          "strict_fidelity": args.strict_fidelity},
-        {"max_period": args.max_period, "max_marker": args.max_marker,
-         "until_cutoff": args.until_cutoff, "cycle_margin": args.cycle_margin},
+        {"until_cutoff": args.until_cutoff, "cycle_margin": args.cycle_margin},
         verdict)
 
 
@@ -239,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n1", type=int, required=True)
     sp.add_argument("--n2", type=int, required=True)
     sp.add_argument("--n3", type=int, required=True)
-    sp.add_argument("--max-period", type=int, default=None)
-    sp.add_argument("--max-marker", type=int, default=None)
     sp.add_argument("--strict-fidelity", action="store_true")
     _eval_flags(sp)
     sp.set_defaults(func=cmd_gadget)
@@ -277,7 +268,9 @@ def main(argv: list[str] | None = None) -> int:
         report = args.func(args)
         report.timing_ms = (time.perf_counter() - t0) * 1e3
         report.emit(args.json)
-    except (OSError, ValueError, KeyError) as exc:  # ParseError and JSON errors included
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
+        # ParseError and JSON errors are ValueErrors; RecursionError is a
+        # formula nested too deeply for the recursive walks
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return EXIT[report.verdict]

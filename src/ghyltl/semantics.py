@@ -389,10 +389,7 @@ class _Session:
         self._memo: dict = {}
 
     def _collect_info(self, n: Hyper) -> None:
-        if id(n) in self._node_info:
-            return
-        for c in children(n):
-            self._collect_info(c)
+        # postorder: the children of n are already recorded
         if isinstance(n, Atom):
             free: frozenset[str] = frozenset({n.var})
             past = False
@@ -430,11 +427,7 @@ class _Session:
         ))
 
     def eval(self, f: Hyper, a: Assignment, c: frozenset[str]) -> Verdict:
-        info = self._node_info.get(id(f))
-        if info is None:
-            self._collect_info(f)
-            info = self._node_info[id(f)]
-        free, past, memoize = info
+        free, past, memoize = self._node_info[id(f)]
         if not memoize:
             return self._eval(f, a, c)
         if past:

@@ -14,6 +14,10 @@ position traces in the model, which is what makes the transformation an
 equivalence in the sense: L satisfies f iff L + pos_traces satisfies the
 output.  A finite slice of the (infinite) position-trace family gives a
 bounded approximation.
+
+The single-marker shape (pos_shape, purity) and the fresh-name source
+(fresh_names) also serve the arithmetic compilers, whose numbers are the same
+one-marker traces.
 """
 
 from __future__ import annotations
@@ -56,16 +60,30 @@ def mark_atom(x: str) -> Hyper:
     return Atom(MARK, x)
 
 
-def pos_shape(x: str, ap: Iterable[str]) -> Hyper:
-    """x carries nothing but the marker, and the marker exactly once."""
-    singleton = Until(
-        EMPTY_GAMMA, Not(mark_atom(x)),
-        h_and(mark_atom(x), Next(EMPTY_GAMMA, alw(EMPTY_GAMMA, Not(mark_atom(x))))))
-    props = sorted(set(ap) - {MARK})
-    if not props:
+def fresh_names(prefix: str, taken: set[str]) -> Iterator[str]:
+    """prefix0, prefix1, ... skipping the names in taken; each name drawn is
+    added to taken."""
+    for i in itertools.count():
+        name = f"{prefix}{i}"
+        if name not in taken:
+            taken.add(name)
+            yield name
+
+
+def purity(x: str, mark: str, ap: Iterable[str]) -> Hyper:
+    """x carries no proposition of ap other than mark."""
+    return alw(EMPTY_GAMMA, h_all([Not(Atom(p, x)) for p in sorted(set(ap) - {mark})]))
+
+
+def pos_shape(x: str, mark: str, ap: Iterable[str]) -> Hyper:
+    """x carries nothing of ap but mark, and mark exactly once: the trace
+    empty^i {mark} empty^omega for some i."""
+    at = Atom(mark, x)
+    singleton = Until(EMPTY_GAMMA, Not(at),
+                      h_and(at, Next(EMPTY_GAMMA, alw(EMPTY_GAMMA, Not(at)))))
+    if not set(ap) - {mark}:
         return singleton
-    purity = alw(EMPTY_GAMMA, h_all([Not(Atom(p, x)) for p in props]))
-    return h_and(purity, singleton)
+    return h_and(purity(x, mark, ap), singleton)
 
 
 def _mark_at_one(x: str) -> Hyper:
@@ -182,22 +200,12 @@ def hoist_prenex(f: Hyper) -> Hyper:
 
 
 class _Prenexifier:
-    def __init__(self, ap: frozenset[str], used: set[str], pool: Iterator[str]):
+    def __init__(self, ap: frozenset[str], fresh: Iterator[str]):
         self.ap = ap
-        self.used = used
-        self.pool = pool
-        self.fresh_vars: set[str] = set()
-
-    def fresh(self) -> str:
-        for name in self.pool:
-            if name not in self.used:
-                self.used.add(name)
-                self.fresh_vars.add(name)
-                return name
-        raise ValueError("fresh variable pool exhausted")
+        self.fresh = fresh
 
     def shape(self, x: str, at_one: bool = False) -> Hyper:
-        body = pos_shape(x, self.ap)
+        body = pos_shape(x, MARK, self.ap)
         if at_one:
             body = h_and(body, _mark_at_one(x))
         return Context(frozenset({x}), body)
@@ -267,7 +275,7 @@ class _Prenexifier:
             p, m = self.walk(n.sub, context, scope)
             if not p:
                 return [], Next(n.gamma, m)
-            xi = self.fresh()
+            xi = next(self.fresh)
             body = self._future_body(n.gamma, xi, self._wrap(context, scope, m),
                                      context, scope)
             return [("exists", xi)] + p, h_and(self.shape(xi, at_one=True), body)
@@ -276,7 +284,7 @@ class _Prenexifier:
             p, m = self.walk(n.sub, context, scope)
             if not p:
                 return [], Yesterday(n.gamma, m)
-            xi = self.fresh()
+            xi = next(self.fresh)
             body = self._past_body(n.gamma, xi, self._wrap(context, scope, m),
                                    context, scope)
             return [("exists", xi)] + p, h_and(self.shape(xi, at_one=True), body)
@@ -294,14 +302,14 @@ class _Prenexifier:
         if not lp and not rp:
             left = tautology_over(rm) if taut_left else lm
             return [], (Until if future else Since)(n.gamma, left, rm)
-        xi = self.fresh()
+        xi = next(self.fresh)
         make_body = self._future_body if future else self._past_body
         conjuncts = [self.shape(xi),
                      make_body(n.gamma, xi, self._wrap(context, scope, rm),
                                context, scope)]
         prefix: _Prefix = [("exists", xi)] + rp
         if not taut_left:
-            xj = self.fresh()
+            xj = next(self.fresh)
             guard_j = h_and(self.shape(xj), _mark_before(xj, xi))
             body_l = make_body(n.gamma, xj, self._wrap(context, scope, lm),
                                context, scope)
@@ -310,12 +318,7 @@ class _Prenexifier:
         return prefix, h_all(conjuncts)
 
 
-def default_pool(prefix: str = "pv") -> Iterator[str]:
-    return (f"{prefix}{i}" for i in itertools.count())
-
-
-def prenexify(f: Hyper, ap: Iterable[str] | None = None,
-              fresh_pool: Iterator[str] | None = None) -> Hyper:
+def prenexify(f: Hyper, ap: Iterable[str] | None = None) -> Hyper:
     """Hoist every quantifier to the front; already-prenex input is returned
     unchanged.
 
@@ -330,12 +333,12 @@ def prenexify(f: Hyper, ap: Iterable[str] | None = None,
     if MARK in props:
         raise ValueError(f"input must not use the reserved proposition {MARK!r}")
     f = alpha_unique(f)
-    state = _Prenexifier(props, set(all_vars(f)) | {MARK}, fresh_pool or default_pool())
     top_context = all_vars(f)
+    taken = set(top_context) | {MARK}
+    state = _Prenexifier(props, fresh_names("pv", taken))
     prefix, matrix = state.walk(f, top_context, frozenset())
     bound = {v for _, v in prefix}
-    assert state.fresh_vars <= bound, "fresh position variables must be bound"
-    assert not state.fresh_vars & all_vars(f), "fresh pool collided with input"
+    assert taken - top_context - {MARK} <= bound, "fresh position variables must be bound"
     out = _fold_prefix(prefix, matrix)
     assert is_prenex(out)
     return out

@@ -1,15 +1,18 @@
+import hashlib
+
 import pytest
 
 from ghyltl import arith
 from ghyltl import semantics as hy
-from ghyltl.arith import (Add, ExistsFirst, GadgetBounds, GadgetBoundError,
+from ghyltl.arith import (Add, ExistsFirst, GadgetBoundError,
                           Less, Member, PeriodicWitnessSpec,
                           alpha_per_context, alpha_per_stutter,
                           arith_eval_bounded, compile_context, compile_stutter,
                           flatten, gadget_assignment, gadget_formula,
                           minimal_block_ratio, parse_arith,
                           verify_gadget, witness_universe)
-from ghyltl.semantics import check_traceset, evaluate, fragment_of, parse_hyper
+from ghyltl.semantics import (EvalConfig, check_traceset, evaluate, fragment_of,
+                              parse_hyper)
 from ghyltl.traces import PointedTrace, enumerate_lassos, enumerate_ts_traces, \
     lasso, normalize, spike_trace
 from ghyltl.transform import hoist_prenex
@@ -94,6 +97,91 @@ def test_compiled_formula_roundtrip():
     assert parse_hyper(text, art.system.ap) == art.sentence
 
 
+# Exact compiled text; the tests above check only substrings and round trips.
+COMPILE_GOLDEN = [
+    ('exists a. exists B. a in B', 'stutter', False,
+     'exists x_a. G[] (!dlr_x_a & !dlrp_x_a & !hash_x_a) & !hy_a_x_a U[] (hy_a_x_a '
+     '& X[] G[] !hy_a_x_a) & (exists x_B. G[] (!dlr_x_B & !dlrp_x_B & !hy_a_x_B) & '
+     'F[] (hy_a_x_a & hash_x_B))'),
+    ('exists a. exists B. a in B', 'context', False,
+     'exists x_a. G[] !dlr_x_a & !hash_x_a U[] (hash_x_a & X[] G[] !hash_x_a) & '
+     '(exists x_B. G[] !dlr_x_B & F[] (hash_x_a & hash_x_B))'),
+    ('exists a. exists B. a in B', 'context', True,
+     'exists x_a. G[] !dlr_x_a & !hash_x_a U[] (hash_x_a & X[] G[] !hash_x_a) & '
+     '(exists x_B. G[] !dlr_x_B & F[] (hash_x_a & hash_x_B))'),
+    ('forall a. exists b. a < b', 'stutter', False,
+     'forall x_a. G[] (!dlr_x_a & !dlrp_x_a & !hash_x_a & !hy_b_x_a) & !hy_a_x_a '
+     'U[] (hy_a_x_a & X[] G[] !hy_a_x_a) -> (exists x_b. G[] (!dlr_x_b & !dlrp_x_b '
+     '& !hash_x_b & !hy_a_x_b) & !hy_b_x_b U[] (hy_b_x_b & X[] G[] !hy_b_x_b) & F[] '
+     '(hy_a_x_a & X[] F[] hy_b_x_b))'),
+    ('forall a. exists b. a < b', 'context', False,
+     'forall x_a. G[] !dlr_x_a & !hash_x_a U[] (hash_x_a & X[] G[] !hash_x_a) -> '
+     '(exists x_b. G[] !dlr_x_b & !hash_x_b U[] (hash_x_b & X[] G[] !hash_x_b) & '
+     'F[] (hash_x_a & X[] F[] hash_x_b))'),
+    ('forall a. exists b. a < b', 'context', True,
+     'forall x_a. G[] !dlr_x_a & !hash_x_a U[] (hash_x_a & X[] G[] !hash_x_a) -> '
+     '(exists x_b. G[] !dlr_x_b & !hash_x_b U[] (hash_x_b & X[] G[] !hash_x_b) & '
+     'F[] (hash_x_a & X[] F[] hash_x_b))'),
+    ('exists a. exists b. exists c. a + b = c', 'stutter', False,
+     'exists x_a. G[] (!dlr_x_a & !dlrp_x_a & !hash_x_a & !hy_b_x_a & !hy_c_x_a) & '
+     '!hy_a_x_a U[] (hy_a_x_a & X[] G[] !hy_a_x_a) & (exists x_b. G[] (!dlr_x_b & '
+     '!dlrp_x_b & !hash_x_b & !hy_a_x_b & !hy_c_x_b) & !hy_b_x_b U[] (hy_b_x_b & '
+     'X[] G[] !hy_b_x_b) & (exists x_c. G[] (!dlr_x_c & !dlrp_x_c & !hash_x_c & '
+     '!hy_a_x_c & !hy_b_x_c) & !hy_c_x_c U[] (hy_c_x_c & X[] G[] !hy_c_x_c) & '
+     '(((hy_a_x_a -> G[] (hy_b_x_b -> !hy_c_x_c)) -> hy_b_x_b & F[] (hy_a_x_a & '
+     'hy_c_x_c)) | !hy_a_x_a & !hy_b_x_b & (exists w0. G[] (hy_b_x_b <-> hy_b_w0) & '
+     'G[] (hy_c_x_c <-> hy_c_w0) & X[hy_b] F[] (hy_a_x_a & X[] hy_c_w0)))))'),
+    ('exists a. exists b. exists c. a + b = c', 'context', False,
+     'exists x_a. G[] !dlr_x_a & !hash_x_a U[] (hash_x_a & X[] G[] !hash_x_a) & '
+     '(exists x_b. G[] !dlr_x_b & !hash_x_b U[] (hash_x_b & X[] G[] !hash_x_b) & '
+     '(exists x_c. G[] !dlr_x_c & !hash_x_c U[] (hash_x_c & X[] G[] !hash_x_c) & '
+     'C{x_a,x_c} F[] (hash_x_a & C{x_b,x_c} F[] (hash_x_b & hash_x_c))))'),
+    ('exists a. exists b. exists c. a + b = c', 'context', True,
+     'exists x_a. G[] !dlr_x_a & !hash_x_a U[] (hash_x_a & X[] G[] !hash_x_a) & '
+     '(exists x_b. G[] !dlr_x_b & !hash_x_b U[] (hash_x_b & X[] G[] !hash_x_b) & '
+     '(exists x_c. G[] !dlr_x_c & !hash_x_c U[] (hash_x_c & X[] G[] !hash_x_c) & '
+     'C{x_a,x_c} F[] (hash_x_a & C{x_b,x_c} F[] (hash_x_b & hash_x_c))))'),
+]
+
+GADGET_FORMULA_SHA256 = {
+    ('add', 'stutter', False):
+        'e003977c28e3ab1f55d957989d05d2d07d251233bcb165b5f2384a0e8d6d12c3',
+    ('add', 'stutter', True):
+        'e003977c28e3ab1f55d957989d05d2d07d251233bcb165b5f2384a0e8d6d12c3',
+    ('add', 'context', False):
+        '65c7fb6266cdb2cb3698205b16a695044fca19d96c41de6a964e1e0d9e155ad0',
+    ('add', 'context', True):
+        '65c7fb6266cdb2cb3698205b16a695044fca19d96c41de6a964e1e0d9e155ad0',
+    ('mul', 'stutter', False):
+        '234a3a3215eac9c336dee2b0c91d47f72177915a7036a43427022e23947f5c9d',
+    ('mul', 'stutter', True):
+        '234a3a3215eac9c336dee2b0c91d47f72177915a7036a43427022e23947f5c9d',
+    ('mul', 'context', False):
+        '6028625da7df470a1fe02517a271f5eb94983fe425a2047f2579664f32c931f9',
+    ('mul', 'context', True):
+        'e128063a0a8b2c327f02088b4f0161c08b66b8d66798b833f6276c8d621f85e2',
+}
+
+
+def _compile(text, encoding, strict):
+    if encoding == "stutter":
+        return compile_stutter(flat(text))
+    return compile_context(flat(text), strict_fidelity=strict)
+
+
+@pytest.mark.parametrize("text,encoding,strict,rendered", COMPILE_GOLDEN,
+                         ids=[f"{t}:{e}:{s}" for t, e, s, _ in COMPILE_GOLDEN])
+def test_compile_golden(text, encoding, strict, rendered):
+    assert hy.render_hyper(_compile(text, encoding, strict).sentence) == rendered
+
+
+@pytest.mark.parametrize("key", sorted(GADGET_FORMULA_SHA256),
+                         ids=[f"{r}:{e}:{s}" for r, e, s in sorted(GADGET_FORMULA_SHA256)])
+def test_gadget_formula_golden(key):
+    text = hy.render_hyper(gadget_formula(*key))
+    assert hashlib.sha256(text.encode()).hexdigest() == GADGET_FORMULA_SHA256[key]
+
+
 def test_witness_system_traces():
     # the context-encoding system generates every hash-only and every
     # dollar-only lasso within bounds, and no mixed trace
@@ -143,11 +231,10 @@ def test_gadget_zero_annihilator():
         assert verify_gadget("mul", k, 0, 0, "context")
 
 
-def test_gadget_bound_errors():
-    with pytest.raises(GadgetBoundError):
-        verify_gadget("mul", 3, 7, 21, "context", bounds=GadgetBounds(2, 50))
-    with pytest.raises(GadgetBoundError):
-        verify_gadget("add", 5, 4, 9, "stutter", bounds=GadgetBounds(5, 3))
+def test_gadget_unknown_raises():
+    # an evaluation that hits its Until cutoff has no verdict to return
+    with pytest.raises(GadgetBoundError, match="until-cutoff"):
+        verify_gadget("mul", 3, 7, 21, "context", cfg=EvalConfig(until_cutoff=1))
 
 
 def test_strict_fidelity_exposes_vacuous_cases():

@@ -94,6 +94,18 @@ def test_gadget_command(workdir, capsys):
     assert code == 1
 
 
+def test_too_deep_formula_exit_three(workdir, capsys):
+    body = " & ".join(["p_x"] * 2000)
+    (workdir / "deep.ghyltl").write_text(f"ap: p\nforall x. {body}\n", encoding="utf-8")
+    code = main(["eval", str(workdir / "traces.json"), str(workdir / "deep.ghyltl")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_compile_writes_artifacts(workdir, capsys):
     (workdir / "arith.txt").write_text(
         "exists y. exists Y. y in Y", encoding="utf-8")

@@ -196,7 +196,8 @@ PARSE_ERRORS = [
     (_parse_arith, "exists a. a", 1, 11, "expected '=', '<' or 'in' after a term at end of input"),
     (_parse_arith, "exists a. X + a = a", 1, 13,
      "second-order variable 'X' cannot appear in a term, found '+'"),
-    (_parse_arith, "exists a. (a = a", 1, 14, "expected ')', found '='"),
+    (_parse_arith, "exists a. (a = a", 1, 16, "expected ')' at end of input"),
+    (_parse_arith, "exists a. (a + 1 = 2", 1, 20, "expected ')' at end of input"),
 ]
 
 
