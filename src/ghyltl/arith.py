@@ -170,17 +170,23 @@ def free_arith_vars(f: Arith) -> frozenset[str]:
     return out
 
 
+def _subsets(cap: int) -> list[frozenset[int]]:
+    """Every subset of 0..cap, 2^(cap+1) of them."""
+    return [frozenset(i for i in range(cap + 1) if mask >> i & 1)
+            for mask in range(1 << (cap + 1))]
+
+
 def arith_eval_bounded(f: Arith, n: int, bit_cap: int = 12) -> bool:
     """Evaluate with first-order quantifiers over 0..n and second-order
     quantifiers over subsets of 0..min(n, bit_cap).
 
     Exact for sentences whose quantifiers are semantically bounded below n.
+    The subsets are built when the first second-order quantifier is reached.
     """
     if n < 1:
         raise ValueError("bound must be >= 1")
     cap = min(n, bit_cap)
-    subsets = [frozenset(i for i in range(cap + 1) if mask >> i & 1)
-               for mask in range(1 << (cap + 1))]
+    subsets: list[frozenset[int]] = []
 
     def go(node: Arith, env: dict) -> bool:
         if isinstance(node, Add):
@@ -199,6 +205,8 @@ def arith_eval_bounded(f: Arith, n: int, bit_cap: int = 12) -> bool:
             vals = (go(node.sub, {**env, node.var: k}) for k in range(n + 1))
             return any(vals) if isinstance(node, ExistsFirst) else all(vals)
         if isinstance(node, (ExistsSecond, ForallSecond)):
+            if not subsets:
+                subsets.extend(_subsets(cap))
             vals = (go(node.sub, {**env, node.var: s}) for s in subsets)
             return any(vals) if isinstance(node, ExistsSecond) else all(vals)
         raise TypeError(f"not a flat arithmetic node: {node!r}")

@@ -9,6 +9,7 @@ documents defined in the traces module.  Exit status: 0 holds, 1 fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -139,16 +140,20 @@ def cmd_compile(args) -> RunReport:
 
 
 def cmd_gadget(args) -> RunReport:
-    ok = arith.verify_gadget(args.op, args.n1, args.n2, args.n3, args.encoding,
-                             cfg=_cfg(args), strict_fidelity=args.strict_fidelity)
-    verdict = "holds" if ok else "fails"
+    try:
+        ok = arith.verify_gadget(args.op, args.n1, args.n2, args.n3, args.encoding,
+                                 cfg=_cfg(args), strict_fidelity=args.strict_fidelity)
+    except arith.GadgetBoundError as exc:
+        verdict, reason = "unknown", str(exc)
+    else:
+        verdict, reason = ("holds" if ok else "fails"), None
     return RunReport(
         "gadget",
         {"encoding": args.encoding, "op": args.op,
          "n1": args.n1, "n2": args.n2, "n3": args.n3,
          "strict_fidelity": args.strict_fidelity},
         {"until_cutoff": args.until_cutoff, "cycle_margin": args.cycle_margin},
-        verdict)
+        verdict, reason)
 
 
 def cmd_prenex(args) -> RunReport:
@@ -200,7 +205,9 @@ def cmd_oracle(args) -> RunReport:
         verdict)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every main call."""
     p = argparse.ArgumentParser(prog="ghyltl", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

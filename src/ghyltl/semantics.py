@@ -326,34 +326,6 @@ HOLDS = Verdict("holds")
 FAILS = Verdict("fails")
 
 
-def v_not(v: Verdict) -> Verdict:
-    if v.is_holds:
-        return FAILS
-    if v.is_fails:
-        return HOLDS
-    return v
-
-
-def v_and(a: Verdict, b: Verdict) -> Verdict:
-    if a.is_fails or b.is_fails:
-        return FAILS
-    if a.is_unknown:
-        return a
-    if b.is_unknown:
-        return b
-    return HOLDS
-
-
-def v_or(a: Verdict, b: Verdict) -> Verdict:
-    if a.is_holds or b.is_holds:
-        return HOLDS
-    if a.is_unknown:
-        return a
-    if b.is_unknown:
-        return b
-    return FAILS
-
-
 @dataclass(frozen=True)
 class EvalConfig:
     until_cutoff: int = 200
@@ -372,195 +344,372 @@ DEFAULT_CONFIG = EvalConfig()
 Assignment = Mapping[str, PointedTrace]
 
 
-class _Session:
-    """One evaluation run: fixed universe, config, and memo tables."""
+# -- compiled evaluation ------------------------------------------------------
+#
+# A formula is compiled once per (config, root context, assignment domain) into
+# one closure per (node, context, domain): the context and the effective
+# coordinates ``c & a.keys()`` of each node are fixed by the root context and
+# the quantifiers above it, so they are resolved here and not on every visit.
+# A closure takes an assignment dict and returns 0 (fails), 1 (holds) or 2
+# (unknown); the Verdict object is built only at the top.  An Until hitting its
+# cutoff is the only bound evaluation has, so 2 always means "until-cutoff".
+#
+# Closures capture their children, memo dicts and constants, never the program
+# or the compiler, so a dropped program is freed by reference counting.
+# Coordinates step through ``stutter.assign_succ``/``assign_pred``, looked up
+# on the module at each call.
 
-    def __init__(self, universe: Iterable[LassoTrace], formula: Hyper, cfg: EvalConfig):
-        self.universe = list(universe)
-        self.cfg = cfg
-        self.gammas = gamma_members(formula)
-        # per node: sorted free atom variables, whether past operators occur
-        # below, and whether memoization pays off (quantifiers and temporal
-        # steps; plain boolean nodes are cheaper than their memo keys)
-        self._node_info: dict[int, tuple[tuple[str, ...], bool, bool]] = {}
-        for n in postorder(formula):
-            self._collect_info(n)
-        self._canon: dict[int, tuple[int, int]] = {}
-        self._memo: dict = {}
+_NOT = (1, 0, 2)
+_VERDICTS = (FAILS, HOLDS, Verdict.unknown("until-cutoff"))
 
-    def _collect_info(self, n: Hyper) -> None:
-        # postorder: the children of n are already recorded
-        if isinstance(n, Atom):
-            free: frozenset[str] = frozenset({n.var})
-            past = False
-        else:
-            free = frozenset()
-            past = isinstance(n, (Yesterday, Since))
-            for c in children(n):
-                cf, cp, _ = self._node_info[id(c)]
-                free |= frozenset(cf)
-                past = past or cp
-            if isinstance(n, (Exists, Forall)):
-                free -= {n.var}
-        memoize = isinstance(n, (Exists, Forall, Next, Until, Yesterday, Since))
-        self._node_info[id(n)] = (tuple(sorted(free)), past, memoize)
 
-    def _trace_canon(self, trace: LassoTrace) -> tuple[int, int]:
-        hit = self._canon.get(id(trace))
-        if hit is not None:
-            return hit
-        profs = [pl.valuation_profile(trace, th) for th in self.gammas]
-        base = max([len(trace.prefix)] + [p.threshold for p in profs])
-        period = math.lcm(len(trace.loop), *[p.period for p in profs]) if profs \
-            else len(trace.loop)
-        threshold = base + self.cfg.cycle_margin * period
-        self._canon[id(trace)] = (threshold, period)
-        return threshold, period
+def _holds(a: Assignment) -> int:
+    return 1
 
-    def _canon_pos(self, trace: LassoTrace, pos: int) -> int:
-        t, l = self._trace_canon(trace)
-        return pos if pos < t else t + ((pos - t) % l)
 
-    def _config_key(self, a: Assignment) -> tuple:
-        return tuple(sorted(
-            (x, id(pt.trace), self._canon_pos(pt.trace, pt.pos)) for x, pt in a.items()
-        ))
+def _atom(prop: str, var: str):
+    def atom(a):
+        pt = a[var]
+        return 1 if prop in pt.trace.letter(pt.pos) else 0
+    return atom
 
-    def eval(self, f: Hyper, a: Assignment, c: frozenset[str]) -> Verdict:
-        free, past, memoize = self._node_info[id(f)]
-        if not memoize:
-            return self._eval(f, a, c)
-        if past:
-            # predecessor definedness can depend on any stepped coordinate
-            rel = tuple(sorted((x, id(pt.trace), pt.pos) for x, pt in a.items()))
-        else:
-            rel = tuple((id(a[x].trace), a[x].pos) if x in a else None for x in free)
-        key = (id(f), c, rel)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._eval(f, a, c)
-        self._memo[key] = out
+
+def _not(sub):
+    def neg(a):
+        return _NOT[sub(a)]
+    return neg
+
+
+def _or(left, right):
+    def disj(a):
+        v = left(a)
+        if v == 1:
+            return 1
+        w = right(a)
+        return 1 if w == 1 else v | w
+    return disj
+
+
+def _and(left, right):
+    # h_and(a, b) = !(!a | !b): a first, b only when a does not fail
+    def conj(a):
+        v = left(a)
+        if v == 0:
+            return 0
+        w = right(a)
+        if w == 0:
+            return 0
+        return w if v == 1 else 2
+    return conj
+
+
+def _quant(var: str, sub, starts: list, existential: bool):
+    # starts holds PointedTrace(t, 0) for each universe trace of the current run
+    win, lose = (1, 0) if existential else (0, 1)
+
+    def quant(a):
+        out = lose
+        for st in starts:
+            v = sub({**a, var: st})
+            if v == win:
+                return win
+            if v == 2:
+                out = 2
         return out
+    return quant
 
-    def _eval(self, f: Hyper, a: Assignment, c: frozenset[str]) -> Verdict:
-        if isinstance(f, Atom):
-            pt = a[f.var]
-            return HOLDS if f.prop in pt.trace.letter(pt.pos) else FAILS
-        if isinstance(f, Not):
-            return v_not(self.eval(f.sub, a, c))
-        if isinstance(f, Or):
-            left = self.eval(f.left, a, c)
-            if left.is_holds:
-                return HOLDS
-            return v_or(left, self.eval(f.right, a, c))
-        if isinstance(f, Context):
-            return self.eval(f.sub, a, f.vars)
-        if isinstance(f, Exists):
-            return self._eval_quant(f, a, c, existential=True)
-        if isinstance(f, Forall):
-            return self._eval_quant(f, a, c, existential=False)
-        if isinstance(f, Next):
-            eff = c & a.keys()
-            if not eff:
-                return self.eval(f.sub, a, c)
-            return self.eval(f.sub, stutter.assign_succ(a, f.gamma, eff), c)
-        if isinstance(f, Yesterday):
-            eff = c & a.keys()
-            if not eff:
-                return self.eval(f.sub, a, c)
-            prev = stutter.assign_pred(a, f.gamma, eff)
-            if prev is None:
-                return FAILS
-            return self.eval(f.sub, prev, c)
-        if isinstance(f, Until):
-            return self._eval_until(f, a, c)
-        if isinstance(f, Since):
-            return self._eval_since(f, a, c)
-        raise TypeError(f"not a hyper formula node: {f!r}")
 
-    def _eval_quant(self, f, a, c, existential: bool) -> Verdict:
-        saw_unknown: Verdict | None = None
-        for trace in self.universe:
-            sub = dict(a)
-            sub[f.var] = PointedTrace(trace, 0)
-            v = self.eval(f.sub, sub, c)
-            if existential and v.is_holds:
-                return HOLDS
-            if not existential and v.is_fails:
-                return FAILS
-            if v.is_unknown and saw_unknown is None:
-                saw_unknown = v
-        if saw_unknown is not None:
-            return saw_unknown
-        return FAILS if existential else HOLDS
+def _next(gamma: Gamma, eff: frozenset[str], sub):
+    def step(a):
+        return sub(stutter.assign_succ(a, gamma, eff))
+    return step
 
-    def _eval_until(self, f: Until, a: Assignment, c: frozenset[str]) -> Verdict:
-        eff = c & a.keys()
-        if not eff:
-            # no coordinate moves, so position 0 decides
-            return self.eval(f.right, a, c)
-        result = FAILS
-        prefix_ok = HOLDS
-        seen: set[tuple] = set()
-        cur: Assignment = a
-        for _ in range(self.cfg.until_cutoff + 1):
-            if self.cfg.use_cycle_detection:
-                key = self._config_key(cur)
+
+def _yesterday(gamma: Gamma, eff: frozenset[str], sub):
+    def step(a):
+        prev = stutter.assign_pred(a, gamma, eff)
+        return 0 if prev is None else sub(prev)
+    return step
+
+
+def _until(gamma: Gamma, eff: frozenset[str], left, right, cutoff: int, config_key):
+    """Walk successors until right holds, left fails, a configuration repeats
+    (config_key is None when cycle detection is off) or the cutoff is hit.
+
+    Invariant: result is 0 or 2 and prefix_ok is 1 or 2 inside the loop; a
+    left side compiled to the constant guard is never called.
+    """
+    guard = left is _holds
+
+    def until(a):
+        result, prefix_ok = 0, 1
+        seen = set()
+        cur = a
+        for _ in range(cutoff + 1):
+            if config_key is not None:
+                key = config_key(cur)
                 if key in seen:
                     return result
                 seen.add(key)
-            v2 = self.eval(f.right, cur, c)
-            result = v_or(result, v_and(prefix_ok, v2))
-            if result.is_holds:
-                return HOLDS
-            v1 = self.eval(f.left, cur, c)
-            prefix_ok = v_and(prefix_ok, v1)
-            if prefix_ok.is_fails:
-                return result
-            cur = stutter.assign_succ(cur, f.gamma, eff)
-        return Verdict.unknown("until-cutoff")
+            v2 = right(cur)
+            if v2:
+                if v2 == 1 and prefix_ok == 1:
+                    return 1
+                result = 2
+            if not guard:
+                v1 = left(cur)
+                if v1 == 0:
+                    return result
+                if v1 == 2:
+                    prefix_ok = 2
+            cur = stutter.assign_succ(cur, gamma, eff)
+        return 2
+    return until
 
-    def _eval_since(self, f: Since, a: Assignment, c: frozenset[str]) -> Verdict:
-        eff = c & a.keys()
-        if not eff:
-            return self.eval(f.right, a, c)
-        result = FAILS
-        prefix_ok = HOLDS
-        cur: Assignment | None = a
+
+def _since(gamma: Gamma, eff: frozenset[str], left, right):
+    """Walk predecessors; terminates because predecessor chains are finite."""
+    guard = left is _holds
+
+    def since(a):
+        result, prefix_ok = 0, 1
+        cur = a
         while cur is not None:
-            v2 = self.eval(f.right, cur, c)
-            result = v_or(result, v_and(prefix_ok, v2))
-            if result.is_holds:
-                return HOLDS
-            v1 = self.eval(f.left, cur, c)
-            prefix_ok = v_and(prefix_ok, v1)
-            if prefix_ok.is_fails:
-                return result
-            cur = stutter.assign_pred(cur, f.gamma, eff)
+            v2 = right(cur)
+            if v2:
+                if v2 == 1 and prefix_ok == 1:
+                    return 1
+                result = 2
+            if not guard:
+                v1 = left(cur)
+                if v1 == 0:
+                    return result
+                if v1 == 2:
+                    prefix_ok = 2
+            cur = stutter.assign_pred(cur, gamma, eff)
         return result
+    return since
+
+
+def _config_key(names: tuple[str, ...], gammas: tuple, margin: int, canon: dict):
+    """Until cycle key: per stepped coordinate (names), its trace and its
+    canonical position, exact below a per-trace stabilization threshold and a
+    residue above it.  Coordinates outside the step set keep their pointed
+    trace during one Until walk, so leaving them out changes no comparison.
+
+    The threshold is the trace's prefix plus every gamma profile's threshold,
+    plus margin periods; the period is the lcm of the loop and the profile
+    periods.  canon caches (threshold, period) by id(trace) for one run.
+    """
+    def key(a):
+        out = []
+        for x in names:
+            pt = a[x]
+            trace, pos = pt.trace, pt.pos
+            hit = canon.get(id(trace))
+            if hit is None:
+                profs = [pl.valuation_profile(trace, th) for th in gammas]
+                base = max([len(trace.prefix)] + [p.threshold for p in profs])
+                period = math.lcm(len(trace.loop), *[p.period for p in profs])
+                hit = canon[id(trace)] = (base + margin * period, period)
+            t, l = hit
+            out.append((id(trace), pos if pos < t else t + (pos - t) % l))
+        return tuple(out)
+    return key
+
+
+def _memoized(raw, names: tuple[str, ...], memo: dict):
+    if len(names) == 1:
+        (x,) = names
+
+        def one(a):
+            pt = a[x]
+            key = (id(pt.trace), pt.pos)
+            v = memo.get(key)
+            if v is None:
+                v = memo[key] = raw(a)
+            return v
+        return one
+
+    def many(a):
+        key = tuple([(id(pt.trace), pt.pos) for pt in map(a.__getitem__, names)])
+        v = memo.get(key)
+        if v is None:
+            v = memo[key] = raw(a)
+        return v
+    return many
+
+
+class _Compiler:
+    """Builds the closures of one program and is dropped afterwards.
+
+    Memoized nodes are quantifiers and temporal steps; plain boolean nodes are
+    cheaper than their memo keys.  A node with Yesterday or Since below it is
+    keyed on the whole assignment, since predecessor definedness can depend on
+    any stepped coordinate; any other node is keyed on its free variables only
+    and shares one memo per context across assignment domains.
+    """
+
+    def __init__(self, formula: Hyper, cfg: EvalConfig, canon: dict, starts: list):
+        self.cfg = cfg
+        self.canon = canon
+        self.starts = starts
+        self.gammas = tuple(gamma_members(formula))
+        # per node: sorted free atom variables, and whether past operators
+        # occur below it (postorder: children are recorded first)
+        self.info: dict[int, tuple[tuple[str, ...], bool]] = {}
+        for n in postorder(formula):
+            free = {n.var} if isinstance(n, Atom) else set()
+            past = isinstance(n, (Yesterday, Since))
+            for ch in children(n):
+                cf, cp = self.info[id(ch)]
+                free.update(cf)
+                past = past or cp
+            if isinstance(n, (Exists, Forall)):
+                free.discard(n.var)
+            self.info[id(n)] = (tuple(sorted(free)), past)
+        self.built: dict[tuple, object] = {}
+        self.memos: dict[tuple, dict] = {}
+
+    def compile(self, n: Hyper, c: frozenset[str], dom: frozenset[str]):
+        key = (id(n), c, dom)
+        hit = self.built.get(key)
+        if hit is None:
+            hit = self.built[key] = self._build(n, c, dom)
+        return hit
+
+    def _memo(self, n: Hyper, c: frozenset[str], dom: frozenset[str], raw):
+        free, past = self.info[id(n)]
+        if past:
+            names, share = tuple(sorted(dom)), (id(n), c, dom)
+        else:
+            names, share = tuple(x for x in free if x in dom), (id(n), c)
+        return _memoized(raw, names, self.memos.setdefault(share, {}))
+
+    def _build(self, n: Hyper, c: frozenset[str], dom: frozenset[str]):
+        if isinstance(n, Atom):
+            return _atom(n.prop, n.var)
+        if isinstance(n, Not):
+            s = n.sub
+            if isinstance(s, Or) and isinstance(s.left, Not) and isinstance(s.right, Not):
+                return _and(self.compile(s.left.sub, c, dom), self.compile(s.right.sub, c, dom))
+            if isinstance(s, Not):
+                return self.compile(s.sub, c, dom)
+            return _not(self.compile(s, c, dom))
+        if isinstance(n, Or):
+            if n.right == Not(n.left):
+                # tautology_over: the guard of every F/G and O/H
+                return _holds
+            return _or(self.compile(n.left, c, dom), self.compile(n.right, c, dom))
+        if isinstance(n, Context):
+            return self.compile(n.sub, n.vars, dom)
+        if isinstance(n, (Exists, Forall)):
+            sub = self.compile(n.sub, c, dom | {n.var})
+            return self._memo(n, c, dom, _quant(n.var, sub, self.starts, isinstance(n, Exists)))
+        eff = c & dom
+        if isinstance(n, (Next, Yesterday)):
+            sub = self.compile(n.sub, c, dom)
+            if not eff:
+                return sub
+            step = _next if isinstance(n, Next) else _yesterday
+            return self._memo(n, c, dom, step(n.gamma, eff, sub))
+        if isinstance(n, (Until, Since)):
+            right = self.compile(n.right, c, dom)
+            if not eff:
+                # no coordinate moves, so position 0 decides
+                return right
+            left = self.compile(n.left, c, dom)
+            if isinstance(n, Since):
+                return self._memo(n, c, dom, _since(n.gamma, eff, left, right))
+            key = _config_key(tuple(sorted(eff)), self.gammas, self.cfg.cycle_margin,
+                              self.canon) if self.cfg.use_cycle_detection else None
+            return self._memo(n, c, dom, _until(n.gamma, eff, left, right,
+                                                self.cfg.until_cutoff, key))
+        raise TypeError(f"not a hyper formula node: {n!r}")
+
+
+class _Program:
+    """A formula compiled for one (config, root context, assignment domain).
+
+    A run clears the memos, the per-trace canon table and the quantifier start
+    list before and after evaluating, because memo keys use id(trace).
+    """
+
+    def __init__(self, f: Hyper, cfg: EvalConfig, context: frozenset[str],
+                 domain: frozenset[str]):
+        self._canon: dict[int, tuple[int, int]] = {}
+        self._starts: list[PointedTrace] = []
+        comp = _Compiler(f, cfg, self._canon, self._starts)
+        missing = set(comp.info[id(f)][0]) - domain
+        if missing:
+            raise ValueError(f"free variables without bindings: {sorted(missing)}")
+        self._root = comp.compile(f, context, domain)
+        self._memos = list(comp.memos.values())
+
+    def _reset(self) -> None:
+        for m in self._memos:
+            m.clear()
+        self._canon.clear()
+        self._starts.clear()
+
+    def run(self, universe: Iterable[LassoTrace], a: dict[str, PointedTrace]) -> Verdict:
+        self._reset()
+        self._starts.extend(PointedTrace(t, 0) for t in universe)
+        try:
+            return _VERDICTS[self._root(a)]
+        finally:
+            self._reset()
+
+
+class EvalCache:
+    """Compiled programs shared across evaluate/check_traceset calls, e.g. the
+    candidate sets of one bounded_sat search.
+
+    Entries are keyed on formula identity and hold the formula, so its id
+    stays valid for the life of the cache.
+    """
+
+    def __init__(self) -> None:
+        self._programs: dict[tuple, tuple[Hyper, _Program]] = {}
+        self._sentences: dict[int, tuple[Hyper, frozenset[str]]] = {}
+
+    def program(self, f: Hyper, cfg: EvalConfig, context: frozenset[str],
+                domain: frozenset[str]) -> _Program:
+        key = (id(f), cfg, context, domain)
+        hit = self._programs.get(key)
+        if hit is None:
+            hit = self._programs[key] = (f, _Program(f, cfg, context, domain))
+        return hit[1]
+
+    def sentence_context(self, f: Hyper) -> frozenset[str]:
+        """Every variable of the sentence f, after checking it is one."""
+        hit = self._sentences.get(id(f))
+        if hit is None:
+            if free_vars(f):
+                raise ValueError(f"not a sentence; free variables {sorted(free_vars(f))}")
+            var = all_vars(f)
+            if not var:
+                raise ValueError("formula mentions no trace variables")
+            hit = self._sentences[id(f)] = (f, var)
+        return hit[1]
 
 
 def evaluate(universe: Iterable[LassoTrace], assignment: Assignment,
              context: Iterable[str], f: Hyper,
-             cfg: EvalConfig = DEFAULT_CONFIG) -> Verdict:
-    """Evaluate (universe, assignment, context) |= f."""
-    missing = free_vars(f) - set(assignment)
-    if missing:
-        raise ValueError(f"free variables without bindings: {sorted(missing)}")
-    session = _Session(universe, f, cfg)
-    return session.eval(f, dict(assignment), frozenset(context))
+             cfg: EvalConfig = DEFAULT_CONFIG, *, cache: EvalCache | None = None) -> Verdict:
+    """Evaluate (universe, assignment, context) |= f, compiling f unless cache
+    already holds it for this config, context and assignment domain."""
+    a = dict(assignment)
+    program = (cache or EvalCache()).program(f, cfg, frozenset(context), frozenset(a))
+    return program.run(universe, a)
 
 
 def check_traceset(universe: Iterable[LassoTrace], f: Hyper,
-                   cfg: EvalConfig = DEFAULT_CONFIG) -> Verdict:
+                   cfg: EvalConfig = DEFAULT_CONFIG, *,
+                   cache: EvalCache | None = None) -> Verdict:
     """Sentence satisfaction by a trace set: empty assignment, full context."""
-    if free_vars(f):
-        raise ValueError(f"not a sentence; free variables {sorted(free_vars(f))}")
-    var = all_vars(f)
-    if not var:
-        raise ValueError("formula mentions no trace variables")
-    return evaluate(universe, {}, var, f, cfg)
+    cache = cache or EvalCache()
+    return evaluate(universe, {}, cache.sentence_context(f), f, cfg, cache=cache)
 
 
 def _exact_ts_universe(ts: TransitionSystem, max_prefix: int, max_loop: int) -> bool:
@@ -620,7 +769,8 @@ def bounded_sat(f: Hyper, max_traces: int, max_prefix: int, max_loop: int,
     """First trace set (by size, then lexicographic) satisfying the sentence.
 
     Candidates are the canonicalized lassos over ap within the bounds; None
-    when the search space is exhausted.
+    when the search space is exhausted.  The sentence is compiled once and
+    shared by every candidate check.
     """
     if max_traces < 1:
         raise ValueError("max_traces must be >= 1")
@@ -632,9 +782,10 @@ def bounded_sat(f: Hyper, max_traces: int, max_prefix: int, max_loop: int,
             seen.add(n)
             candidates.append(n)
     candidates.sort(key=LassoTrace.sort_key)
+    cache = EvalCache()
     for size in range(1, max_traces + 1):
         for combo in itertools.combinations(candidates, size):
-            if check_traceset(list(combo), f, cfg).is_holds:
+            if check_traceset(list(combo), f, cfg, cache=cache).is_holds:
                 return list(combo)
     return None
 

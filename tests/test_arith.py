@@ -67,6 +67,22 @@ def test_arith_eval_second_order():
     assert not arith_eval_bounded(flat("exists Y. forall a. (a in Y & !(a in Y))"), 3, bit_cap=3)
 
 
+def test_arith_eval_builds_subsets_on_demand(monkeypatch):
+    builds = []
+    real = arith._subsets
+
+    def counting(cap):
+        builds.append(cap)
+        return real(cap)
+
+    monkeypatch.setattr(arith, "_subsets", counting)
+    # false over 0..16 (no b above 16), and first-order only
+    assert not arith_eval_bounded(flat("forall a. exists b. a < b"), 16, bit_cap=16)
+    assert builds == []
+    assert arith_eval_bounded(flat("exists A. exists a. a in A"), 6, bit_cap=6)
+    assert builds == [6]
+
+
 # -- compiled clause shapes ---------------------------------------------------
 
 

@@ -94,6 +94,15 @@ def test_gadget_command(workdir, capsys):
     assert code == 1
 
 
+def test_gadget_bound_reports_unknown(workdir, capsys):
+    code, out = run(["gadget", "--encoding", "context", "--op", "mul", "--n1", 3, "--n2", 7,
+                     "--n3", 21, "--until-cutoff", 1, "--json"], capsys)
+    report = json.loads(out)
+    assert code == 2
+    assert report["verdict"] == "unknown"
+    assert report["reason"] == "gadget evaluation hit a bound: until-cutoff"
+
+
 def test_too_deep_formula_exit_three(workdir, capsys):
     body = " & ".join(["p_x"] * 2000)
     (workdir / "deep.ghyltl").write_text(f"ap: p\nforall x. {body}\n", encoding="utf-8")

@@ -1,4 +1,7 @@
+import gc
+import math
 import random
+import weakref
 
 import pytest
 
@@ -9,7 +12,8 @@ from ghyltl.arith import alpha_per_context
 from ghyltl.semantics import (EvalConfig, bounded_sat, check_traceset,
                               check_ts, evaluate, fragment_of, parse_hyper,
                               render_hyper)
-from ghyltl.traces import PointedTrace, TransitionSystem, lasso, spike_trace
+from ghyltl.traces import PointedTrace, TransitionSystem, enumerate_lassos, lasso, normalize, \
+    spike_trace
 
 from helpers import gen_sentence, gen_trace, ref_hyperltl
 
@@ -182,6 +186,74 @@ def test_context_discipline():
     finally:
         ghyltl.stutter.assign_succ = old
     assert stepped == {"x"}
+
+
+def test_unroller_walks_to_the_cutoff(monkeypatch):
+    # use_cycle_detection=False runs the same Until loop with cycle closing off
+    steps = []
+    real = ghyltl.stutter.assign_succ
+
+    def counting(a, gamma, c):
+        steps.append(1)
+        return real(a, gamma, c)
+
+    monkeypatch.setattr(ghyltl.stutter, "assign_succ", counting)
+    t = lasso(AP, [], [{"p"}, set()])
+    f = parse_hyper("forall x. F[] q_x", AP)
+    assert check_traceset([t], f, cfg(until_cutoff=40, use_cycle_detection=False)) \
+        == hy.Verdict.unknown("until-cutoff")
+    assert len(steps) == 41
+    steps.clear()
+    assert check_traceset([t], f, cfg(until_cutoff=40)).is_fails
+    assert 0 < len(steps) < 41
+
+
+def test_tautology_guard_is_constant():
+    # the F/G guard f | !f holds even where f itself hits the cutoff
+    t = lasso(AP, [set()], [{"p"}, set(), {"q"}])
+    f = parse_hyper("exists v0. G[] G[X q] !p_v0", AP)
+    assert check_traceset([t], f, cfg(until_cutoff=40, use_cycle_detection=False)).is_fails
+
+
+def test_bounded_sat_compiles_once(monkeypatch):
+    programs, checks = [], []
+    real_program, real_check = hy._Program, hy.check_traceset
+
+    def counting_program(*args):
+        programs.append(1)
+        return real_program(*args)
+
+    def counting_check(*args, **kwargs):
+        checks.append(1)
+        return real_check(*args, **kwargs)
+
+    monkeypatch.setattr(hy, "_Program", counting_program)
+    monkeypatch.setattr(hy, "check_traceset", counting_check)
+    f = parse_hyper("exists x. p_x & !p_x", {"p"})
+    assert bounded_sat(f, 2, 1, 1, {"p"}) is None
+    n = len({normalize(t) for t in enumerate_lassos({"p"}, 1, 1)})
+    assert len(programs) == 1
+    assert len(checks) == n + math.comb(n, 2)
+
+
+def test_finished_program_freed_without_gc(monkeypatch):
+    refs = []
+    real = hy._Program
+
+    def recording(*args):
+        program = real(*args)
+        refs.extend((weakref.ref(program), weakref.ref(program._root)))
+        return program
+
+    monkeypatch.setattr(hy, "_Program", recording)
+    t = lasso(AP, [], [{"p"}, set()])
+    f = parse_hyper("forall x. exists y. C{x} (p_x U[] q_y) & G[p] O[] p_y", AP)
+    gc.disable()
+    try:
+        check_traceset([t, lasso(AP, [], [{"q"}])], f)
+        assert len(refs) == 2 and refs[0]() is None and refs[1]() is None
+    finally:
+        gc.enable()
 
 
 def test_quantifier_free_independent_of_universe():
