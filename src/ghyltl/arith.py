@@ -1,5 +1,6 @@
-"""Second-order arithmetic: flat ASTs, a bounded oracle, and the two
-compilers into the stuttering and context fragments.
+"""Second-order arithmetic: one AST, a bounded oracle, and the two compilers
+into the stuttering and context fragments.  The parser emits connectives over
+comparison leaves (RawAtom); flatten rewrites those into the four flat atoms.
 
 Numbers are encoded as traces carrying a single marker at the encoded
 position, sets as arbitrary marker traces.  Addition and multiplication are
@@ -35,11 +36,11 @@ def trace_var(v: str) -> str:
     return f"x_{v}"
 
 
-# -- flat AST -----------------------------------------------------------------
+# -- AST ----------------------------------------------------------------------
 
 
 class Arith:
-    """Base class for flat arithmetic AST nodes."""
+    """Base class for arithmetic AST nodes."""
 
     __slots__ = ()
 
@@ -109,65 +110,59 @@ def a_and(a: Arith, b: Arith) -> Arith:
     return Not(Or(Not(a), Not(b)))
 
 
-def a_implies(a: Arith, b: Arith) -> Arith:
-    return Or(Not(a), b)
+_QUANTIFIERS = (ExistsFirst, ForallFirst, ExistsSecond, ForallSecond)
 
 
-def _children(f: Arith) -> tuple[Arith, ...]:
-    if isinstance(f, (Add, Mul, Less, Member)):
-        return ()
-    if isinstance(f, (Not, ExistsFirst, ForallFirst, ExistsSecond, ForallSecond)):
+def _children(f) -> tuple:
+    """Operands of a connective or quantifier, and the terms of a comparison
+    leaf, sum or product; flat atoms, variables and constants have none."""
+    if isinstance(f, (Or, TPlus, TTimes)):
+        return (f.left, f.right)
+    if isinstance(f, (Not,) + _QUANTIFIERS):
         return (f.sub,)
-    return (f.left, f.right)
+    if isinstance(f, RawAtom):
+        return (f.left,) if f.kind == "in" else (f.left, f.right)
+    return ()
+
+
+def _mentions(n) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The first- and second-order variables node n itself reads or binds."""
+    if isinstance(n, (Add, Mul)):
+        return (n.y1, n.y2, n.y3), ()
+    if isinstance(n, Less):
+        return (n.y1, n.y2), ()
+    if isinstance(n, Member):
+        return (n.y,), (n.set_var,)
+    if isinstance(n, (ExistsFirst, ForallFirst)):
+        return (n.var,), ()
+    if isinstance(n, (ExistsSecond, ForallSecond)):
+        return (), (n.var,)
+    if isinstance(n, TVar):
+        return (n.name,), ()
+    if isinstance(n, RawAtom) and n.kind == "in":
+        return (), (n.right,)
+    return (), ()
 
 
 def first_order_vars(f: Arith) -> frozenset[str]:
-    out: set[str] = set()
-
-    def walk(n: Arith) -> None:
-        if isinstance(n, (Add, Mul)):
-            out.update((n.y1, n.y2, n.y3))
-        elif isinstance(n, Less):
-            out.update((n.y1, n.y2))
-        elif isinstance(n, Member):
-            out.add(n.y)
-        elif isinstance(n, (ExistsFirst, ForallFirst)):
-            out.add(n.var)
-        for c in _children(n):
-            walk(c)
-
-    walk(f)
-    return frozenset(out)
+    return frozenset(v for n in hy.postorder(f, _children) for v in _mentions(n)[0])
 
 
 def second_order_vars(f: Arith) -> frozenset[str]:
-    out: set[str] = set()
-
-    def walk(n: Arith) -> None:
-        if isinstance(n, Member):
-            out.add(n.set_var)
-        elif isinstance(n, (ExistsSecond, ForallSecond)):
-            out.add(n.var)
-        for c in _children(n):
-            walk(c)
-
-    walk(f)
-    return frozenset(out)
+    return frozenset(v for n in hy.postorder(f, _children) for v in _mentions(n)[1])
 
 
 def free_arith_vars(f: Arith) -> frozenset[str]:
-    if isinstance(f, (Add, Mul)):
-        return frozenset((f.y1, f.y2, f.y3))
-    if isinstance(f, Less):
-        return frozenset((f.y1, f.y2))
-    if isinstance(f, Member):
-        return frozenset((f.y, f.set_var))
-    if isinstance(f, (ExistsFirst, ForallFirst, ExistsSecond, ForallSecond)):
-        return free_arith_vars(f.sub) - {f.var}
-    out: frozenset[str] = frozenset()
-    for c in _children(f):
-        out |= free_arith_vars(c)
-    return out
+    free: dict[int, frozenset[str]] = {}
+    for n in hy.postorder(f, _children):
+        out = frozenset().union(*(free[id(c)] for c in _children(n)))
+        if isinstance(n, _QUANTIFIERS):
+            out -= {n.var}
+        else:
+            first, second = _mentions(n)
+            out |= {*first, *second}
+        free[id(n)] = out
+    return free[id(f)]
 
 
 def _subsets(cap: int) -> list[frozenset[int]]:
@@ -241,29 +236,11 @@ class TTimes:
 
 @dataclass(frozen=True)
 class RawAtom:
-    """Comparison over terms: kind is '=', '<', or 'in' (rhs then a set var)."""
+    """Comparison leaf over terms: kind is '=', '<', or 'in' (rhs then a set var)."""
 
     kind: str
     left: object
     right: object
-
-
-@dataclass(frozen=True)
-class RawNot:
-    sub: object
-
-
-@dataclass(frozen=True)
-class RawOr:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class RawQuant:
-    kind: str  # exists-first, forall-first, exists-second, forall-second
-    var: str
-    sub: object
 
 
 _ARITH_SYMBOLS = ("<->", "->", "!", "|", "&", "(", ")", ".", "<", "=", "+", "*")
@@ -274,7 +251,7 @@ def _is_set_var(name: str) -> bool:
 
 
 class _ArithParser(pl._Parser):
-    Not, Or = RawNot, RawOr
+    Not, Or = Not, Or
 
     def formula(self):
         nxt = self.peek()
@@ -286,8 +263,10 @@ class _ArithParser(pl._Parser):
             var = self.take()
             self.take(".")
             body = self.formula()
-            order = "second" if _is_set_var(var) else "first"
-            return RawQuant(f"{kind}-{order}", var, body)
+            second = _is_set_var(var)
+            if kind == "exists":
+                return (ExistsSecond if second else ExistsFirst)(var, body)
+            return (ForallSecond if second else ForallFirst)(var, body)
         return self.iff()
 
     def primary(self):
@@ -363,8 +342,9 @@ class _ArithParser(pl._Parser):
         self.error("expected a term")
 
 
-def parse_arith(text: str):
-    """Parse the nested-term concrete syntax into a raw tree (see flatten)."""
+def parse_arith(text: str) -> Arith:
+    """Parse the nested-term concrete syntax: the AST's connectives and
+    quantifiers over RawAtom comparison leaves (see flatten)."""
     return _ArithParser(tokenize(text, _ARITH_SYMBOLS)).parse()
 
 
@@ -402,6 +382,8 @@ class _Flattener:
         return prev
 
     def atom(self, raw: RawAtom) -> Arith:
+        if not isinstance(raw, RawAtom):
+            raise TypeError(f"not a raw arithmetic node: {raw!r}")
         bindings: list[tuple[str, list[Arith]]] = []
         if raw.kind == "in":
             v = self.term(raw.left, bindings)
@@ -432,55 +414,23 @@ class _Flattener:
         return Not(Or(Less(v1, v2), Less(v2, v1)))
 
 
-def _raw_vars(raw) -> set[str]:
-    out: set[str] = set()
-
-    def term_vars(t) -> None:
-        if isinstance(t, TVar):
-            out.add(t.name)
-        elif isinstance(t, (TPlus, TTimes)):
-            term_vars(t.left)
-            term_vars(t.right)
-
-    def walk(n) -> None:
-        if isinstance(n, RawAtom):
-            term_vars(n.left)
-            if n.kind == "in":
-                out.add(n.right)
-            else:
-                term_vars(n.right)
-        elif isinstance(n, RawNot):
-            walk(n.sub)
-        elif isinstance(n, RawOr):
-            walk(n.left)
-            walk(n.right)
-        elif isinstance(n, RawQuant):
-            out.add(n.var)
-            walk(n.sub)
-
-    walk(raw)
-    return out
+def _map_leaves(f: Arith, leaf) -> Arith:
+    """f with each leaf (a node below every connective and quantifier)
+    replaced by leaf(node), called once per occurrence, left to right."""
+    if isinstance(f, Not):
+        return Not(_map_leaves(f.sub, leaf))
+    if isinstance(f, Or):
+        return Or(_map_leaves(f.left, leaf), _map_leaves(f.right, leaf))
+    if isinstance(f, _QUANTIFIERS):
+        return type(f)(f.var, _map_leaves(f.sub, leaf))
+    return leaf(f)
 
 
-def flatten(raw) -> Arith:
-    """Rewrite a raw nested-term tree so every atom is one of the four flat
-    forms, introducing fresh existentially quantified first-order variables."""
-    fl = _Flattener(_raw_vars(raw))
-
-    def walk(n) -> Arith:
-        if isinstance(n, RawAtom):
-            return fl.atom(n)
-        if isinstance(n, RawNot):
-            return Not(walk(n.sub))
-        if isinstance(n, RawOr):
-            return Or(walk(n.left), walk(n.right))
-        if isinstance(n, RawQuant):
-            node = {"exists-first": ExistsFirst, "forall-first": ForallFirst,
-                    "exists-second": ExistsSecond, "forall-second": ForallSecond}[n.kind]
-            return node(n.var, walk(n.sub))
-        raise TypeError(f"not a raw arithmetic node: {n!r}")
-
-    return walk(raw)
+def flatten(raw: Arith) -> Arith:
+    """Rewrite a parsed tree so every atom is one of the four flat forms,
+    introducing fresh existentially quantified first-order variables."""
+    fl = _Flattener(set(first_order_vars(raw)) | set(second_order_vars(raw)))
+    return _map_leaves(raw, fl.atom)
 
 
 # -- compilers ----------------------------------------------------------------
@@ -518,20 +468,14 @@ def dealias(f: Arith) -> Arith:
             core = ExistsFirst(u, a_and(same, core))
         return core
 
-    def walk(node: Arith) -> Arith:
+    def leaf(node: Arith) -> Arith:
         if isinstance(node, (Add, Mul)):
             return split(node)
         if isinstance(node, (Less, Member)):
             return node
-        if isinstance(node, Not):
-            return Not(walk(node.sub))
-        if isinstance(node, Or):
-            return Or(walk(node.left), walk(node.right))
-        if isinstance(node, (ExistsFirst, ForallFirst, ExistsSecond, ForallSecond)):
-            return type(node)(node.var, walk(node.sub))
         raise TypeError(f"not a flat arithmetic node: {node!r}")
 
-    return walk(f)
+    return _map_leaves(f, leaf)
 
 
 @dataclass(frozen=True)
@@ -795,7 +739,8 @@ def _compiler(encoding: str, v1: Iterable[str], strict_fidelity: bool) -> _Compi
 
 
 def _require_closed_flat(f: Arith) -> None:
-    if not isinstance(f, Arith):
+    if not isinstance(f, Arith) or any(isinstance(n, RawAtom)
+                                       for n in hy.postorder(f, _children)):
         raise TypeError("expected a flat arithmetic sentence; run flatten first")
     if free_arith_vars(f):
         raise ValueError(f"sentence must be closed; free variables {sorted(free_arith_vars(f))}")
@@ -907,7 +852,7 @@ def witness_universe(f: Arith, encoding: str, value_bound: int,
     """A quantifier universe rich enough for sentences whose first-order
     values stay at or below value_bound."""
     f = dealias(f)
-    atoms = [n for n in _postorder_arith(f) if isinstance(n, (Add, Mul, Less, Member))]
+    atoms = [n for n in hy.postorder(f, _children) if isinstance(n, (Add, Mul, Less, Member))]
     traces: list[LassoTrace] = []
     if encoding == "stutter":
         for y in sorted(first_order_vars(f)):
@@ -947,18 +892,6 @@ def witness_universe(f: Arith, encoding: str, value_bound: int,
                            for i in range(max(members) + 1))
             traces.append(LassoTrace(frozenset({HASH}), prefix, (frozenset(),)))
     return list(dict.fromkeys(traces))
-
-
-def _postorder_arith(f: Arith) -> list[Arith]:
-    out: list[Arith] = []
-
-    def walk(n: Arith) -> None:
-        for c in _children(n):
-            walk(c)
-        out.append(n)
-
-    walk(f)
-    return out
 
 
 def alpha_per_context(x: str, xp: str) -> hy.Hyper:

@@ -3,7 +3,8 @@
 Formula files carry their proposition universe in a header line ``ap: p, q``
 followed by the formula text.  Trace sets and transition systems are the JSON
 documents defined in the traces module.  Exit status: 0 holds, 1 fails,
-2 unknown, 3 error.
+2 unknown, 3 error (malformed input, a usage error, a formula nested too
+deeply).
 """
 
 from __future__ import annotations
@@ -205,10 +206,17 @@ def cmd_oracle(args) -> RunReport:
         verdict)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, which reads as unknown; raise
+    # instead, so main reports it as an error like any other bad input
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and reused by every main call."""
-    p = argparse.ArgumentParser(prog="ghyltl", description=__doc__)
+    p = _ArgumentParser(prog="ghyltl", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("eval", help="check a sentence against a trace-set file")
@@ -269,15 +277,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    t0 = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
+        t0 = time.perf_counter()
         report = args.func(args)
         report.timing_ms = (time.perf_counter() - t0) * 1e3
         report.emit(args.json)
     except (OSError, ValueError, KeyError, RecursionError) as exc:
-        # ParseError and JSON errors are ValueErrors; RecursionError is a
-        # formula nested too deeply for the recursive walks
+        # usage, ParseError and JSON errors are ValueErrors; RecursionError
+        # is a formula nested too deeply for the recursive walks
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return EXIT[report.verdict]

@@ -106,6 +106,11 @@ def tautology_over(f: Hyper) -> Hyper:
     return Or(f, Not(f))
 
 
+def is_tautology(f: Hyper) -> bool:
+    """f has the shape of tautology_over(g) for some g."""
+    return isinstance(f, Or) and isinstance(f.right, Not) and f.right.sub == f.left
+
+
 def h_and(a: Hyper, b: Hyper) -> Hyper:
     return Not(Or(Not(a), Not(b)))
 
@@ -164,30 +169,62 @@ def children(f: Hyper) -> tuple[Hyper, ...]:
     return (f.left, f.right)
 
 
-def postorder(f: Hyper) -> list[Hyper]:
-    """Subformulas in postorder, each shared node once."""
-    seen: set[int] = set()
-    out: list[Hyper] = []
+def postorder(f, children_of=None) -> list:
+    """Subformulas in postorder: children first, left to right, each shared
+    node once, at its first occurrence.  children_of gives a node's operands
+    (default: children, the hyper family's); the walk keeps its own stack, so
+    formula depth is not bounded by the interpreter's recursion limit."""
+    kids = children_of or children
+    seen = {id(f)}
+    out = []
+    stack = [(f, iter(kids(f)))]
+    while stack:
+        node, it = stack[-1]
+        for c in it:
+            if id(c) not in seen:
+                seen.add(id(c))
+                stack.append((c, iter(kids(c))))
+                break
+        else:
+            stack.pop()
+            out.append(node)
+    return out
 
-    def walk(n: Hyper) -> None:
-        if id(n) in seen:
-            return
-        seen.add(id(n))
+
+# quantifier kinds after negation polarity, as the bits of an int: 1 for
+# existential, 2 for universal
+_FLIP = (0, 2, 1, 3)
+_SHAPES = ("exists", "exists", "forall", "mixed")
+
+
+def _facts(f: Hyper) -> dict[int, tuple[tuple[str, ...], bool, int]]:
+    """Per node id, from one postorder fold: its sorted free variables,
+    whether Yesterday or Since occurs at or below it, and the kinds of the
+    quantifiers at or below it after negation polarity."""
+    out: dict[int, tuple[tuple[str, ...], bool, int]] = {}
+    for n in postorder(f):
+        free: set[str] = set()
+        past = isinstance(n, (Yesterday, Since))
+        kinds = 0
         for c in children(n):
-            walk(c)
-        out.append(n)
-
-    walk(f)
+            cf, cp, ck = out[id(c)]
+            free.update(cf)
+            past = past or cp
+            kinds |= ck
+        if isinstance(n, Atom):
+            free.add(n.var)
+        elif isinstance(n, Not):
+            kinds = _FLIP[kinds]
+        elif isinstance(n, (Exists, Forall)):
+            free.discard(n.var)
+            kinds |= 1 if isinstance(n, Exists) else 2
+        out[id(n)] = (tuple(sorted(free)), past, kinds)
     return out
 
 
 def free_vars(f: Hyper) -> frozenset[str]:
     """Variables read by atoms and not bound by a quantifier above the read."""
-    if isinstance(f, Atom):
-        return frozenset({f.var})
-    if isinstance(f, (Exists, Forall)):
-        return free_vars(f.sub) - {f.var}
-    return frozenset().union(*(free_vars(c) for c in children(f))) if children(f) else frozenset()
+    return frozenset(_facts(f)[id(f)][0])
 
 
 def all_vars(f: Hyper) -> frozenset[str]:
@@ -223,10 +260,6 @@ def gamma_members(f: Hyper) -> frozenset:
     return frozenset(out)
 
 
-def has_hyper_past(f: Hyper) -> bool:
-    return any(isinstance(n, (Yesterday, Since)) for n in postorder(f))
-
-
 def has_quantifier(f: Hyper) -> bool:
     return any(isinstance(n, (Exists, Forall)) for n in postorder(f))
 
@@ -256,32 +289,13 @@ def quantifier_shape(f: Hyper) -> str:
     Purely existential sentences are monotone in the trace universe and purely
     universal ones antitone, which is what makes bounded verdicts sound.
     """
-    kinds: set[str] = set()
-
-    def walk(n: Hyper, pos: bool) -> None:
-        if isinstance(n, (Exists, Forall)):
-            existential = isinstance(n, Exists) == pos
-            kinds.add("exists" if existential else "forall")
-            walk(n.sub, pos)
-        elif isinstance(n, Not):
-            walk(n.sub, not pos)
-        else:
-            for c in children(n):
-                walk(c, pos)
-
-    walk(f, True)
-    if kinds <= {"exists"}:
-        return "exists"
-    if kinds <= {"forall"}:
-        return "forall"
-    return "mixed"
+    return _SHAPES[_facts(f)[id(f)][2]]
 
 
 def fragment_of(f: Hyper) -> str:
     """Most specific of HyperLTL, HyperLTL_S, HyperLTL_C, GHyLTL_S+C."""
-    _, matrix = strip_prefix(f)
-    prenex = not has_quantifier(matrix)
-    past_free = not has_hyper_past(f)
+    prenex = is_prenex(f)
+    past_free = not _facts(f)[id(f)][1]
     contexts = has_context_op(f)
     gammas = gamma_members(f)
     all_empty = not gammas
@@ -380,26 +394,31 @@ def _not(sub):
     return neg
 
 
-def _or(left, right):
+def _any(subs: tuple):
+    # an Or chain: left to right, stopping at the first operand that holds
     def disj(a):
-        v = left(a)
-        if v == 1:
-            return 1
-        w = right(a)
-        return 1 if w == 1 else v | w
+        out = 0
+        for sub in subs:
+            v = sub(a)
+            if v == 1:
+                return 1
+            out |= v
+        return out
     return disj
 
 
-def _and(left, right):
-    # h_and(a, b) = !(!a | !b): a first, b only when a does not fail
+def _all(subs: tuple):
+    # an h_and chain, !(!a | !b): left to right, stopping at the first
+    # operand that fails
     def conj(a):
-        v = left(a)
-        if v == 0:
-            return 0
-        w = right(a)
-        if w == 0:
-            return 0
-        return w if v == 1 else 2
+        out = 1
+        for sub in subs:
+            v = sub(a)
+            if v == 0:
+                return 0
+            if v == 2:
+                out = 2
+        return out
     return conj
 
 
@@ -518,6 +537,29 @@ def _config_key(names: tuple[str, ...], gammas: tuple, margin: int, canon: dict)
     return key
 
 
+def _is_and(n: Hyper) -> bool:
+    return isinstance(n, Not) and isinstance(n.sub, Or) \
+        and isinstance(n.sub.left, Not) and isinstance(n.sub.right, Not)
+
+
+def _operands(n: Hyper) -> list[Hyper]:
+    """Operands, left to right, of the h_and chain (n a Not) or the Or chain
+    rooted at n, with Not(Not(.)) stripped along the chain.  Iterative, so a
+    chain of any length compiles to one n-ary closure."""
+    conj, out, stack = isinstance(n, Not), [], [n]
+    while stack:
+        m = stack.pop()
+        while isinstance(m, Not) and isinstance(m.sub, Not):
+            m = m.sub.sub
+        if conj and _is_and(m):
+            stack += (m.sub.right.sub, m.sub.left.sub)
+        elif not conj and isinstance(m, Or) and not is_tautology(m):
+            stack += (m.right, m.left)
+        else:
+            out.append(m)
+    return out
+
+
 def _memoized(raw, names: tuple[str, ...], memo: dict):
     if len(names) == 1:
         (x,) = names
@@ -550,24 +592,13 @@ class _Compiler:
     and shares one memo per context across assignment domains.
     """
 
-    def __init__(self, formula: Hyper, cfg: EvalConfig, canon: dict, starts: list):
+    def __init__(self, formula: Hyper, cfg: EvalConfig, canon: dict, starts: list,
+                 facts: dict):
         self.cfg = cfg
         self.canon = canon
         self.starts = starts
         self.gammas = tuple(gamma_members(formula))
-        # per node: sorted free atom variables, and whether past operators
-        # occur below it (postorder: children are recorded first)
-        self.info: dict[int, tuple[tuple[str, ...], bool]] = {}
-        for n in postorder(formula):
-            free = {n.var} if isinstance(n, Atom) else set()
-            past = isinstance(n, (Yesterday, Since))
-            for ch in children(n):
-                cf, cp = self.info[id(ch)]
-                free.update(cf)
-                past = past or cp
-            if isinstance(n, (Exists, Forall)):
-                free.discard(n.var)
-            self.info[id(n)] = (tuple(sorted(free)), past)
+        self.facts = facts
         self.built: dict[tuple, object] = {}
         self.memos: dict[tuple, dict] = {}
 
@@ -579,7 +610,7 @@ class _Compiler:
         return hit
 
     def _memo(self, n: Hyper, c: frozenset[str], dom: frozenset[str], raw):
-        free, past = self.info[id(n)]
+        free, past, _ = self.facts[id(n)]
         if past:
             names, share = tuple(sorted(dom)), (id(n), c, dom)
         else:
@@ -590,17 +621,16 @@ class _Compiler:
         if isinstance(n, Atom):
             return _atom(n.prop, n.var)
         if isinstance(n, Not):
-            s = n.sub
-            if isinstance(s, Or) and isinstance(s.left, Not) and isinstance(s.right, Not):
-                return _and(self.compile(s.left.sub, c, dom), self.compile(s.right.sub, c, dom))
-            if isinstance(s, Not):
-                return self.compile(s.sub, c, dom)
-            return _not(self.compile(s, c, dom))
+            if _is_and(n):
+                return _all(tuple(self.compile(x, c, dom) for x in _operands(n)))
+            if isinstance(n.sub, Not):
+                return self.compile(n.sub.sub, c, dom)
+            return _not(self.compile(n.sub, c, dom))
         if isinstance(n, Or):
-            if n.right == Not(n.left):
+            if is_tautology(n):
                 # tautology_over: the guard of every F/G and O/H
                 return _holds
-            return _or(self.compile(n.left, c, dom), self.compile(n.right, c, dom))
+            return _any(tuple(self.compile(x, c, dom) for x in _operands(n)))
         if isinstance(n, Context):
             return self.compile(n.sub, n.vars, dom)
         if isinstance(n, (Exists, Forall)):
@@ -636,11 +666,11 @@ class _Program:
     """
 
     def __init__(self, f: Hyper, cfg: EvalConfig, context: frozenset[str],
-                 domain: frozenset[str]):
+                 domain: frozenset[str], facts: dict):
         self._canon: dict[int, tuple[int, int]] = {}
         self._starts: list[PointedTrace] = []
-        comp = _Compiler(f, cfg, self._canon, self._starts)
-        missing = set(comp.info[id(f)][0]) - domain
+        comp = _Compiler(f, cfg, self._canon, self._starts, facts)
+        missing = set(facts[id(f)][0]) - domain
         if missing:
             raise ValueError(f"free variables without bindings: {sorted(missing)}")
         self._root = comp.compile(f, context, domain)
@@ -671,22 +701,32 @@ class EvalCache:
 
     def __init__(self) -> None:
         self._programs: dict[tuple, tuple[Hyper, _Program]] = {}
+        self._node_facts: dict[int, tuple[Hyper, dict]] = {}
         self._sentences: dict[int, tuple[Hyper, frozenset[str]]] = {}
+
+    def _facts_of(self, f: Hyper) -> dict:
+        """The per-node facts of f (see _facts), computed once per formula."""
+        hit = self._node_facts.get(id(f))
+        if hit is None:
+            hit = self._node_facts[id(f)] = (f, _facts(f))
+        return hit[1]
 
     def program(self, f: Hyper, cfg: EvalConfig, context: frozenset[str],
                 domain: frozenset[str]) -> _Program:
         key = (id(f), cfg, context, domain)
         hit = self._programs.get(key)
         if hit is None:
-            hit = self._programs[key] = (f, _Program(f, cfg, context, domain))
+            program = _Program(f, cfg, context, domain, self._facts_of(f))
+            hit = self._programs[key] = (f, program)
         return hit[1]
 
     def sentence_context(self, f: Hyper) -> frozenset[str]:
         """Every variable of the sentence f, after checking it is one."""
         hit = self._sentences.get(id(f))
         if hit is None:
-            if free_vars(f):
-                raise ValueError(f"not a sentence; free variables {sorted(free_vars(f))}")
+            free = self._facts_of(f)[id(f)][0]
+            if free:
+                raise ValueError(f"not a sentence; free variables {list(free)}")
             var = all_vars(f)
             if not var:
                 raise ValueError("formula mentions no trace variables")

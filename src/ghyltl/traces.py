@@ -70,9 +70,6 @@ class PointedTrace:
         if self.pos < 0:
             raise ValueError("position must be nonnegative")
 
-    def letter(self) -> Letter:
-        return self.trace.letter(self.pos)
-
 
 def lasso(ap: Iterable[str], prefix: Iterable[Iterable[str]], loop: Iterable[Iterable[str]],
           name: str | None = None) -> LassoTrace:

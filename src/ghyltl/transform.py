@@ -29,7 +29,8 @@ from typing import Iterable, Iterator
 from .semantics import (
     EMPTY_GAMMA, Atom, Context, Exists, Forall, Gamma, Hyper, Next, Not, Or,
     Since, Until, Yesterday, all_props, all_vars, alw, children, ev, free_vars,
-    h_all, h_and, h_implies, has_quantifier, is_prenex, once, tautology_over,
+    h_all, h_and, h_implies, has_quantifier, is_prenex, is_tautology, once,
+    tautology_over,
 )
 from .traces import LassoTrace, spike_trace
 
@@ -102,10 +103,6 @@ def _mark_before(a: str, b: str) -> Hyper:
         EMPTY_GAMMA, h_and(mark_atom(a), Next(EMPTY_GAMMA, ev(EMPTY_GAMMA, mark_atom(b))))))
 
 
-def _is_taut(f: Hyper) -> bool:
-    return isinstance(f, Or) and isinstance(f.right, Not) and f.right.sub == f.left
-
-
 def alpha_unique(f: Hyper) -> Hyper:
     """Rename binders so every bound variable name is used exactly once."""
     used: set[str] = set(all_vars(f))
@@ -143,7 +140,7 @@ def alpha_unique(f: Hyper) -> Hyper:
             # the F/G/O/H sugar guards the operand with a tautology built from
             # the operand itself; renaming the copies apart would defeat the
             # tautology detection downstream, so rebuild the shared shape
-            if _is_taut(n.left) and (n.left.left is n.right or n.left.left == n.right):
+            if is_tautology(n.left) and (n.left.left is n.right or n.left.left == n.right):
                 w = walk(n.right, ren)
                 return type(n)(n.gamma, tautology_over(w), w)
             return type(n)(n.gamma, walk(n.left, ren), walk(n.right, ren))
@@ -291,7 +288,7 @@ class _Prenexifier:
 
         # Until / Since: a tautological left operand (the F/O sugar) needs no
         # walk of its own and is rebuilt from the right matrix
-        taut_left = _is_taut(n.left)
+        taut_left = is_tautology(n.left)
         if taut_left:
             lp: _Prefix = []
             lm: Hyper | None = None

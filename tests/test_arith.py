@@ -4,8 +4,9 @@ import pytest
 
 from ghyltl import arith
 from ghyltl import semantics as hy
-from ghyltl.arith import (Add, ExistsFirst, GadgetBoundError,
-                          Less, Member, PeriodicWitnessSpec,
+from ghyltl.arith import (Add, ExistsFirst, ForallSecond, GadgetBoundError,
+                          Less, Member, Not, Or, PeriodicWitnessSpec, RawAtom, TConst,
+                          TPlus, TVar,
                           alpha_per_context, alpha_per_stutter,
                           arith_eval_bounded, compile_context, compile_stutter,
                           flatten, gadget_assignment, gadget_formula,
@@ -28,6 +29,25 @@ def flat(text: str):
 def test_flatten_already_flat():
     f = flat("exists a. exists b. exists c. a + b = c")
     assert f == ExistsFirst("a", ExistsFirst("b", ExistsFirst("c", Add("a", "b", "c"))))
+
+
+def test_parse_emits_connectives_over_comparison_leaves():
+    raw = parse_arith("exists a. forall B. !(a in B) | a < a + 1")
+    assert raw == ExistsFirst("a", ForallSecond("B", Or(
+        Not(RawAtom("in", TVar("a"), "B")),
+        RawAtom("<", TVar("a"), TPlus(TVar("a"), TConst(1))))))
+    assert arith.first_order_vars(raw) == {"a"}
+    assert arith.second_order_vars(raw) == {"B"}
+    assert arith.free_arith_vars(raw.sub) == {"a"}
+    with pytest.raises(TypeError, match="run flatten first"):
+        compile_stutter(raw)
+
+
+def test_flatten_rewrites_each_occurrence():
+    # <-> repeats its operands; each occurrence gets its own fresh variables
+    f = flat("exists a. (a = 1 <-> a = 1)")
+    binders = [n.var for n in hy.postorder(f, arith._children) if isinstance(n, ExistsFirst)]
+    assert binders == ["t0", "t1", "t2", "t3", "a"]
 
 
 def test_flatten_nested_product():

@@ -104,8 +104,8 @@ def test_gadget_bound_reports_unknown(workdir, capsys):
 
 
 def test_too_deep_formula_exit_three(workdir, capsys):
-    body = " & ".join(["p_x"] * 2000)
-    (workdir / "deep.ghyltl").write_text(f"ap: p\nforall x. {body}\n", encoding="utf-8")
+    nested = "(" * 3000 + "p_x" + ")" * 3000
+    (workdir / "deep.ghyltl").write_text(f"ap: p\nforall x. {nested}\n", encoding="utf-8")
     code = main(["eval", str(workdir / "traces.json"), str(workdir / "deep.ghyltl")])
     captured = capsys.readouterr()
     assert code == 3
@@ -113,6 +113,37 @@ def test_too_deep_formula_exit_three(workdir, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("wrap, atom, code", [
+    ("{}", "p_x", 1), ("G[] ({})", "!p_x", 0), ("F[] ({})", "p_x", 1), ("H[] ({})", "!p_x", 0),
+])
+def test_long_conjunction_gets_a_verdict(workdir, capsys, wrap, atom, code):
+    body = wrap.format(" & ".join([atom] * 2000))
+    (workdir / "long.ghyltl").write_text(f"ap: p\nforall x. {body}\n", encoding="utf-8")
+    got, out = run(["eval", workdir / "traces.json", workdir / "long.ghyltl"], capsys)
+    assert got == code
+    assert f"verdict: {'holds' if code == 0 else 'fails'}" in out
+
+
+@pytest.mark.parametrize("args", [
+    ["eval", "tr.json"],
+    ["eval", "tr.json", "f.ghyltl", "--until-cutoff", "abc"],
+])
+def test_usage_error_exit_three(capsys, args):
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ghyltl eval: ")
+
+
+def test_help_exit_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ghyltl eval")
 
 
 def test_compile_writes_artifacts(workdir, capsys):

@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -254,6 +255,56 @@ def test_finished_program_freed_without_gc(monkeypatch):
         assert len(refs) == 2 and refs[0]() is None and refs[1]() is None
     finally:
         gc.enable()
+
+
+def test_chains_stop_at_the_first_decisive_operand(monkeypatch):
+    steps = []
+    real = ghyltl.stutter.assign_succ
+
+    def counting(*args):
+        steps.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(ghyltl.stutter, "assign_succ", counting)
+    t = lasso(AP, [], [{"p"}, set()])
+    unroll = cfg(until_cutoff=40, use_cycle_detection=False)
+    assert check_traceset([t], parse_hyper("forall x. !p_x & F[] q_x & p_x", AP), unroll).is_fails
+    assert check_traceset([t], parse_hyper("forall x. p_x | F[] q_x | !p_x", AP), unroll).is_holds
+    assert steps == []
+    # left to right: an earlier unknown operand is walked before the failing one
+    assert check_traceset([t], parse_hyper("forall x. F[] q_x & !p_x & p_x", AP), unroll).is_fails
+    assert len(steps) == 41
+
+
+def test_structural_queries_visit_shared_nodes_once(monkeypatch):
+    f = hy.Atom("p", "x")
+    for _ in range(18):
+        f = hy.Or(f, f)
+    f = hy.Forall("x", f)
+    calls = []
+    real = hy.children
+
+    def counting(n):
+        calls.append(id(n))
+        return real(n)
+
+    monkeypatch.setattr(hy, "children", counting)
+    for query, expected in [(hy.free_vars, frozenset()), (hy.quantifier_shape, "forall"),
+                            (hy.all_vars, {"x"})]:
+        calls.clear()
+        assert query(f) == expected
+        visits = Counter(calls)
+        assert len(visits) == 20 and max(visits.values()) <= 2
+
+
+def test_long_conjunction_is_depth_safe():
+    f = hy.Forall("x", hy.h_all([hy.Atom("p", "x")] * 5000))
+    assert hy.free_vars(f) == frozenset()
+    assert hy.quantifier_shape(f) == "forall"
+    assert fragment_of(f) == "HyperLTL"
+    assert len(hy.postorder(f)) == 4 * 4999 + 2
+    assert check_traceset([lasso(AP, [], [{"p"}])], f).is_holds
+    assert check_traceset([lasso(AP, [], [{"p"}]), lasso(AP, [], [set()])], f).is_fails
 
 
 def test_quantifier_free_independent_of_universe():
