@@ -148,18 +148,20 @@ class ValuationProfile:
         return self.bits[self.threshold + ((i - self.threshold) % self.period)]
 
 
-_profile_memo: dict[tuple[LassoTrace, Pltl], ValuationProfile] = {}
+def valuation_profile(trace: LassoTrace, f: Pltl, memo: dict | None = None) -> ValuationProfile:
+    """The ultimately periodic valuation of f on trace.
 
-
-def valuation_profile(trace: LassoTrace, f: Pltl) -> ValuationProfile:
-    """Compute (and memoize) the ultimately periodic valuation of f on trace."""
-    key = (trace, f)
-    hit = _profile_memo.get(key)
-    if hit is not None:
-        return hit
-    prof = _compute_profile(trace, f)
-    _profile_memo[key] = prof
-    return prof
+    memo maps id(formula) to the formula's profile on this trace (which holds
+    the formula, so the id stays valid); it is filled for f and every
+    subformula computed on the way.  Keying on identity spares hashing the
+    formula, which recurses through it.  Without a memo nothing is kept.
+    """
+    if memo is None:
+        memo = {}
+    hit = memo.get(id(f))
+    if hit is None:
+        hit = memo[id(f)] = _compute_profile(trace, f, memo)
+    return hit
 
 
 def _make(trace: LassoTrace, f: Pltl, threshold: int, period: int, value) -> ValuationProfile:
@@ -167,36 +169,36 @@ def _make(trace: LassoTrace, f: Pltl, threshold: int, period: int, value) -> Val
     return ValuationProfile(f, trace, threshold, period, bits)
 
 
-def _compute_profile(trace: LassoTrace, f: Pltl) -> ValuationProfile:
+def _compute_profile(trace: LassoTrace, f: Pltl, memo: dict) -> ValuationProfile:
     if isinstance(f, Atom):
         t, l = len(trace.prefix), len(trace.loop)
         return _make(trace, f, t, l, lambda i: f.name in trace.letter(i))
     if isinstance(f, Not):
-        p = valuation_profile(trace, f.sub)
+        p = valuation_profile(trace, f.sub, memo)
         return _make(trace, f, p.threshold, p.period, lambda i: not p.value(i))
     if isinstance(f, Or):
-        a = valuation_profile(trace, f.left)
-        b = valuation_profile(trace, f.right)
+        a = valuation_profile(trace, f.left, memo)
+        b = valuation_profile(trace, f.right, memo)
         t = max(a.threshold, b.threshold)
         l = math.lcm(a.period, b.period)
         return _make(trace, f, t, l, lambda i: a.value(i) or b.value(i))
     if isinstance(f, Next):
-        p = valuation_profile(trace, f.sub)
+        p = valuation_profile(trace, f.sub, memo)
         return _make(trace, f, max(p.threshold - 1, 0), p.period, lambda i: p.value(i + 1))
     if isinstance(f, Yesterday):
-        p = valuation_profile(trace, f.sub)
+        p = valuation_profile(trace, f.sub, memo)
         return _make(trace, f, p.threshold + 1, p.period,
                      lambda i: i > 0 and p.value(i - 1))
     if isinstance(f, Until):
-        return _until_profile(trace, f)
+        return _until_profile(trace, f, memo)
     if isinstance(f, Since):
-        return _since_profile(trace, f)
+        return _since_profile(trace, f, memo)
     raise TypeError(f"not a PLTL node: {f!r}")
 
 
-def _until_profile(trace: LassoTrace, f: Until) -> ValuationProfile:
-    a = valuation_profile(trace, f.left)
-    b = valuation_profile(trace, f.right)
+def _until_profile(trace: LassoTrace, f: Until, memo: dict) -> ValuationProfile:
+    a = valuation_profile(trace, f.left, memo)
+    b = valuation_profile(trace, f.right, memo)
     t = max(a.threshold, b.threshold)
     l = math.lcm(a.period, b.period)
     # positions 0..t+l-1 form a lasso whose cycle is t..t+l-1
@@ -217,9 +219,9 @@ def _until_profile(trace: LassoTrace, f: Until) -> ValuationProfile:
     return ValuationProfile(f, trace, t, l, tuple(val))
 
 
-def _since_profile(trace: LassoTrace, f: Since) -> ValuationProfile:
-    a = valuation_profile(trace, f.left)
-    b = valuation_profile(trace, f.right)
+def _since_profile(trace: LassoTrace, f: Since, memo: dict) -> ValuationProfile:
+    a = valuation_profile(trace, f.left, memo)
+    b = valuation_profile(trace, f.right, memo)
     t = max(a.threshold, b.threshold)
     l = math.lcm(a.period, b.period)
 

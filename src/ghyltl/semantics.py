@@ -108,7 +108,30 @@ def tautology_over(f: Hyper) -> Hyper:
 
 def is_tautology(f: Hyper) -> bool:
     """f has the shape of tautology_over(g) for some g."""
-    return isinstance(f, Or) and isinstance(f.right, Not) and f.right.sub == f.left
+    return isinstance(f, Or) and isinstance(f.right, Not) \
+        and (f.right.sub is f.left or same_formula(f.right.sub, f.left))
+
+
+def same_formula(f: Hyper, g: Hyper) -> bool:
+    """Structural equality, as the dataclass __eq__ but with its own stack,
+    so formula depth is not bounded by the interpreter's recursion limit.
+    Pairs of shared nodes are compared once."""
+    seen = set()
+    stack = [(f, g)]
+    while stack:
+        a, b = stack.pop()
+        if a is b or (id(a), id(b)) in seen:
+            continue
+        seen.add((id(a), id(b)))
+        if type(a) is not type(b):
+            return False
+        for name in a.__dataclass_fields__:
+            x, y = getattr(a, name), getattr(b, name)
+            if isinstance(x, Hyper):
+                stack.append((x, y))
+            elif x != y:
+                return False
+    return True
 
 
 def h_and(a: Hyper, b: Hyper) -> Hyper:
@@ -368,10 +391,20 @@ Assignment = Mapping[str, PointedTrace]
 # (unknown); the Verdict object is built only at the top.  An Until hitting its
 # cutoff is the only bound evaluation has, so 2 always means "until-cutoff".
 #
-# Closures capture their children, memo dicts and constants, never the program
-# or the compiler, so a dropped program is freed by reference counting.
-# Coordinates step through ``stutter.assign_succ``/``assign_pred``, looked up
-# on the module at each call.
+# Closures capture their children, memo dicts, constants and the step-table
+# owner, never the program or the compiler, so a dropped program is freed by
+# reference counting.  Coordinates step through
+# ``stutter.assign_succ``/``assign_pred``, looked up on the module at each
+# call, with the owner (``stutter.StepTables``) of the program's EvalCache: it
+# holds one successor and one predecessor table per (trace, gamma) and the
+# valuation-profile memos of every trace, for the life of the cache.  A step
+# names its coordinates in sorted order, so the tables a predecessor step
+# builds before it stops do not depend on set order, that is, on the hash seed.
+#
+# A memo keyed on (id(trace), pos) outlives a run when no quantifier sits at
+# or below its node: such a value depends on the assignment only, not on the
+# universe.  The program keeps every trace it has run on, so those ids stay
+# valid; the memos of nodes with a quantifier below are cleared on each run.
 
 _NOT = (1, 0, 2)
 _VERDICTS = (FAILS, HOLDS, Verdict.unknown("until-cutoff"))
@@ -438,20 +471,20 @@ def _quant(var: str, sub, starts: list, existential: bool):
     return quant
 
 
-def _next(gamma: Gamma, eff: frozenset[str], sub):
+def _next(gamma: Gamma, eff: tuple[str, ...], steps, sub):
     def step(a):
-        return sub(stutter.assign_succ(a, gamma, eff))
+        return sub(stutter.assign_succ(a, gamma, eff, steps))
     return step
 
 
-def _yesterday(gamma: Gamma, eff: frozenset[str], sub):
+def _yesterday(gamma: Gamma, eff: tuple[str, ...], steps, sub):
     def step(a):
-        prev = stutter.assign_pred(a, gamma, eff)
+        prev = stutter.assign_pred(a, gamma, eff, steps)
         return 0 if prev is None else sub(prev)
     return step
 
 
-def _until(gamma: Gamma, eff: frozenset[str], left, right, cutoff: int, config_key):
+def _until(gamma: Gamma, eff: tuple[str, ...], steps, left, right, cutoff: int, config_key):
     """Walk successors until right holds, left fails, a configuration repeats
     (config_key is None when cycle detection is off) or the cutoff is hit.
 
@@ -481,12 +514,12 @@ def _until(gamma: Gamma, eff: frozenset[str], left, right, cutoff: int, config_k
                     return result
                 if v1 == 2:
                     prefix_ok = 2
-            cur = stutter.assign_succ(cur, gamma, eff)
+            cur = stutter.assign_succ(cur, gamma, eff, steps)
         return 2
     return until
 
 
-def _since(gamma: Gamma, eff: frozenset[str], left, right):
+def _since(gamma: Gamma, eff: tuple[str, ...], steps, left, right):
     """Walk predecessors; terminates because predecessor chains are finite."""
     guard = left is _holds
 
@@ -505,12 +538,12 @@ def _since(gamma: Gamma, eff: frozenset[str], left, right):
                     return result
                 if v1 == 2:
                     prefix_ok = 2
-            cur = stutter.assign_pred(cur, gamma, eff)
+            cur = stutter.assign_pred(cur, gamma, eff, steps)
         return result
     return since
 
 
-def _config_key(names: tuple[str, ...], gammas: tuple, margin: int, canon: dict):
+def _config_key(names: tuple[str, ...], gammas: tuple, margin: int, canon: dict, steps):
     """Until cycle key: per stepped coordinate (names), its trace and its
     canonical position, exact below a per-trace stabilization threshold and a
     residue above it.  Coordinates outside the step set keep their pointed
@@ -518,7 +551,8 @@ def _config_key(names: tuple[str, ...], gammas: tuple, margin: int, canon: dict)
 
     The threshold is the trace's prefix plus every gamma profile's threshold,
     plus margin periods; the period is the lcm of the loop and the profile
-    periods.  canon caches (threshold, period) by id(trace) for one run.
+    periods.  canon caches (threshold, period) by id(trace) for the life of
+    the program; the profiles come from the memos of the step-table owner.
     """
     def key(a):
         out = []
@@ -527,7 +561,8 @@ def _config_key(names: tuple[str, ...], gammas: tuple, margin: int, canon: dict)
             trace, pos = pt.trace, pt.pos
             hit = canon.get(id(trace))
             if hit is None:
-                profs = [pl.valuation_profile(trace, th) for th in gammas]
+                memo = steps.profile_memo(trace)
+                profs = [pl.valuation_profile(trace, th, memo) for th in gammas]
                 base = max([len(trace.prefix)] + [p.threshold for p in profs])
                 period = math.lcm(len(trace.loop), *[p.period for p in profs])
                 hit = canon[id(trace)] = (base + margin * period, period)
@@ -593,14 +628,16 @@ class _Compiler:
     """
 
     def __init__(self, formula: Hyper, cfg: EvalConfig, canon: dict, starts: list,
-                 facts: dict):
+                 facts: dict, steps: stutter.StepTables):
         self.cfg = cfg
         self.canon = canon
         self.starts = starts
+        self.steps = steps
         self.gammas = tuple(gamma_members(formula))
         self.facts = facts
         self.built: dict[tuple, object] = {}
         self.memos: dict[tuple, dict] = {}
+        self.per_run: list[dict] = []  # memos of nodes with a quantifier below
 
     def compile(self, n: Hyper, c: frozenset[str], dom: frozenset[str]):
         key = (id(n), c, dom)
@@ -610,12 +647,17 @@ class _Compiler:
         return hit
 
     def _memo(self, n: Hyper, c: frozenset[str], dom: frozenset[str], raw):
-        free, past, _ = self.facts[id(n)]
+        free, past, kinds = self.facts[id(n)]
         if past:
             names, share = tuple(sorted(dom)), (id(n), c, dom)
         else:
             names, share = tuple(x for x in free if x in dom), (id(n), c)
-        return _memoized(raw, names, self.memos.setdefault(share, {}))
+        memo = self.memos.get(share)
+        if memo is None:
+            memo = self.memos[share] = {}
+            if kinds:
+                self.per_run.append(memo)
+        return _memoized(raw, names, memo)
 
     def _build(self, n: Hyper, c: frozenset[str], dom: frozenset[str]):
         if isinstance(n, Atom):
@@ -636,13 +678,13 @@ class _Compiler:
         if isinstance(n, (Exists, Forall)):
             sub = self.compile(n.sub, c, dom | {n.var})
             return self._memo(n, c, dom, _quant(n.var, sub, self.starts, isinstance(n, Exists)))
-        eff = c & dom
+        eff = tuple(sorted(c & dom))
         if isinstance(n, (Next, Yesterday)):
             sub = self.compile(n.sub, c, dom)
             if not eff:
                 return sub
             step = _next if isinstance(n, Next) else _yesterday
-            return self._memo(n, c, dom, step(n.gamma, eff, sub))
+            return self._memo(n, c, dom, step(n.gamma, eff, self.steps, sub))
         if isinstance(n, (Until, Since)):
             right = self.compile(n.right, c, dom)
             if not eff:
@@ -650,10 +692,10 @@ class _Compiler:
                 return right
             left = self.compile(n.left, c, dom)
             if isinstance(n, Since):
-                return self._memo(n, c, dom, _since(n.gamma, eff, left, right))
-            key = _config_key(tuple(sorted(eff)), self.gammas, self.cfg.cycle_margin,
-                              self.canon) if self.cfg.use_cycle_detection else None
-            return self._memo(n, c, dom, _until(n.gamma, eff, left, right,
+                return self._memo(n, c, dom, _since(n.gamma, eff, self.steps, left, right))
+            key = _config_key(eff, self.gammas, self.cfg.cycle_margin, self.canon,
+                              self.steps) if self.cfg.use_cycle_detection else None
+            return self._memo(n, c, dom, _until(n.gamma, eff, self.steps, left, right,
                                                 self.cfg.until_cutoff, key))
         raise TypeError(f"not a hyper formula node: {n!r}")
 
@@ -661,30 +703,34 @@ class _Compiler:
 class _Program:
     """A formula compiled for one (config, root context, assignment domain).
 
-    A run clears the memos, the per-trace canon table and the quantifier start
-    list before and after evaluating, because memo keys use id(trace).
+    A run clears the memos of nodes with a quantifier below and the
+    quantifier start list before and after evaluating.  The other memos and
+    the per-trace canon table are kept across runs; they are keyed on
+    id(trace), so the program holds every trace it has run on.
     """
 
     def __init__(self, f: Hyper, cfg: EvalConfig, context: frozenset[str],
-                 domain: frozenset[str], facts: dict):
+                 domain: frozenset[str], facts: dict, steps: stutter.StepTables):
         self._canon: dict[int, tuple[int, int]] = {}
         self._starts: list[PointedTrace] = []
-        comp = _Compiler(f, cfg, self._canon, self._starts, facts)
+        self._traces: dict[int, LassoTrace] = {}
+        comp = _Compiler(f, cfg, self._canon, self._starts, facts, steps)
         missing = set(facts[id(f)][0]) - domain
         if missing:
             raise ValueError(f"free variables without bindings: {sorted(missing)}")
         self._root = comp.compile(f, context, domain)
-        self._memos = list(comp.memos.values())
+        self._per_run = comp.per_run
 
     def _reset(self) -> None:
-        for m in self._memos:
+        for m in self._per_run:
             m.clear()
-        self._canon.clear()
         self._starts.clear()
 
     def run(self, universe: Iterable[LassoTrace], a: dict[str, PointedTrace]) -> Verdict:
         self._reset()
         self._starts.extend(PointedTrace(t, 0) for t in universe)
+        self._traces.update((id(pt.trace), pt.trace) for pt in self._starts)
+        self._traces.update((id(pt.trace), pt.trace) for pt in a.values())
         try:
             return _VERDICTS[self._root(a)]
         finally:
@@ -693,13 +739,15 @@ class _Program:
 
 class EvalCache:
     """Compiled programs shared across evaluate/check_traceset calls, e.g. the
-    candidate sets of one bounded_sat search.
+    candidate sets of one bounded_sat search, and the one step-table owner
+    (changepoint steps and valuation-profile memos) that they all use.
 
     Entries are keyed on formula identity and hold the formula, so its id
     stays valid for the life of the cache.
     """
 
     def __init__(self) -> None:
+        self.steps = stutter.StepTables()
         self._programs: dict[tuple, tuple[Hyper, _Program]] = {}
         self._node_facts: dict[int, tuple[Hyper, dict]] = {}
         self._sentences: dict[int, tuple[Hyper, frozenset[str]]] = {}
@@ -716,7 +764,7 @@ class EvalCache:
         key = (id(f), cfg, context, domain)
         hit = self._programs.get(key)
         if hit is None:
-            program = _Program(f, cfg, context, domain, self._facts_of(f))
+            program = _Program(f, cfg, context, domain, self._facts_of(f), self.steps)
             hit = self._programs[key] = (f, program)
         return hit[1]
 

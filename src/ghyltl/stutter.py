@@ -4,13 +4,16 @@ A position of a trace is a proper changepoint for a set of PLTL formulas if it
 is the origin or some member formula flips truth value there.  When only
 finitely many positions are proper changepoints, every later position counts
 as a changepoint by convention, so successors are always defined.
+
+Steps are lookups in per-(trace, gamma) tables owned by a StepTables object,
+which the caller creates and keeps for as long as the tables should live.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .pltl import pltl_eval, valuation_profile
 from .traces import LassoTrace, PointedTrace
@@ -57,37 +60,14 @@ class ChangepointProfile:
     def proper_changepoints(self, horizon: int) -> list[int]:
         return [i for i in range(horizon) if i == 0 or self._flips(i)]
 
-    def next_changepoint(self, i: int) -> int:
-        """Least changepoint strictly greater than i; always exists."""
-        if self.tail_start is not None:
-            candidates = [j for j in range(i + 1, min(self.tail_start, self.threshold + self.period))
-                          if self._flips(j)]
-            if candidates:
-                return candidates[0]
-            return max(i + 1, self.tail_start)
-        j = i + 1
-        # infinitely many proper changepoints: at least one per period in the tail
-        while not self.is_changepoint(j):
-            j += 1
-        return j
 
-    def prev_changepoint(self, i: int) -> int | None:
-        """Greatest changepoint strictly smaller than i, if any."""
-        for j in range(i - 1, -1, -1):
-            if self.is_changepoint(j):
-                return j
-        return None
-
-
-_cp_memo: dict[tuple[LassoTrace, Gamma], ChangepointProfile] = {}
-
-
-def changepoint_profile(trace: LassoTrace, gamma: Gamma) -> ChangepointProfile:
-    key = (trace, gamma)
-    hit = _cp_memo.get(key)
-    if hit is not None:
-        return hit
-    profiles = [valuation_profile(trace, th) for th in gamma]
+def changepoint_profile(trace: LassoTrace, gamma: Gamma,
+                        memo: dict | None = None) -> ChangepointProfile:
+    """The changepoints of trace w.r.t. gamma; memo is the trace's
+    valuation-profile memo (see pltl.valuation_profile)."""
+    if memo is None:
+        memo = {}
+    profiles = [valuation_profile(trace, th, memo) for th in gamma]
     threshold = max([p.threshold for p in profiles], default=0) + 1
     period = math.lcm(*[p.period for p in profiles]) if profiles else 1
 
@@ -99,15 +79,94 @@ def changepoint_profile(trace: LassoTrace, gamma: Gamma) -> ChangepointProfile:
     if not any(flip_bits[threshold:]):
         last_proper = max((i for i in range(threshold) if flip_bits[i]), default=0)
         tail_start = last_proper + 1
-    prof = ChangepointProfile(trace, gamma, threshold, period, flip_bits, tail_start)
-    _cp_memo[key] = prof
-    return prof
+    return ChangepointProfile(trace, gamma, threshold, period, flip_bits, tail_start)
+
+
+class _StepTable:
+    """Successor and predecessor of every position of one (trace, gamma).
+
+    From ``threshold`` on the changepoints repeat with ``period`` (tail_start
+    never exceeds the threshold) and every period holds at least one, so for
+    positions at or past threshold + period both steps commute with a shift
+    by whole periods.  The tables are built below threshold + 2 * period in
+    one sweep each and grow by such shifts when a later position is asked.
+    """
+
+    def __init__(self, prof: ChangepointProfile):
+        self.profile = prof
+        trace, limit = prof.trace, prof.threshold + 2 * prof.period
+        # one more period past the limit holds the successor of limit - 1
+        pts = [PointedTrace(trace, i) for i in range(limit + prof.period)]
+        succ: list = [None] * limit
+        nxt = None
+        for i in range(len(pts) - 1, -1, -1):
+            if i < limit:
+                succ[i] = nxt
+            if prof.is_changepoint(i):
+                nxt = pts[i]
+        pred: list = []
+        last = None
+        for i in range(limit):
+            pred.append(last)
+            if prof.is_changepoint(i):
+                last = pts[i]
+        self.succ, self.pred = succ, pred
+
+    def far(self, tab: list, pos: int) -> PointedTrace:
+        """Entry pos of tab (succ or pred) at or past its end."""
+        l = self.profile.period
+        if pos < 2 * len(tab):
+            trace = self.profile.trace
+            while len(tab) <= pos:
+                tab.append(PointedTrace(trace, tab[len(tab) - l].pos + l))
+            return tab[pos]
+        # far beyond the table: shift into its last period without growing it
+        k = (pos - len(tab)) // l + 1
+        return PointedTrace(self.profile.trace, tab[pos - k * l].pos + k * l)
+
+
+class StepTables:
+    """Owner of the step tables and valuation-profile memos of the traces
+    it is asked about.
+
+    Tables are keyed by (id(trace), id(gamma)) and memos by id(trace); both
+    hold the objects whose ids they use, so the keys stay valid for the life
+    of the owner.  An equal gamma of another identity gets its own table.
+    """
+
+    def __init__(self) -> None:
+        self._tables: dict[tuple[int, int], _StepTable] = {}
+        self._memos: dict[int, tuple[LassoTrace, dict]] = {}
+
+    def profile_memo(self, trace: LassoTrace) -> dict:
+        """The valuation-profile memo of trace (see pltl.valuation_profile)."""
+        hit = self._memos.get(id(trace))
+        if hit is None:
+            hit = self._memos[id(trace)] = (trace, {})
+        return hit[1]
+
+    def table(self, trace: LassoTrace, gamma: Gamma) -> _StepTable:
+        key = (id(trace), id(gamma))
+        hit = self._tables.get(key)
+        if hit is None:
+            prof = changepoint_profile(trace, gamma, self.profile_memo(trace))
+            hit = self._tables[key] = _StepTable(prof)
+        return hit
+
+    def succ(self, pt: PointedTrace, gamma: Gamma) -> PointedTrace:
+        tab = self._tables.get((id(pt.trace), id(gamma))) or self.table(pt.trace, gamma)
+        succ = tab.succ
+        return succ[pt.pos] if pt.pos < len(succ) else tab.far(succ, pt.pos)
+
+    def pred(self, pt: PointedTrace, gamma: Gamma) -> PointedTrace | None:
+        tab = self._tables.get((id(pt.trace), id(gamma))) or self.table(pt.trace, gamma)
+        pred = tab.pred
+        return pred[pt.pos] if pt.pos < len(pred) else tab.far(pred, pt.pos)
 
 
 def gamma_succ(pt: PointedTrace, gamma: Gamma) -> PointedTrace:
     """Step to the least changepoint strictly after the current position."""
-    prof = changepoint_profile(pt.trace, gamma)
-    return PointedTrace(pt.trace, prof.next_changepoint(pt.pos))
+    return StepTables().succ(pt, gamma)
 
 
 def gamma_pred(pt: PointedTrace, gamma: Gamma) -> PointedTrace | None:
@@ -115,48 +174,48 @@ def gamma_pred(pt: PointedTrace, gamma: Gamma) -> PointedTrace | None:
 
     Undefined (None) at the origin.
     """
-    if pt.pos == 0:
-        return None
-    prof = changepoint_profile(pt.trace, gamma)
-    prev = prof.prev_changepoint(pt.pos)
-    if prev is None:
-        return None
-    return PointedTrace(pt.trace, prev)
+    return StepTables().pred(pt, gamma)
 
 
 Assignment = Mapping[str, PointedTrace]
 
 
-def assign_succ(a: Assignment, gamma: Gamma, c: frozenset[str] | set[str]) -> dict[str, PointedTrace]:
-    """Advance exactly the coordinates in c to their gamma-successors."""
-    c = frozenset(c)
+def _coordinates(a: Assignment, c) -> None:
     if not c:
         raise ValueError("coordinate set must be nonempty")
-    missing = c - set(a)
+    missing = {x for x in c if x not in a}
     if missing:
         raise KeyError(f"coordinates not in assignment domain: {sorted(missing)}")
-    return {x: gamma_succ(pt, gamma) if x in c else pt for x, pt in a.items()}
 
 
-def assign_pred(a: Assignment, gamma: Gamma, c: frozenset[str] | set[str]) -> dict[str, PointedTrace] | None:
+def assign_succ(a: Assignment, gamma: Gamma, c: Iterable[str],
+                steps: StepTables | None = None) -> dict[str, PointedTrace]:
+    """Advance exactly the coordinates in c to their gamma-successors.
+
+    steps owns the step tables; without it a throwaway owner is built.
+    """
+    _coordinates(a, c)
+    steps = steps or StepTables()
+    out = dict(a)
+    for x in c:
+        out[x] = steps.succ(a[x], gamma)
+    return out
+
+
+def assign_pred(a: Assignment, gamma: Gamma, c: Iterable[str],
+                steps: StepTables | None = None) -> dict[str, PointedTrace] | None:
     """Move exactly the coordinates in c to their gamma-predecessors.
 
     Defined only when every coordinate in c has one (coordinates outside c do
-    not matter); returns None otherwise.
+    not matter); returns None otherwise, after the first coordinate, in the
+    order of c, that has none.
     """
-    c = frozenset(c)
-    if not c:
-        raise ValueError("coordinate set must be nonempty")
-    missing = c - set(a)
-    if missing:
-        raise KeyError(f"coordinates not in assignment domain: {sorted(missing)}")
-    stepped: dict[str, PointedTrace] = {}
-    for x, pt in a.items():
-        if x in c:
-            prev = gamma_pred(pt, gamma)
-            if prev is None:
-                return None
-            stepped[x] = prev
-        else:
-            stepped[x] = pt
-    return stepped
+    _coordinates(a, c)
+    steps = steps or StepTables()
+    out = dict(a)
+    for x in c:
+        prev = steps.pred(a[x], gamma)
+        if prev is None:
+            return None
+        out[x] = prev
+    return out

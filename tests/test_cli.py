@@ -126,6 +126,17 @@ def test_long_conjunction_gets_a_verdict(workdir, capsys, wrap, atom, code):
     assert f"verdict: {'holds' if code == 0 else 'fails'}" in out
 
 
+def test_long_tautology_written_twice_gets_a_verdict(workdir, capsys):
+    # both sides of f | !f are equal but separate trees, so the guard test
+    # compares them structurally
+    conj = " & ".join(["p_x"] * 2000)
+    (workdir / "taut.ghyltl").write_text(f"ap: p\nforall x. ({conj}) | !({conj})\n",
+                                         encoding="utf-8")
+    code, out = run(["eval", workdir / "traces.json", workdir / "taut.ghyltl"], capsys)
+    assert code == 0
+    assert "verdict: holds" in out
+
+
 @pytest.mark.parametrize("args", [
     ["eval", "tr.json"],
     ["eval", "tr.json", "f.ghyltl", "--until-cutoff", "abc"],

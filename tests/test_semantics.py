@@ -1,11 +1,16 @@
 import gc
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import weakref
 from collections import Counter
 
 import pytest
 
+import ghyltl
 import ghyltl.stutter
 from ghyltl import pltl as pl
 from ghyltl import semantics as hy
@@ -13,8 +18,8 @@ from ghyltl.arith import alpha_per_context
 from ghyltl.semantics import (EvalConfig, bounded_sat, check_traceset,
                               check_ts, evaluate, fragment_of, parse_hyper,
                               render_hyper)
-from ghyltl.traces import PointedTrace, TransitionSystem, enumerate_lassos, lasso, normalize, \
-    spike_trace
+from ghyltl.traces import LassoTrace, PointedTrace, TransitionSystem, enumerate_lassos, lasso, \
+    normalize, spike_trace
 
 from helpers import gen_sentence, gen_trace, ref_hyperltl
 
@@ -154,9 +159,9 @@ def test_since_termination_step_bound():
     calls = []
     real = ghyltl.stutter.assign_pred
 
-    def counting(a, gamma, c):
+    def counting(a, gamma, c, steps=None):
         calls.append(1)
-        return real(a, gamma, c)
+        return real(a, gamma, c, steps)
 
     t = lasso(AP, [], [{"p"}, set()])
     f = hy.Since(hy.EMPTY_GAMMA, hy.Atom("p", "x"), hy.Atom("q", "x"))
@@ -174,9 +179,9 @@ def test_context_discipline():
     stepped: set[str] = set()
     real = ghyltl.stutter.assign_succ
 
-    def recording(a, gamma, c):
+    def recording(a, gamma, c, steps=None):
         stepped.update(c)
-        return real(a, gamma, c)
+        return real(a, gamma, c, steps)
 
     t = lasso(AP, [], [set(), {"p"}])
     f = parse_hyper("forall x. forall y. C{x} F[] p_x", AP)
@@ -194,9 +199,9 @@ def test_unroller_walks_to_the_cutoff(monkeypatch):
     steps = []
     real = ghyltl.stutter.assign_succ
 
-    def counting(a, gamma, c):
+    def counting(a, gamma, c, owner=None):
         steps.append(1)
-        return real(a, gamma, c)
+        return real(a, gamma, c, owner)
 
     monkeypatch.setattr(ghyltl.stutter, "assign_succ", counting)
     t = lasso(AP, [], [{"p"}, set()])
@@ -235,6 +240,70 @@ def test_bounded_sat_compiles_once(monkeypatch):
     n = len({normalize(t) for t in enumerate_lassos({"p"}, 1, 1)})
     assert len(programs) == 1
     assert len(checks) == n + math.comb(n, 2)
+
+
+# Counts the changepoint profiles one bounded_sat builds; the last conjunct
+# makes it try every candidate set.  The Or chain stops at !p_x, so only
+# traces with p at the origin reach the Y[] as x, and C{y} X[q] has moved y
+# off the origin.  The Y[] gives up at x, which has no predecessor; were y
+# stepped first, every trace would get a table as y.
+_PROFILE_COUNT = """
+import ghyltl.stutter as st
+from ghyltl.semantics import bounded_sat, parse_hyper
+calls = []
+real = st.changepoint_profile
+def counting(*args):
+    calls.append(1)
+    return real(*args)
+st.changepoint_profile = counting
+f = parse_hyper("(forall x. forall y. !p_x | C{y} X[q] C{x,y} Y[] (q_x | q_y)) & (exists z. (p_z & !p_z))", ("p", "q"))
+bounded_sat(f, 2, 1, 1, ("p", "q"))
+print(len(calls))
+"""
+
+
+def test_stepping_does_not_depend_on_the_hash_seed():
+    src = os.path.dirname(os.path.dirname(ghyltl.__file__))
+    counts = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _PROFILE_COUNT], env=env,
+                             capture_output=True, text=True, check=True)
+        counts.append(int(out.stdout))
+    assert counts[0] == counts[1]
+
+
+# A quantifier under a temporal operator makes the temporal node's value
+# depend on the universe; a temporal node inside a quantifier but with none
+# below it does not.
+_UNIVERSE_SENSITIVE = [
+    "forall x. G[] (exists y. (p_x <-> p_y))",
+    "exists x. F[] (forall y. (q_x -> q_y))",
+    "forall x. (p_x U[] (exists y. (q_y & !q_x)))",
+    "exists x. X[p] (forall y. (p_x | !p_y))",
+    "exists x. Y[] (exists y. p_y)",
+    "forall x. H[q] (forall y. (p_y -> O[] p_x))",
+    "exists x. forall y. C{y} F[] (q_y & X[] (exists z. (p_z <-> q_x)))",
+]
+
+
+def test_memos_kept_across_candidates_are_sound():
+    rng = random.Random(41)
+    sentences = [parse_hyper(text, AP) for text in _UNIVERSE_SENSITIVE]
+    sentences += [gen_sentence(rng, AP, rng.randint(1, 2), 3, stutter=True, contexts=True,
+                               past=True) for _ in range(12)]
+    candidates = sorted({normalize(t) for t in enumerate_lassos(AP, 1, 1)},
+                        key=LassoTrace.sort_key)
+    unroll = cfg(until_cutoff=40, use_cycle_detection=False)
+    for f in sentences:
+        for config in (hy.DEFAULT_CONFIG, unroll):
+            shared = hy.EvalCache()
+            for size in (1, 2):
+                for combo in itertools.combinations(candidates, size):
+                    universe = list(combo)
+                    assert check_traceset(universe, f, config, cache=shared) == \
+                        check_traceset(universe, f, config, cache=hy.EvalCache()), \
+                        (render_hyper(f), universe)
 
 
 def test_finished_program_freed_without_gc(monkeypatch):

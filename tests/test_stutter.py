@@ -3,11 +3,11 @@ import random
 import pytest
 
 from ghyltl import pltl as pl
-from ghyltl.stutter import (assign_pred, assign_succ, changepoint_profile,
+from ghyltl.stutter import (StepTables, assign_pred, assign_succ, changepoint_profile,
                             gamma_pred, gamma_succ, is_proper_changepoint)
 from ghyltl.traces import PointedTrace, lasso, pointwise_union, spike_trace
 
-from helpers import gen_pltl, gen_trace
+from helpers import brute_pltl_horizon, brute_pltl_table, gen_pltl, gen_trace
 
 SPIKE = spike_trace((), "hash", 3)
 MARK = frozenset({pl.Atom("hash")})
@@ -152,3 +152,53 @@ def test_assign_pred_chain_terminates():
             a = assign_pred(a, g, {"x"})
             steps += 1
         assert steps <= start + 1
+
+
+def brute_changepoints(trace, gamma, horizon: int) -> list[bool]:
+    """Changepoint flags at 0..horizon-1 from the unrolled tables of helpers.
+
+    A formula of depth d repeats with the loop from prefix + d * loop, the
+    start of the last loop of its reliable horizon, so each table is extended
+    by that loop.  The proper changepoints repeat the same way, so when none
+    lies in the last loop of the horizon there are finitely many, and every
+    position after the last one is a changepoint too.
+    """
+    lam = len(trace.loop)
+    values = []
+    for th in gamma:
+        table, h = brute_pltl_table(trace, th), brute_pltl_horizon(trace, th)
+        values.append([table[i] if i < h else table[h - lam + (i - h) % lam]
+                       for i in range(horizon)])
+    proper = [i == 0 or any(v[i] != v[i - 1] for v in values) for i in range(horizon)]
+    if any(proper[horizon - lam:]):
+        return proper
+    tail = max(i for i in range(horizon) if proper[i]) + 1
+    return [p or i >= tail for i, p in enumerate(proper)]
+
+
+def test_step_tables_match_a_brute_changepoint_scan():
+    rng = random.Random(12)
+    horizon, last = 250, 120
+    kinds = set()
+    for case in range(80):
+        t = gen_trace(rng, ("a", "b"), 5, 5)
+        g = frozenset() if case % 8 == 0 else frozenset(
+            gen_pltl(rng, ("a", "b"), rng.randint(0, 4)) for _ in range(rng.randint(1, 2)))
+        cp = brute_changepoints(t, g, horizon)
+        succ = [next(j for j in range(i + 1, horizon) if cp[j]) for i in range(last + 1)]
+        pred = [max((j for j in range(i) if cp[j]), default=None) for i in range(last + 1)]
+        prof = changepoint_profile(t, g)
+        assert prof.threshold + 2 * prof.period < last
+        kinds.add(prof.tail_start is None)
+        # one owner walked upward grows its tables a period at a time; a
+        # fresh owner asked from the top first shifts without growing
+        for steps, order in ((StepTables(), range(last + 1)),
+                             (StepTables(), range(last, -1, -1))):
+            for i in order:
+                nxt = steps.succ(PointedTrace(t, i), g)
+                prev = steps.pred(PointedTrace(t, i), g)
+                assert nxt.trace is t and nxt.pos == succ[i], (t, g, i)
+                assert (None if prev is None else prev.pos) == pred[i], (t, g, i)
+        assert gamma_succ(PointedTrace(t, last), g).pos == succ[last]
+        assert gamma_pred(PointedTrace(t, 0), g) is None
+    assert kinds == {True, False}  # periodic changepoints and a tail_start
