@@ -209,6 +209,29 @@ def arith_eval_bounded(f: Arith, n: int, bit_cap: int = 12) -> bool:
     return go(f, {})
 
 
+def quantifier_shape(f: Arith) -> str:
+    """'exists' when every quantifier occurrence is existential after negation
+    polarity, 'forall' dually, else 'mixed' (as semantics.quantifier_shape).
+
+    A purely existential sentence true over the bounded domain is true over
+    the naturals, since its witnesses are numbers and finite sets; dually, a
+    purely universal one false over the bounded domain is false.
+    """
+    kinds: dict[int, int] = {}
+    for n in hy.postorder(f, _children):
+        k = 0
+        for c in _children(n):
+            k |= kinds[id(c)]
+        if isinstance(n, Not):
+            k = hy._FLIP[k]
+        elif isinstance(n, (ExistsFirst, ExistsSecond)):
+            k |= 1
+        elif isinstance(n, (ForallFirst, ForallSecond)):
+            k |= 2
+        kinds[id(n)] = k
+    return hy._SHAPES[kinds[id(f)]]
+
+
 # -- concrete syntax with nested terms ---------------------------------------
 
 

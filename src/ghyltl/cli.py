@@ -176,9 +176,12 @@ def cmd_sat(args) -> RunReport:
     ap, formula = read_formula_file(args.formula)
     model = semantics.bounded_sat(formula, args.max_traces, args.max_prefix,
                                   args.max_loop, ap, _cfg(args))
-    verdict = "holds" if model is not None else "fails"
-    detail = {}
-    if model is not None:
+    verdict, reason, detail = "holds", None, {}
+    if model is None:
+        # a search exhausted within its bounds says nothing of larger models
+        verdict, reason = "unknown", (f"sat-bound(max_traces={args.max_traces},"
+                                      f"max_prefix={args.max_prefix},max_loop={args.max_loop})")
+    else:
         obj = traces.trace_set_to_obj(ap, model)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fp:
@@ -192,18 +195,25 @@ def cmd_sat(args) -> RunReport:
         {"max_traces": args.max_traces, "max_prefix": args.max_prefix,
          "max_loop": args.max_loop, "until_cutoff": args.until_cutoff,
          "cycle_margin": args.cycle_margin},
-        verdict, None, detail)
+        verdict, reason, detail)
 
 
 def cmd_oracle(args) -> RunReport:
     raw = arith.parse_arith(Path(args.arith).read_text(encoding="utf-8"))
     flat = arith.flatten(raw)
     value = arith.arith_eval_bounded(flat, args.bound, args.bit_cap)
-    verdict = "holds" if value else "fails"
+    # the rule of semantics.check_ts: a bounded witness certifies a purely
+    # existential sentence, a bounded counterexample a purely universal one
+    shape = arith.quantifier_shape(flat)
+    if shape == ("exists" if value else "forall"):
+        verdict, reason, detail = ("holds" if value else "fails"), None, {}
+    else:
+        verdict, reason, detail = "unknown", \
+            f"arith-bound(bound={args.bound},bit_cap={args.bit_cap})", {"bounded_value": value}
     return RunReport(
         "oracle", {"arith": args.arith},
         {"bound": args.bound, "bit_cap": args.bit_cap},
-        verdict)
+        verdict, reason, detail)
 
 
 class _ArgumentParser(argparse.ArgumentParser):

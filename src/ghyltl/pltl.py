@@ -102,14 +102,6 @@ def false_over(prop: str) -> Pltl:
     return Not(true_over(prop))
 
 
-def atoms(f: Pltl) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset({f.name})
-    if isinstance(f, (Not, Next, Yesterday)):
-        return atoms(f.sub)
-    return atoms(f.left) | atoms(f.right)
-
-
 def is_past_free(f: Pltl) -> bool:
     if isinstance(f, (Yesterday, Since)):
         return False
@@ -303,20 +295,25 @@ def tokenize(text: str, symbols: tuple[str, ...] = _SYMBOLS) -> list[tuple[str, 
 
 
 class _Parser:
-    """Token cursor and boolean ladder shared by the PLTL, hyper and
-    arithmetic front ends.
+    """Token cursor and grammar shared by the PLTL, hyper and arithmetic front
+    ends.
 
-    The ladder, loosest first, is ``<->`` (left-associative), ``->``
+    The boolean ladder, loosest first, is ``<->`` (left-associative), ``->``
     (right-associative), ``|``, ``&``, built from the subclass's ``Not``/``Or``
     node classes: ``a & b`` is ``!(!a | !b)``, ``a -> b`` is ``!a | b`` and
-    ``a <-> b`` is ``(a -> b) & (b -> a)``; the unary level reads ``!``.  A
-    subclass supplies ``primary`` and may extend ``formula`` (the entry level,
-    also used inside parentheses), ``untils`` (the level right below ``&``)
-    and ``unary``.
+    ``a <-> b`` is ``(a -> b) & (b -> a)``.  Below ``&`` come the
+    right-associative ``U``/``S`` level and the prefix operators ``! X Y F G
+    O H``, then parentheses and ``leaf``.  A family supplies ``ops``, mapping
+    each temporal operator name to its node class or sugar constructor (index
+    arguments first), ``index`` (the index arguments read after an operator
+    name) and ``leaf``; it may extend ``formula`` (the entry level, also used
+    inside parentheses) and ``unary``, or replace ``primary``.  An empty
+    ``ops`` reads no temporal operator.
     """
 
     Not: type
     Or: type
+    ops: dict[str, Callable] = {}
 
     def __init__(self, toks: list[tuple[str, str, int, int]],
                  ap: frozenset[str] = frozenset()):
@@ -388,41 +385,43 @@ class _Parser:
         return f
 
     def untils(self):
-        return self.unary()
-
-    def unary(self):
-        if self.peek() == ("sym", "!"):
-            self.take()
-            return self.Not(self.unary())
-        return self.primary()
-
-
-class _PltlParser(_Parser):
-    Not, Or = Not, Or
-
-    def untils(self) -> Pltl:
         f = self.unary()
-        if self.peek() in (("id", "U"), ("id", "S")):
-            op = self.take()
-            return (Until if op == "U" else Since)(f, self.untils())
+        nxt = self.peek()
+        if nxt in (("id", "U"), ("id", "S")) and nxt[1] in self.ops:
+            make = self.ops[self.take()]
+            return make(*self.index(), f, self.untils())
         return f
 
-    def unary(self) -> Pltl:
+    def unary(self):
         nxt = self.peek()
-        if nxt is not None and nxt[0] == "id" and nxt[1] in ("X", "Y", "F", "G", "O", "H"):
-            op = self.take()
-            sub = self.unary()
-            return {"X": Next, "Y": Yesterday, "F": eventually,
-                    "G": always, "O": once, "H": historically}[op](sub)
-        return super().unary()
+        if nxt == ("sym", "!"):
+            self.take()
+            return self.Not(self.unary())
+        if nxt is not None and nxt[0] == "id" and nxt[1] in self.ops \
+                and nxt[1] not in ("U", "S"):
+            make = self.ops[self.take()]
+            return make(*self.index(), self.unary())
+        return self.primary()
 
-    def primary(self) -> Pltl:
-        nxt = self.peek()
-        if nxt == ("sym", "("):
+    def index(self) -> tuple:
+        return ()
+
+    def primary(self):
+        if self.peek() == ("sym", "("):
             self.take()
             f = self.formula()
             self.take(")")
             return f
+        return self.leaf()
+
+
+class _PltlParser(_Parser):
+    Not, Or = Not, Or
+    ops = {"X": Next, "Y": Yesterday, "F": eventually, "G": always,
+           "O": once, "H": historically, "U": Until, "S": Since}
+
+    def leaf(self) -> Pltl:
+        nxt = self.peek()
         if nxt is not None and nxt[0] == "id":
             name = nxt[1]
             if name in ("true", "false"):

@@ -263,17 +263,6 @@ def all_vars(f: Hyper) -> frozenset[str]:
     return frozenset(out)
 
 
-def all_props(f: Hyper) -> frozenset[str]:
-    out: set[str] = set()
-    for n in postorder(f):
-        if isinstance(n, Atom):
-            out.add(n.prop)
-        elif isinstance(n, (Next, Until, Yesterday, Since)):
-            for th in n.gamma:
-                out.update(pl.atoms(th))
-    return frozenset(out)
-
-
 def gamma_members(f: Hyper) -> frozenset:
     """All PLTL formulas appearing in any temporal index of the formula."""
     out: set = set()
@@ -393,13 +382,16 @@ Assignment = Mapping[str, PointedTrace]
 #
 # Closures capture their children, memo dicts, constants and the step-table
 # owner, never the program or the compiler, so a dropped program is freed by
-# reference counting.  Coordinates step through
-# ``stutter.assign_succ``/``assign_pred``, looked up on the module at each
-# call, with the owner (``stutter.StepTables``) of the program's EvalCache: it
-# holds one successor and one predecessor table per (trace, gamma) and the
-# valuation-profile memos of every trace, for the life of the cache.  A step
-# names its coordinates in sorted order, so the tables a predecessor step
-# builds before it stops do not depend on set order, that is, on the hash seed.
+# reference counting.  Coordinates step through ``stutter.assign_succ`` or
+# ``assign_pred`` with the owner (``stutter.StepTables``) of the program's
+# EvalCache: it holds one successor and one predecessor table per (trace,
+# gamma) and the valuation-profile memos of every trace, for the life of the
+# cache.  The compiler reads the move function off the module once and the
+# closure keeps it, so a wrapper patched over ``stutter.assign_succ`` or
+# ``assign_pred`` (a test's counter, a tracer) sees the steps of exactly the
+# programs built after it was put in place.  A step names its coordinates in
+# sorted order, so the tables a predecessor step builds before it stops do not
+# depend on set order, that is, on the hash seed.
 #
 # A memo keyed on (id(trace), pos) outlives a run when no quantifier sits at
 # or below its node: such a value depends on the assignment only, not on the
@@ -471,33 +463,29 @@ def _quant(var: str, sub, starts: list, existential: bool):
     return quant
 
 
-def _next(gamma: Gamma, eff: tuple[str, ...], steps, sub):
+def _step(move, gamma: Gamma, eff: tuple[str, ...], steps, sub):
+    """Next or Yesterday: one move, false where the move is undefined."""
     def step(a):
-        return sub(stutter.assign_succ(a, gamma, eff, steps))
+        moved = move(a, gamma, eff, steps)
+        return 0 if moved is None else sub(moved)
     return step
 
 
-def _yesterday(gamma: Gamma, eff: tuple[str, ...], steps, sub):
-    def step(a):
-        prev = stutter.assign_pred(a, gamma, eff, steps)
-        return 0 if prev is None else sub(prev)
-    return step
-
-
-def _until(gamma: Gamma, eff: tuple[str, ...], steps, left, right, cutoff: int, config_key):
-    """Walk successors until right holds, left fails, a configuration repeats
-    (config_key is None when cycle detection is off) or the cutoff is hit.
+def _walk(move, gamma: Gamma, eff: tuple[str, ...], steps, left, right, bound, config_key):
+    """Until or Since: move until right holds, left fails, the move is
+    undefined (a predecessor chain ends), a configuration repeats (config_key
+    is None when no cycle is closed) or bound runs out (unknown).
 
     Invariant: result is 0 or 2 and prefix_ok is 1 or 2 inside the loop; a
     left side compiled to the constant guard is never called.
     """
     guard = left is _holds
 
-    def until(a):
+    def walk(a):
         result, prefix_ok = 0, 1
         seen = set()
         cur = a
-        for _ in range(cutoff + 1):
+        for _ in bound:
             if config_key is not None:
                 key = config_key(cur)
                 if key in seen:
@@ -514,33 +502,11 @@ def _until(gamma: Gamma, eff: tuple[str, ...], steps, left, right, cutoff: int, 
                     return result
                 if v1 == 2:
                     prefix_ok = 2
-            cur = stutter.assign_succ(cur, gamma, eff, steps)
+            cur = move(cur, gamma, eff, steps)
+            if cur is None:
+                return result
         return 2
-    return until
-
-
-def _since(gamma: Gamma, eff: tuple[str, ...], steps, left, right):
-    """Walk predecessors; terminates because predecessor chains are finite."""
-    guard = left is _holds
-
-    def since(a):
-        result, prefix_ok = 0, 1
-        cur = a
-        while cur is not None:
-            v2 = right(cur)
-            if v2:
-                if v2 == 1 and prefix_ok == 1:
-                    return 1
-                result = 2
-            if not guard:
-                v1 = left(cur)
-                if v1 == 0:
-                    return result
-                if v1 == 2:
-                    prefix_ok = 2
-            cur = stutter.assign_pred(cur, gamma, eff, steps)
-        return result
-    return since
+    return walk
 
 
 def _config_key(names: tuple[str, ...], gammas: tuple, margin: int, canon: dict, steps):
@@ -679,24 +645,26 @@ class _Compiler:
             sub = self.compile(n.sub, c, dom | {n.var})
             return self._memo(n, c, dom, _quant(n.var, sub, self.starts, isinstance(n, Exists)))
         eff = tuple(sorted(c & dom))
+        future = isinstance(n, (Next, Until))
+        move = stutter.assign_succ if future else stutter.assign_pred
         if isinstance(n, (Next, Yesterday)):
             sub = self.compile(n.sub, c, dom)
             if not eff:
                 return sub
-            step = _next if isinstance(n, Next) else _yesterday
-            return self._memo(n, c, dom, step(n.gamma, eff, self.steps, sub))
+            return self._memo(n, c, dom, _step(move, n.gamma, eff, self.steps, sub))
         if isinstance(n, (Until, Since)):
             right = self.compile(n.right, c, dom)
             if not eff:
                 # no coordinate moves, so position 0 decides
                 return right
             left = self.compile(n.left, c, dom)
-            if isinstance(n, Since):
-                return self._memo(n, c, dom, _since(n.gamma, eff, self.steps, left, right))
-            key = _config_key(eff, self.gammas, self.cfg.cycle_margin, self.canon,
-                              self.steps) if self.cfg.use_cycle_detection else None
-            return self._memo(n, c, dom, _until(n.gamma, eff, self.steps, left, right,
-                                                self.cfg.until_cutoff, key))
+            key = None
+            if future and self.cfg.use_cycle_detection:
+                key = _config_key(eff, self.gammas, self.cfg.cycle_margin, self.canon,
+                                  self.steps)
+            bound = range(self.cfg.until_cutoff + 1) if future else itertools.repeat(None)
+            return self._memo(n, c, dom, _walk(move, n.gamma, eff, self.steps, left, right,
+                                               bound, key))
         raise TypeError(f"not a hyper formula node: {n!r}")
 
 
@@ -887,6 +855,8 @@ def bounded_sat(f: Hyper, max_traces: int, max_prefix: int, max_loop: int,
 
 class _HyperParser(pl._Parser):
     Not, Or = Not, Or
+    ops = {"X": Next, "Y": Yesterday, "F": ev, "G": alw,
+           "O": once, "H": hist, "U": Until, "S": Since}
 
     def formula(self) -> Hyper:
         nxt = self.peek()
@@ -905,17 +875,7 @@ class _HyperParser(pl._Parser):
         self.take()
         return nxt[1]
 
-    def untils(self) -> Hyper:
-        f = self.unary()
-        nxt = self.peek()
-        if nxt in (("id", "U"), ("id", "S")):
-            op = self.take()
-            g = self.gamma()
-            rest = self.untils()
-            return (Until if op == "U" else Since)(g, f, rest)
-        return f
-
-    def gamma(self) -> Gamma:
+    def index(self) -> tuple[Gamma]:
         self.take("[")
         members = []
         if self.peek() != ("sym", "]"):
@@ -929,17 +889,10 @@ class _HyperParser(pl._Parser):
                     continue
                 break
         self.take("]")
-        return frozenset(members)
+        return (frozenset(members),)
 
     def unary(self) -> Hyper:
-        nxt = self.peek()
-        if nxt is not None and nxt[0] == "id" and nxt[1] in ("X", "Y", "F", "G", "O", "H"):
-            op = self.take()
-            g = self.gamma()
-            sub = self.unary()
-            return {"X": Next, "Y": Yesterday,
-                    "F": ev, "G": alw, "O": once, "H": hist}[op](g, sub)
-        if nxt == ("id", "C") and self.pos + 1 < len(self.toks) \
+        if self.peek() == ("id", "C") and self.pos + 1 < len(self.toks) \
                 and self.toks[self.pos + 1][1] == "{":
             self.take()
             self.take("{")
@@ -951,13 +904,8 @@ class _HyperParser(pl._Parser):
             return Context(frozenset(vs), self.unary())
         return super().unary()
 
-    def primary(self) -> Hyper:
+    def leaf(self) -> Hyper:
         nxt = self.peek()
-        if nxt == ("sym", "("):
-            self.take()
-            f = self.formula()
-            self.take(")")
-            return f
         if nxt is not None and nxt[0] == "id":
             tok = nxt[1]
             best = None

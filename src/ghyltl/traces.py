@@ -193,35 +193,24 @@ def enumerate_ts_traces(ts: TransitionSystem, max_prefix: int, max_loop: int) ->
     seen: set[LassoTrace] = set()
     out: list[LassoTrace] = []
 
-    def cycles_from(v0: str, length: int) -> Iterable[tuple[str, ...]]:
-        # cycles v0 ... v_{length-1} with the loop-back edge to v0
-        def walk(path: tuple[str, ...]) -> Iterable[tuple[str, ...]]:
-            if len(path) == length:
-                if (path[-1], v0) in ts.edges:
-                    yield path
-                return
-            for nxt in ts.successors(path[-1]):
-                yield from walk(path + (nxt,))
+    def paths(path: tuple[str, ...], length: int) -> Iterable[tuple[str, ...]]:
+        # the runs of `length` vertices that extend path, in successor order
+        if len(path) == length:
+            yield path
+            return
+        for nxt in ts.successors(path[-1]):
+            yield from paths(path + (nxt,), length)
 
-        yield from walk((v0,))
-
-    def stems(length: int) -> Iterable[tuple[str, ...]]:
-        def walk(path: tuple[str, ...]) -> Iterable[tuple[str, ...]]:
-            if len(path) == length:
-                yield path
-                return
-            for nxt in ts.successors(path[-1]):
-                yield from walk(path + (nxt,))
-
-        for v0 in sorted(ts.initial):
-            yield from walk((v0,))
-
-    for a in range(max_prefix + 1):
-        for stem in stems(a + 1):
+    for a, v0 in itertools.product(range(max_prefix + 1), sorted(ts.initial)):
+        for stem in paths((v0,), a + 1):
             # stem has a+1 vertices: a prefix vertices plus the loop entry
             prefix_vs, entry = stem[:-1], stem[-1]
             for b in range(1, max_loop + 1):
-                for cyc in cycles_from(entry, b):
+                for cyc in paths((entry,), b):
+                    # a cycle is a path whose last vertex has an edge back
+                    # to the entry
+                    if (cyc[-1], entry) not in ts.edges:
+                        continue
                     trace = normalize(LassoTrace(
                         ts.ap,
                         tuple(ts.labels[v] for v in prefix_vs),

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 
 from .semantics import (
     EMPTY_GAMMA, Atom, Context, Exists, Forall, Gamma, Hyper, Next, Not, Or,
-    Since, Until, Yesterday, all_props, all_vars, alw, children, ev, free_vars,
+    Since, Until, Yesterday, all_vars, alw, children, ev, free_vars,
     h_all, h_and, h_implies, has_quantifier, is_prenex, is_tautology, once,
     tautology_over,
 )
@@ -134,8 +134,8 @@ def alpha_unique(f: Hyper) -> Hyper:
             return Not(walk(n.sub, ren))
         if isinstance(n, Or):
             return Or(walk(n.left, ren), walk(n.right, ren))
-        if isinstance(n, Next):
-            return Next(n.gamma, walk(n.sub, ren))
+        if isinstance(n, (Next, Yesterday)):
+            return type(n)(n.gamma, walk(n.sub, ren))
         if isinstance(n, (Until, Since)):
             # the F/G/O/H sugar guards the operand with a tautology built from
             # the operand itself; renaming the copies apart would defeat the
@@ -144,8 +144,6 @@ def alpha_unique(f: Hyper) -> Hyper:
                 w = walk(n.right, ren)
                 return type(n)(n.gamma, tautology_over(w), w)
             return type(n)(n.gamma, walk(n.left, ren), walk(n.right, ren))
-        if isinstance(n, Yesterday):
-            return Yesterday(n.gamma, walk(n.sub, ren))
         raise TypeError(f"not a hyper formula node: {n!r}")
 
     return walk(f, {})
@@ -268,22 +266,13 @@ class _Prenexifier:
 
     def _temporal(self, n: Hyper, context: frozenset[str], scope: frozenset[str]) \
             -> tuple[_Prefix, Hyper]:
-        if isinstance(n, Next):
+        make_body = self._future_body if isinstance(n, (Next, Until)) else self._past_body
+        if isinstance(n, (Next, Yesterday)):
             p, m = self.walk(n.sub, context, scope)
             if not p:
-                return [], Next(n.gamma, m)
+                return [], type(n)(n.gamma, m)
             xi = next(self.fresh)
-            body = self._future_body(n.gamma, xi, self._wrap(context, scope, m),
-                                     context, scope)
-            return [("exists", xi)] + p, h_and(self.shape(xi, at_one=True), body)
-
-        if isinstance(n, Yesterday):
-            p, m = self.walk(n.sub, context, scope)
-            if not p:
-                return [], Yesterday(n.gamma, m)
-            xi = next(self.fresh)
-            body = self._past_body(n.gamma, xi, self._wrap(context, scope, m),
-                                   context, scope)
+            body = make_body(n.gamma, xi, self._wrap(context, scope, m), context, scope)
             return [("exists", xi)] + p, h_and(self.shape(xi, at_one=True), body)
 
         # Until / Since: a tautological left operand (the F/O sugar) needs no
@@ -295,12 +284,10 @@ class _Prenexifier:
         else:
             lp, lm = self.walk(n.left, context, scope)
         rp, rm = self.walk(n.right, context, scope)
-        future = isinstance(n, Until)
         if not lp and not rp:
             left = tautology_over(rm) if taut_left else lm
-            return [], (Until if future else Since)(n.gamma, left, rm)
+            return [], type(n)(n.gamma, left, rm)
         xi = next(self.fresh)
-        make_body = self._future_body if future else self._past_body
         conjuncts = [self.shape(xi),
                      make_body(n.gamma, xi, self._wrap(context, scope, rm),
                                context, scope)]
@@ -315,7 +302,7 @@ class _Prenexifier:
         return prefix, h_all(conjuncts)
 
 
-def prenexify(f: Hyper, ap: Iterable[str] | None = None) -> Hyper:
+def prenexify(f: Hyper, ap: Iterable[str]) -> Hyper:
     """Hoist every quantifier to the front; already-prenex input is returned
     unchanged.
 
@@ -326,7 +313,7 @@ def prenexify(f: Hyper, ap: Iterable[str] | None = None) -> Hyper:
         raise ValueError(f"not a sentence; free variables {sorted(free_vars(f))}")
     if is_prenex(f):
         return f
-    props = frozenset(ap) if ap is not None else all_props(f)
+    props = frozenset(ap)
     if MARK in props:
         raise ValueError(f"input must not use the reserved proposition {MARK!r}")
     f = alpha_unique(f)

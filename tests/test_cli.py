@@ -215,11 +215,39 @@ def test_prenex_transforms_inner_quantifier(workdir, capsys):
     assert is_prenex(formula)
 
 
-def test_sat_contradiction_exit_one(workdir, capsys):
+def test_sat_contradiction_unknown(workdir, capsys):
+    # an exhausted bounded search proves nothing about larger models
     (workdir / "c.ghyltl").write_text("ap: p\nexists x. p_x & !p_x\n", encoding="utf-8")
-    code, _ = run(["sat", workdir / "c.ghyltl", "--max-traces", 3,
-                   "--max-prefix", 3, "--max-loop", 2], capsys)
-    assert code == 1
+    code, out = run(["sat", workdir / "c.ghyltl", "--max-traces", 3,
+                     "--max-prefix", 3, "--max-loop", 2], capsys)
+    assert code == 2
+    assert "reason: sat-bound(max_traces=3,max_prefix=3,max_loop=2)" in out
+
+
+SPIKE_AT_THREE = "ap: p\nexists x. !p_x & X[] !p_x & X[] X[] !p_x & X[] X[] X[] p_x\n"
+
+
+def test_sat_bound_too_small_is_unknown(workdir, capsys):
+    (workdir / "s.ghyltl").write_text(SPIKE_AT_THREE, encoding="utf-8")
+    code, out = run(["sat", workdir / "s.ghyltl", "--max-traces", 1,
+                     "--max-prefix", 1, "--max-loop", 2, "--json"], capsys)
+    assert code == 2
+    obj = json.loads(out)
+    assert obj["verdict"] == "unknown"
+    assert obj["reason"] == "sat-bound(max_traces=1,max_prefix=1,max_loop=2)"
+    assert obj["detail"] == {}
+
+
+def test_sat_larger_bound_finds_the_model(workdir, capsys):
+    (workdir / "s.ghyltl").write_text(SPIKE_AT_THREE, encoding="utf-8")
+    code, out = run(["sat", workdir / "s.ghyltl", "--max-traces", 1,
+                     "--max-prefix", 3, "--max-loop", 2, "--json"], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["verdict"] == "holds" and obj["reason"] is None
+    # the first model by prefix length, then loop length: {}{}({}{p})^w
+    model = json.loads(obj["detail"]["model"])
+    assert [(t["prefix"], t["loop"]) for t in model["traces"]] == [([[], []], [[], ["p"]])]
 
 
 def test_sat_writes_model(workdir, capsys):
@@ -258,9 +286,26 @@ def test_oracle_command(workdir, capsys):
         encoding="utf-8")
     code, _ = run(["oracle", workdir / "a.txt", "--bound", 13], capsys)
     assert code == 0
+    # no witness up to the bound proves nothing over the naturals
     (workdir / "b.txt").write_text("exists a. a < a", encoding="utf-8")
-    code, _ = run(["oracle", workdir / "b.txt"], capsys)
-    assert code == 1
+    code, out = run(["oracle", workdir / "b.txt"], capsys)
+    assert code == 2
+    assert "reason: arith-bound(bound=12,bit_cap=12)" in out
+    assert "bounded_value: False" in out
+
+
+@pytest.mark.parametrize("text,bounded", [
+    ("forall a. exists b. a < b", False),  # true over N; the bound has a largest number
+    ("exists a. forall b. b < a | b = a", True),  # false over N; the bound's largest is a
+])
+def test_oracle_alternation_is_unknown(workdir, capsys, text, bounded):
+    (workdir / "alt.txt").write_text(text, encoding="utf-8")
+    code, out = run(["oracle", workdir / "alt.txt", "--bound", 8, "--json"], capsys)
+    assert code == 2
+    obj = json.loads(out)
+    assert obj["verdict"] == "unknown"
+    assert obj["reason"] == "arith-bound(bound=8,bit_cap=12)"
+    assert obj["detail"] == {"bounded_value": bounded}
 
 
 GOOD_SYSTEM = {

@@ -106,6 +106,23 @@ def test_empty_universe_quantifiers():
     assert check_traceset([], f).is_fails
 
 
+@pytest.mark.parametrize("text", [
+    "forall x. C{y} X[] p_x", "forall x. C{y} Y[] p_x",
+    "forall x. C{y} (q_x U[] p_x)", "forall x. C{y} (q_x S[] p_x)",
+])
+def test_steps_that_move_no_coordinate(text):
+    # C{y} moves no bound coordinate, so every step stays at position 0 and
+    # only p_x there decides; both configurations agree
+    unroller = cfg(until_cutoff=40, use_cycle_detection=False)
+    at_zero = lasso(AP, [{"p"}], [set()])
+    later = lasso(AP, [set(), {"q"}], [{"p"}])
+    f = parse_hyper(text, AP)
+    for c in (hy.DEFAULT_CONFIG, unroller):
+        assert check_traceset([at_zero], f, c).is_holds
+        assert check_traceset([later], f, c).is_fails
+        assert check_traceset([at_zero, later], f, c).is_fails
+
+
 def test_until_no_effective_context():
     # a context disjoint from every bound variable freezes time
     t = lasso(AP, [], [set(), {"p"}])
@@ -433,6 +450,17 @@ def test_check_ts_boolean_nested_existential_sound():
     assert hy.quantifier_shape(g) == "exists"
     v = check_ts(ts, g, 1, 1)
     assert v.is_holds and v.reason is None
+
+
+def test_check_ts_lasso_beyond_the_bounds_is_not_exact():
+    # a -> b -> b ..., b labelled {p}: the one run has a stem of length 1
+    ts = TransitionSystem(frozenset({"p"}), ("a", "b"), frozenset({("a", "b"), ("b", "b")}),
+                          frozenset({"a"}), {"a": frozenset(), "b": frozenset({"p"})})
+    f = parse_hyper("forall x. G[] !p_x", ("p",))
+    # max_prefix 0 enumerates no run at all, so the bounded holds is vacuous
+    assert check_ts(ts, f, 0, 1) == hy.Verdict.unknown(
+        "ts-universe-bound(max_prefix=0,max_loop=1);bounded-verdict=holds")
+    assert check_ts(ts, f, 1, 1).is_fails
 
 
 def test_check_ts_alternation_unknown():
