@@ -178,8 +178,8 @@ def arith_eval_bounded(f: Arith, n: int, bit_cap: int = 12) -> bool:
     Exact for sentences whose quantifiers are semantically bounded below n.
     The subsets are built when the first second-order quantifier is reached.
     """
-    if n < 1:
-        raise ValueError("bound must be >= 1")
+    if n < 1 or bit_cap < 0:
+        raise ValueError(f"need bound >= 1 and bit_cap >= 0, got {n}, {bit_cap}")
     cap = min(n, bit_cap)
     subsets: list[frozenset[int]] = []
 
@@ -862,9 +862,10 @@ def verify_gadget(relation: str, n1: int, n2: int, n3: int, encoding: str,
     formula = gadget_formula(relation, encoding, strict_fidelity)
     assignment = gadget_assignment(encoding, n1, n2, n3)
     universe = gadget_universe(relation, encoding, n1, n2, n3)
-    context = hy.all_vars(formula) | set(assignment)
+    cache = hy.EvalCache()
+    context = cache.all_vars(formula) | set(assignment)
     verdict = evaluate(universe, assignment, context, formula,
-                       cfg or EvalConfig())
+                       cfg or EvalConfig(), cache=cache)
     if verdict.is_unknown:
         raise GadgetBoundError(f"gadget evaluation hit a bound: {verdict.reason}")
     return verdict.is_holds

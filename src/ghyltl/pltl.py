@@ -446,6 +446,7 @@ def parse_pltl(text: str, ap: frozenset[str] | set[str]) -> Pltl:
 # expansions.  One printer serves the PLTL and hyper families; the quantifier
 # level only occurs in hyper formulas.
 _PREC_QUANT, _PREC_IFF, _PREC_IMPL, _PREC_OR, _PREC_AND, _PREC_UNTIL, _PREC_UNARY = range(7)
+_LEVELS = {"|": _PREC_OR, "&": _PREC_AND, "->": _PREC_IMPL, "<->": _PREC_IFF}
 
 
 @dataclass(frozen=True)
@@ -462,6 +463,28 @@ class _Family:
     leaf: Callable[[object, int], str]  # (node, prec) for the other node classes
 
 
+def same_formula(f, g) -> bool:
+    """Structural equality of two formulas of one family, as the dataclass
+    __eq__ but with its own stack, so formula depth is not bounded by the
+    interpreter's recursion limit.  Pairs of shared nodes are compared once."""
+    seen = set()
+    stack = [(f, g)]
+    while stack:
+        a, b = stack.pop()
+        if a is b or (id(a), id(b)) in seen:
+            continue
+        seen.add((id(a), id(b)))
+        if type(a) is not type(b):
+            return False
+        for name in a.__dataclass_fields__:
+            x, y = getattr(a, name), getattr(b, name)
+            if hasattr(x, "__dataclass_fields__"):
+                stack.append((x, y))
+            elif x != y:
+                return False
+    return True
+
+
 def _match_implies(f, fam: _Family):
     if isinstance(f, fam.Or) and isinstance(f.left, fam.Not):
         return (f.left.sub, f.right)
@@ -469,50 +492,55 @@ def _match_implies(f, fam: _Family):
 
 
 def _resugar(f, fam: _Family):
-    """(tag, indexed node, payload) for recognized sugar shapes, else None."""
+    """(tag, indexed node, payload) for recognized sugar shapes and for a
+    plain Or (tag "|"), else None."""
     Not, Or = fam.Not, fam.Or
-    if isinstance(f, fam.Until) and f.left == Or(f.right, Not(f.right)):
+
+    def guards(u, g):  # u's left side is the tautology over g
+        return same_formula(u.left, Or(g, Not(g)))
+    if isinstance(f, fam.Until) and guards(f, f.right):
         return ("F", f, f.right)
-    if isinstance(f, fam.Since) and f.left == Or(f.right, Not(f.right)):
+    if isinstance(f, fam.Since) and guards(f, f.right):
         return ("O", f, f.right)
     if isinstance(f, Not):
         s = f.sub
-        if isinstance(s, fam.Until) and isinstance(s.right, Not) \
-                and s.left == Or(s.right, Not(s.right)):
+        if isinstance(s, fam.Until) and isinstance(s.right, Not) and guards(s, s.right):
             return ("G", s, s.right.sub)
-        if isinstance(s, fam.Since) and isinstance(s.right, Not) \
-                and s.left == Or(s.right, Not(s.right)):
+        if isinstance(s, fam.Since) and isinstance(s.right, Not) and guards(s, s.right):
             return ("H", s, s.right.sub)
         if isinstance(s, Or) and isinstance(s.left, Not) and isinstance(s.right, Not):
             a, b = s.left.sub, s.right.sub
             ia, ib = _match_implies(a, fam), _match_implies(b, fam)
-            if ia and ib and ia[0] == ib[1] and ia[1] == ib[0]:
-                return ("<->", None, (ia[0], ia[1]))
+            if ia and ib and same_formula(ia[0], ib[1]) and same_formula(ia[1], ib[0]):
+                return ("<->", None, ia)
             return ("&", None, (a, b))
     imp = _match_implies(f, fam)
     if imp is not None:
         return ("->", None, imp)
+    if isinstance(f, Or):
+        return ("|", None, (f.left, f.right))
     return None
 
 
 def _render(f, prec: int, fam: _Family) -> str:
     sug = _resugar(f, fam)
+    if sug is not None and sug[0] in _LEVELS:
+        # a left-nested chain of &, | or <-> prints without parentheses; its
+        # spine is walked by a loop, so a chain of any length prints
+        tag, lv, rights = sug[0], _LEVELS[sug[0]], []
+        lp, rp = (lv + 1, lv) if tag == "->" else (lv, lv + 1)
+        while sug is not None and sug[0] == tag:
+            f, b = sug[2]
+            rights.append(_render(b, rp, fam))
+            sug = None if tag == "->" else _resugar(f, fam)
+        s = f" {tag} ".join([_render(f, lp, fam)] + rights[::-1])
+        return f"({s})" if prec > lv else s
     if sug is not None:
         tag, node, payload = sug
-        if tag in ("&", "->", "<->"):
-            a, b = payload
-            lv = {"&": _PREC_AND, "->": _PREC_IMPL, "<->": _PREC_IFF}[tag]
-            left = _render(a, lv + 1 if tag == "->" else lv, fam)
-            right = _render(b, lv if tag == "->" else lv + 1, fam)
-            s = f"{left} {tag} {right}"
-            return f"({s})" if prec > lv else s
         s = f"{tag}{fam.index(node)} {_render(payload, _PREC_UNARY, fam)}"
         return f"({s})" if prec > _PREC_UNARY else s
     if isinstance(f, fam.Not):
         return f"!{_render(f.sub, _PREC_UNARY, fam)}"
-    if isinstance(f, fam.Or):
-        s = f"{_render(f.left, _PREC_OR, fam)} | {_render(f.right, _PREC_OR + 1, fam)}"
-        return f"({s})" if prec > _PREC_OR else s
     if isinstance(f, (fam.Next, fam.Yesterday)):
         op = "X" if isinstance(f, fam.Next) else "Y"
         s = f"{op}{fam.index(f)} {_render(f.sub, _PREC_UNARY, fam)}"

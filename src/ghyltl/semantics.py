@@ -6,9 +6,9 @@ variables on which time advances during temporal steps.  Temporal operators
 are indexed by finite sets of PLTL formulas and step along changepoints.
 
 Until operators walk forward with cycle detection on canonicalized
-configurations (exact positions below a per-trace stabilization threshold,
-residues above it) and fall back to an iteration cutoff, in which case the
-verdict is unknown.  Since operators always terminate because predecessor
+configurations (residues of the positions, once all are past a per-trace
+stabilization threshold) and fall back to an iteration cutoff, in which case
+the verdict is unknown.  Since operators always terminate because predecessor
 chains are finite.
 """
 
@@ -21,7 +21,8 @@ from typing import Iterable, Mapping, Sequence
 
 from . import stutter
 from . import pltl as pl
-from .pltl import _PREC_QUANT, _PREC_UNARY, ParseError, _PltlParser, render_pltl, tokenize
+from .pltl import _PREC_QUANT, _PREC_UNARY, ParseError, _PltlParser, render_pltl, \
+    same_formula, tokenize
 from .traces import LassoTrace, PointedTrace, TransitionSystem, enumerate_lassos, \
     enumerate_ts_traces, normalize
 
@@ -112,28 +113,6 @@ def is_tautology(f: Hyper) -> bool:
         and (f.right.sub is f.left or same_formula(f.right.sub, f.left))
 
 
-def same_formula(f: Hyper, g: Hyper) -> bool:
-    """Structural equality, as the dataclass __eq__ but with its own stack,
-    so formula depth is not bounded by the interpreter's recursion limit.
-    Pairs of shared nodes are compared once."""
-    seen = set()
-    stack = [(f, g)]
-    while stack:
-        a, b = stack.pop()
-        if a is b or (id(a), id(b)) in seen:
-            continue
-        seen.add((id(a), id(b)))
-        if type(a) is not type(b):
-            return False
-        for name in a.__dataclass_fields__:
-            x, y = getattr(a, name), getattr(b, name)
-            if isinstance(x, Hyper):
-                stack.append((x, y))
-            elif x != y:
-                return False
-    return True
-
-
 def h_and(a: Hyper, b: Hyper) -> Hyper:
     return Not(Or(Not(a), Not(b)))
 
@@ -220,34 +199,43 @@ _FLIP = (0, 2, 1, 3)
 _SHAPES = ("exists", "exists", "forall", "mixed")
 
 
-def _facts(f: Hyper) -> dict[int, tuple[tuple[str, ...], bool, int]]:
-    """Per node id, from one postorder fold: its sorted free variables,
+def _facts(f: Hyper) -> tuple[dict, frozenset[str], frozenset, bool]:
+    """(nodes, names, gammas, contexts) from one postorder fold: per node id
+    its sorted free variables (its child's tuple when they are the same),
     whether Yesterday or Since occurs at or below it, and the kinds of the
-    quantifiers at or below it after negation polarity."""
-    out: dict[int, tuple[tuple[str, ...], bool, int]] = {}
+    quantifiers at or below it after negation polarity; then all_vars(f),
+    gamma_members(f) and whether a context operator occurs."""
+    nodes: dict[int, tuple[tuple[str, ...], bool, int]] = {}
+    names, gammas, contexts = set(), set(), False
     for n in postorder(f):
-        free: set[str] = set()
-        past = isinstance(n, (Yesterday, Since))
-        kinds = 0
-        for c in children(n):
-            cf, cp, ck = out[id(c)]
-            free.update(cf)
-            past = past or cp
-            kinds |= ck
-        if isinstance(n, Atom):
-            free.add(n.var)
-        elif isinstance(n, Not):
+        kids = children(n)
+        free, past, kinds = nodes[id(kids[0])] if kids else ((n.var,), False, 0)
+        if len(kids) == 2:
+            rfree, rpast, rkinds = nodes[id(kids[1])]
+            if not set(rfree) <= set(free):
+                free = tuple(sorted({*free, *rfree}))
+            past, kinds = past or rpast, kinds | rkinds
+        if isinstance(n, Not):
             kinds = _FLIP[kinds]
+        elif isinstance(n, Atom):
+            names.add(n.var)
         elif isinstance(n, (Exists, Forall)):
-            free.discard(n.var)
+            names.add(n.var)
+            free = tuple(x for x in free if x != n.var)
             kinds |= 1 if isinstance(n, Exists) else 2
-        out[id(n)] = (tuple(sorted(free)), past, kinds)
-    return out
+        elif isinstance(n, Context):
+            names.update(n.vars)
+            contexts = True
+        elif not isinstance(n, Or):
+            gammas.update(n.gamma)
+            past = past or isinstance(n, (Yesterday, Since))
+        nodes[id(n)] = (free, past, kinds)
+    return nodes, frozenset(names), frozenset(gammas), contexts
 
 
 def free_vars(f: Hyper) -> frozenset[str]:
     """Variables read by atoms and not bound by a quantifier above the read."""
-    return frozenset(_facts(f)[id(f)][0])
+    return frozenset(_facts(f)[0][id(f)][0])
 
 
 def all_vars(f: Hyper) -> frozenset[str]:
@@ -276,10 +264,6 @@ def has_quantifier(f: Hyper) -> bool:
     return any(isinstance(n, (Exists, Forall)) for n in postorder(f))
 
 
-def has_context_op(f: Hyper) -> bool:
-    return any(isinstance(n, Context) for n in postorder(f))
-
-
 def strip_prefix(f: Hyper) -> tuple[list[tuple[str, str]], Hyper]:
     """Leading quantifier block as [(kind, var)] plus the remaining formula."""
     prefix: list[tuple[str, str]] = []
@@ -301,23 +285,18 @@ def quantifier_shape(f: Hyper) -> str:
     Purely existential sentences are monotone in the trace universe and purely
     universal ones antitone, which is what makes bounded verdicts sound.
     """
-    return _SHAPES[_facts(f)[id(f)][2]]
+    return _SHAPES[_facts(f)[0][id(f)][2]]
 
 
 def fragment_of(f: Hyper) -> str:
     """Most specific of HyperLTL, HyperLTL_S, HyperLTL_C, GHyLTL_S+C."""
-    prenex = is_prenex(f)
-    past_free = not _facts(f)[id(f)][1]
-    contexts = has_context_op(f)
-    gammas = gamma_members(f)
-    all_empty = not gammas
-    gammas_past_free = all(pl.is_past_free(th) for th in gammas)
-    if prenex and past_free and not contexts and all_empty:
-        return "HyperLTL"
-    if prenex and past_free and not contexts and gammas_past_free:
+    nodes, _, gammas, contexts = _facts(f)
+    if nodes[id(strip_prefix(f)[1])][2] or nodes[id(f)][1]:
+        return "GHyLTL_S+C"  # not prenex, or not past-free
+    if not gammas:
+        return "HyperLTL_C" if contexts else "HyperLTL"
+    if not contexts and all(pl.is_past_free(th) for th in gammas):
         return "HyperLTL_S"
-    if prenex and past_free and all_empty:
-        return "HyperLTL_C"
     return "GHyLTL_S+C"
 
 
@@ -478,19 +457,32 @@ def _walk(move, gamma: Gamma, eff: tuple[str, ...], steps, left, right, bound, c
 
     Invariant: result is 0 or 2 and prefix_ok is 1 or 2 inside the loop; a
     left side compiled to the constant guard is never called.
+
+    Cycle keys (see _config_key) wait until every stepped coordinate is at
+    or past its threshold.  A successor step moves every stepped coordinate
+    strictly forward, so one below its threshold is at a position that no
+    other iteration shares (earlier ones were lower, later ones are higher or
+    canonical, so at least the threshold): a key built then closes no cycle
+    and is closed by none.  low, the first coordinate still below its
+    threshold, only grows, so it costs amortized O(1) per iteration.
     """
     guard = left is _holds
+    n = len(eff)
 
     def walk(a):
         result, prefix_ok = 0, 1
-        seen = set()
         cur = a
+        if config_key is not None:
+            thr, low, seen = config_key(a), 0, set()
         for _ in bound:
             if config_key is not None:
-                key = config_key(cur)
-                if key in seen:
-                    return result
-                seen.add(key)
+                while low < n and cur[eff[low]].pos >= thr[low][0]:
+                    low += 1
+                if low == n:
+                    key = tuple([t + (cur[x].pos - t) % l for x, (t, l) in zip(eff, thr)])
+                    if key in seen:
+                        return result
+                    seen.add(key)
             v2 = right(cur)
             if v2:
                 if v2 == 1 and prefix_ok == 1:
@@ -510,21 +502,27 @@ def _walk(move, gamma: Gamma, eff: tuple[str, ...], steps, left, right, bound, c
 
 
 def _config_key(names: tuple[str, ...], gammas: tuple, margin: int, canon: dict, steps):
-    """Until cycle key: per stepped coordinate (names), its trace and its
-    canonical position, exact below a per-trace stabilization threshold and a
-    residue above it.  Coordinates outside the step set keep their pointed
-    trace during one Until walk, so leaving them out changes no comparison.
+    """Until cycle keys: start(a) gives the (threshold, period) of the trace
+    of each stepped coordinate (names) of a walk from a; a configuration's key
+    is their canonical positions t + (pos - t) % period.  The threshold is the
+    trace's prefix plus every gamma profile's threshold plus margin periods;
+    the period is the lcm of the loop and the profile periods.  canon caches
+    the pair by id(trace) for the life of the program; the profiles come from
+    the memos of the step-table owner.
 
-    The threshold is the trace's prefix plus every gamma profile's threshold,
-    plus margin periods; the period is the lcm of the loop and the profile
-    periods.  canon caches (threshold, period) by id(trace) for the life of
-    the program; the profiles come from the memos of the step-table owner.
+    Steps move positions, never traces, and leave unstepped coordinates
+    alone, so neither the traces nor those coordinates can tell two keys of
+    one walk apart.  For a past-free Until body, equal keys mean equal
+    futures: past the threshold, positions a period apart have equal
+    suffixes and, every gamma member being periodic there, equal
+    changepoints, which is all such a body reads, coordinate by coordinate.
+    A body that looks back also sees below the threshold and the offsets
+    between coordinates; for it the key is not known to be sound.
     """
-    def key(a):
+    def start(a):
         out = []
         for x in names:
-            pt = a[x]
-            trace, pos = pt.trace, pt.pos
+            trace = a[x].trace
             hit = canon.get(id(trace))
             if hit is None:
                 memo = steps.profile_memo(trace)
@@ -532,10 +530,9 @@ def _config_key(names: tuple[str, ...], gammas: tuple, margin: int, canon: dict,
                 base = max([len(trace.prefix)] + [p.threshold for p in profs])
                 period = math.lcm(len(trace.loop), *[p.period for p in profs])
                 hit = canon[id(trace)] = (base + margin * period, period)
-            t, l = hit
-            out.append((id(trace), pos if pos < t else t + (pos - t) % l))
-        return tuple(out)
-    return key
+            out.append(hit)
+        return out
+    return start
 
 
 def _is_and(n: Hyper) -> bool:
@@ -593,14 +590,14 @@ class _Compiler:
     and shares one memo per context across assignment domains.
     """
 
-    def __init__(self, formula: Hyper, cfg: EvalConfig, canon: dict, starts: list,
-                 facts: dict, steps: stutter.StepTables):
+    def __init__(self, cfg: EvalConfig, canon: dict, starts: list, fold: tuple,
+                 steps: stutter.StepTables):
         self.cfg = cfg
         self.canon = canon
         self.starts = starts
         self.steps = steps
-        self.gammas = tuple(gamma_members(formula))
-        self.facts = facts
+        self.facts, _, gammas, _ = fold
+        self.gammas = tuple(gammas)
         self.built: dict[tuple, object] = {}
         self.memos: dict[tuple, dict] = {}
         self.per_run: list[dict] = []  # memos of nodes with a quantifier below
@@ -678,12 +675,12 @@ class _Program:
     """
 
     def __init__(self, f: Hyper, cfg: EvalConfig, context: frozenset[str],
-                 domain: frozenset[str], facts: dict, steps: stutter.StepTables):
+                 domain: frozenset[str], fold: tuple, steps: stutter.StepTables):
         self._canon: dict[int, tuple[int, int]] = {}
         self._starts: list[PointedTrace] = []
         self._traces: dict[int, LassoTrace] = {}
-        comp = _Compiler(f, cfg, self._canon, self._starts, facts, steps)
-        missing = set(facts[id(f)][0]) - domain
+        comp = _Compiler(cfg, self._canon, self._starts, fold, steps)
+        missing = set(fold[0][id(f)][0]) - domain
         if missing:
             raise ValueError(f"free variables without bindings: {sorted(missing)}")
         self._root = comp.compile(f, context, domain)
@@ -711,43 +708,43 @@ class EvalCache:
     (changepoint steps and valuation-profile memos) that they all use.
 
     Entries are keyed on formula identity and hold the formula, so its id
-    stays valid for the life of the cache.
+    stays valid for the life of the cache.  Every structural query about a
+    formula reads its one fold (see _facts), computed once per formula.
     """
 
     def __init__(self) -> None:
         self.steps = stutter.StepTables()
         self._programs: dict[tuple, tuple[Hyper, _Program]] = {}
-        self._node_facts: dict[int, tuple[Hyper, dict]] = {}
-        self._sentences: dict[int, tuple[Hyper, frozenset[str]]] = {}
+        self._folds: dict[int, tuple[Hyper, tuple]] = {}
 
-    def _facts_of(self, f: Hyper) -> dict:
-        """The per-node facts of f (see _facts), computed once per formula."""
-        hit = self._node_facts.get(id(f))
+    def _fold(self, f: Hyper) -> tuple:
+        hit = self._folds.get(id(f))
         if hit is None:
-            hit = self._node_facts[id(f)] = (f, _facts(f))
+            hit = self._folds[id(f)] = (f, _facts(f))
         return hit[1]
+
+    def all_vars(self, f: Hyper) -> frozenset[str]:
+        """all_vars(f), from the fold."""
+        return self._fold(f)[1]
 
     def program(self, f: Hyper, cfg: EvalConfig, context: frozenset[str],
                 domain: frozenset[str]) -> _Program:
         key = (id(f), cfg, context, domain)
         hit = self._programs.get(key)
         if hit is None:
-            program = _Program(f, cfg, context, domain, self._facts_of(f), self.steps)
+            program = _Program(f, cfg, context, domain, self._fold(f), self.steps)
             hit = self._programs[key] = (f, program)
         return hit[1]
 
     def sentence_context(self, f: Hyper) -> frozenset[str]:
         """Every variable of the sentence f, after checking it is one."""
-        hit = self._sentences.get(id(f))
-        if hit is None:
-            free = self._facts_of(f)[id(f)][0]
-            if free:
-                raise ValueError(f"not a sentence; free variables {list(free)}")
-            var = all_vars(f)
-            if not var:
-                raise ValueError("formula mentions no trace variables")
-            hit = self._sentences[id(f)] = (f, var)
-        return hit[1]
+        nodes, var, _, _ = self._fold(f)
+        free = nodes[id(f)][0]
+        if free:
+            raise ValueError(f"not a sentence; free variables {list(free)}")
+        if not var:
+            raise ValueError("formula mentions no trace variables")
+        return var
 
 
 def evaluate(universe: Iterable[LassoTrace], assignment: Assignment,

@@ -121,8 +121,8 @@ def enumerate_lassos(ap: Iterable[str], max_prefix: int, max_loop: int) -> list[
     Returns distinct representations (no canonicalization), in a deterministic
     order: by prefix length, then loop length, then letters.
     """
-    if max_loop < 1:
-        raise ValueError("max_loop must be >= 1")
+    if max_prefix < 0 or max_loop < 1:
+        raise ValueError(f"need max_prefix >= 0 and max_loop >= 1, got {max_prefix}, {max_loop}")
     ap = frozenset(ap)
     letters = [frozenset(c) for n in range(len(ap) + 1)
                for c in itertools.combinations(sorted(ap), n)]
@@ -185,8 +185,8 @@ def enumerate_ts_traces(ts: TransitionSystem, max_prefix: int, max_loop: int) ->
     Output is canonicalized and deduplicated; an empty initial set yields an
     empty list with a warning.
     """
-    if max_loop < 1:
-        raise ValueError("max_loop must be >= 1")
+    if max_prefix < 0 or max_loop < 1:
+        raise ValueError(f"need max_prefix >= 0 and max_loop >= 1, got {max_prefix}, {max_loop}")
     if not ts.initial:
         warnings.warn("transition system has no initial vertices; trace set is empty")
         return []

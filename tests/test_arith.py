@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from ghyltl import arith
+from ghyltl import arith, stutter
 from ghyltl import semantics as hy
 from ghyltl.arith import (Add, ExistsFirst, ForallSecond, GadgetBoundError,
                           Less, Member, Not, Or, PeriodicWitnessSpec, RawAtom, TConst,
@@ -258,6 +258,22 @@ def test_gadget_mul_examples():
     assert verify_gadget("mul", 3, 7, 21, "stutter")
     assert not verify_gadget("mul", 2, 2, 5, "stutter")
     assert not verify_gadget("mul", 2, 2, 5, "context")
+
+
+@pytest.mark.parametrize("n3,holds,steps", [(21, True, 5900), (20, False, 6150)])
+def test_gadget_step_count_is_pinned(monkeypatch, n3, holds, steps):
+    # the number of successor steps of one evaluation; an evaluator change
+    # that walks further shows up here, not as timing noise
+    calls = []
+    real = stutter.assign_succ
+
+    def counting(a, gamma, c, owner=None):
+        calls.append(1)
+        return real(a, gamma, c, owner)
+
+    monkeypatch.setattr(stutter, "assign_succ", counting)
+    assert verify_gadget("mul", 3, 7, n3, "context") is holds
+    assert len(calls) == steps
 
 
 def test_gadget_zero_annihilator():

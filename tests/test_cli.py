@@ -308,6 +308,37 @@ def test_oracle_alternation_is_unknown(workdir, capsys, text, bounded):
     assert obj["detail"] == {"bounded_value": bounded}
 
 
+@pytest.mark.parametrize("args", [
+    ["sat", "{f}", "--max-prefix", -1],
+    ["check", "{sys}", "{f}", "--max-prefix", -1],
+    ["oracle", "{arith}", "--bit-cap", -1],
+], ids=["sat", "check", "oracle"])
+def test_negative_bound_exit_three(workdir, capsys, args):
+    # a bound below zero makes no sense; it is not an empty search
+    (workdir / "f.ghyltl").write_text("ap: p\nforall x. G[] p_x\n", encoding="utf-8")
+    (workdir / "sys.json").write_text(json.dumps(GOOD_SYSTEM), encoding="utf-8")
+    (workdir / "a.txt").write_text("forall a. exists b. a < b", encoding="utf-8")
+    paths = {"f": workdir / "f.ghyltl", "sys": workdir / "sys.json", "arith": workdir / "a.txt"}
+    code = main([str(a).format(**paths) for a in args])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("wrap", ["{}", "G[] ({})", "F[] ({})", "H[] ({})"])
+def test_prenex_of_a_long_conjunction(workdir, capsys, wrap):
+    # printing walks the chain with a loop, and compares sugar guards by
+    # identity first, so the length of the chain does not matter
+    text = "ap: p\nforall x. " + wrap.format(" & ".join(["p_x"] * 2000)) + "\n"
+    (workdir / "long.ghyltl").write_text(text, encoding="utf-8")
+    out = workdir / "long_out.ghyltl"
+    code, _ = run(["prenex", workdir / "long.ghyltl", "--out", out], capsys)
+    assert code == 0
+    assert out.read_text(encoding="utf-8") == text
+
+
 GOOD_SYSTEM = {
     "ap": ["p"],
     "vertices": [{"id": "a", "label": []}],

@@ -21,7 +21,7 @@ from ghyltl.semantics import (EvalConfig, bounded_sat, check_traceset,
 from ghyltl.traces import LassoTrace, PointedTrace, TransitionSystem, enumerate_lassos, lasso, \
     normalize, spike_trace
 
-from helpers import gen_sentence, gen_trace, ref_hyperltl
+from helpers import gen_matrix, gen_sentence, gen_trace, ref_hyperltl
 
 AP = ("p", "q")
 
@@ -576,3 +576,156 @@ RENDER_GOLDEN = [
 def test_render_golden(f, text):
     assert render_hyper(f) == text
     assert parse_hyper(text, AP) == f
+
+
+# -- the Until cycle-key shortcut ---------------------------------------------
+#
+# The walk keys a configuration only once every stepped coordinate is past its
+# threshold, and its key names no trace.  The cases below give each stepped
+# coordinate its own prefix, period and start, so the coordinates cross their
+# thresholds at different iterations, and step on gammas that jump several
+# positions at once.
+
+
+def _key_per_iteration(names, gammas, margin, canon, steps):
+    # the key of the evaluator before the shortcut: built at every iteration,
+    # with (id(trace), canonical position) per stepped coordinate
+    def key(a):
+        out = []
+        for x in names:
+            pt = a[x]
+            trace, pos = pt.trace, pt.pos
+            hit = canon.get(id(trace))
+            if hit is None:
+                memo = steps.profile_memo(trace)
+                profs = [pl.valuation_profile(trace, th, memo) for th in gammas]
+                base = max([len(trace.prefix)] + [p.threshold for p in profs])
+                period = math.lcm(len(trace.loop), *[p.period for p in profs])
+                hit = canon[id(trace)] = (base + margin * period, period)
+            t, l = hit
+            out.append((id(trace), pos if pos < t else t + (pos - t) % l))
+        return tuple(out)
+    return key
+
+
+def _walk_per_iteration(move, gamma, eff, steps, left, right, bound, config_key):
+    guard = left is hy._holds
+
+    def walk(a):
+        result, prefix_ok = 0, 1
+        seen = set()
+        cur = a
+        for _ in bound:
+            if config_key is not None:
+                key = config_key(cur)
+                if key in seen:
+                    return result
+                seen.add(key)
+            v2 = right(cur)
+            if v2:
+                if v2 == 1 and prefix_ok == 1:
+                    return 1
+                result = 2
+            if not guard:
+                v1 = left(cur)
+                if v1 == 0:
+                    return result
+                if v1 == 2:
+                    prefix_ok = 2
+            cur = move(cur, gamma, eff, steps)
+            if cur is None:
+                return result
+        return 2
+    return walk
+
+
+# p flips rarely on the traces below, so these gammas skip several positions
+JUMPING_GAMMAS = [frozenset(), frozenset({pl.Atom("p")}), frozenset({pl.eventually(pl.Atom("q"))}),
+                  frozenset({pl.Atom("p"), pl.Next(pl.Next(pl.Atom("q")))})]
+
+
+def _desynchronized_walk(rng, k, past):
+    def letter():
+        return {a for a in AP if rng.random() < 0.3}
+    traces = [lasso(AP, [letter() for _ in range(rng.randint(0, 5))],
+                    [letter() for _ in range(rng.randint(1, 6))]) for _ in range(k)]
+    scope = [f"v{i}" for i in range(k)]
+    a = {x: PointedTrace(t, rng.randint(0, 9)) for x, t in zip(scope, traces)}
+    gamma = rng.choice(JUMPING_GAMMAS)
+    right = gen_matrix(rng, AP, scope, rng.randint(0, 2), stutter=True, contexts=True,
+                       past=past)
+    left = hy.tautology_over(right) if rng.random() < 0.5 else \
+        gen_matrix(rng, AP, scope, rng.randint(0, 2), stutter=True, contexts=True, past=past)
+    return traces, a, hy.Not(hy.Until(gamma, left, right)) if rng.random() < 0.3 \
+        else hy.Until(gamma, left, right)
+
+
+def _verdict_and_steps(monkeypatch, traces, a, f, config):
+    steps = []
+    real = ghyltl.stutter.assign_succ
+
+    def counting(a, gamma, c, owner=None):
+        steps.append(1)
+        return real(a, gamma, c, owner)
+
+    with monkeypatch.context() as m:
+        m.setattr(ghyltl.stutter, "assign_succ", counting)
+        verdict = evaluate(traces, a, set(a), f, config)
+    return verdict, len(steps)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_cycle_key_shortcut_vs_per_iteration_key(monkeypatch, k):
+    # the same verdicts and the same number of steps as a key built at every
+    # iteration, past below the Until or not
+    rng = random.Random(9100 + k)
+    for i in range(40):
+        traces, a, f = _desynchronized_walk(rng, k, past=i % 2 == 1)
+        config = cfg(cycle_margin=rng.randint(1, 3), until_cutoff=rng.choice([6, 40, 200]))
+        got = _verdict_and_steps(monkeypatch, traces, a, f, config)
+        with monkeypatch.context() as m:
+            m.setattr(hy, "_walk", _walk_per_iteration)
+            m.setattr(hy, "_config_key", _key_per_iteration)
+            assert _verdict_and_steps(monkeypatch, traces, a, f, config) == got
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_cycle_key_shortcut_vs_unroller(k):
+    rng = random.Random(9200 + k)
+    decided = 0
+    for _ in range(40):
+        traces, a, f = _desynchronized_walk(rng, k, past=False)
+        unrolled = evaluate(traces, a, set(a), f, cfg(use_cycle_detection=False))
+        if not unrolled.is_unknown:
+            decided += 1
+            assert evaluate(traces, a, set(a), f, cfg(cycle_margin=rng.randint(1, 3))) \
+                == unrolled
+    assert decided >= 10
+
+
+def test_fold_matches_the_separate_walks():
+    from ghyltl.arith import gadget_formula
+
+    def ref_free(n, memo):
+        if id(n) not in memo:
+            out = set().union(*(ref_free(c, memo) for c in hy.children(n)))
+            if isinstance(n, hy.Atom):
+                out.add(n.var)
+            if isinstance(n, (hy.Exists, hy.Forall)):
+                out.discard(n.var)
+            memo[id(n)] = out
+        return memo[id(n)]
+
+    rng = random.Random(5150)
+    corpus = [gen_sentence(rng, AP, rng.randint(1, 3), rng.randint(1, 5), stutter=True,
+                           contexts=True, past=True) for _ in range(400)]
+    corpus += [gadget_formula(rel, enc, strict) for rel in ("add", "mul")
+               for enc in ("stutter", "context") for strict in (False, True)]
+    for f in corpus:
+        nodes, names, gammas, contexts = hy._facts(f)
+        assert names == hy.all_vars(f)
+        assert gammas == hy.gamma_members(f)
+        assert contexts == any(isinstance(n, hy.Context) for n in hy.postorder(f))
+        memo = {}
+        for n in hy.postorder(f):
+            assert nodes[id(n)][0] == tuple(sorted(ref_free(n, memo)))
