@@ -37,7 +37,7 @@ class RunReport:
     text_tail: str | None = None
 
     def to_obj(self) -> dict:
-        obj = {
+        return {
             "command": self.command,
             "inputs": self.inputs,
             "bounds": self.bounds,
@@ -46,7 +46,6 @@ class RunReport:
             "detail": self.detail,
             "timing_ms": round(self.timing_ms, 3),
         }
-        return obj
 
     def emit(self, as_json: bool) -> None:
         if as_json:
@@ -84,12 +83,11 @@ def write_formula_file(path: str, ap, formula: semantics.Hyper) -> None:
 
 
 def _cfg(args) -> EvalConfig:
-    return EvalConfig(until_cutoff=args.until_cutoff, cycle_margin=args.cycle_margin)
+    return EvalConfig(until_cutoff=args.until_cutoff)
 
 
 def _eval_flags(sp) -> None:
     sp.add_argument("--until-cutoff", type=int, default=200)
-    sp.add_argument("--cycle-margin", type=int, default=3)
     sp.add_argument("--json", action="store_true")
 
 
@@ -100,8 +98,7 @@ def cmd_eval(args) -> RunReport:
     verdict = semantics.check_traceset(universe, formula, _cfg(args))
     return RunReport(
         "eval", {"traces": args.traces, "formula": args.formula},
-        {"until_cutoff": args.until_cutoff, "cycle_margin": args.cycle_margin},
-        verdict.status, verdict.reason)
+        {"until_cutoff": args.until_cutoff}, verdict.status, verdict.reason)
 
 
 def cmd_check(args) -> RunReport:
@@ -112,7 +109,7 @@ def cmd_check(args) -> RunReport:
     return RunReport(
         "check", {"system": args.system, "formula": args.formula},
         {"max_prefix": args.max_prefix, "max_loop": args.max_loop,
-         "until_cutoff": args.until_cutoff, "cycle_margin": args.cycle_margin},
+         "until_cutoff": args.until_cutoff},
         verdict.status, verdict.reason)
 
 
@@ -153,7 +150,7 @@ def cmd_gadget(args) -> RunReport:
         {"encoding": args.encoding, "op": args.op,
          "n1": args.n1, "n2": args.n2, "n3": args.n3,
          "strict_fidelity": args.strict_fidelity},
-        {"until_cutoff": args.until_cutoff, "cycle_margin": args.cycle_margin},
+        {"until_cutoff": args.until_cutoff},
         verdict, reason)
 
 
@@ -193,8 +190,7 @@ def cmd_sat(args) -> RunReport:
     return RunReport(
         "sat", {"formula": args.formula},
         {"max_traces": args.max_traces, "max_prefix": args.max_prefix,
-         "max_loop": args.max_loop, "until_cutoff": args.until_cutoff,
-         "cycle_margin": args.cycle_margin},
+         "max_loop": args.max_loop, "until_cutoff": args.until_cutoff},
         verdict, reason, detail)
 
 
@@ -293,9 +289,9 @@ def main(argv: list[str] | None = None) -> int:
         report = args.func(args)
         report.timing_ms = (time.perf_counter() - t0) * 1e3
         report.emit(args.json)
-    except (OSError, ValueError, KeyError, RecursionError) as exc:
-        # usage, ParseError and JSON errors are ValueErrors; RecursionError
-        # is a formula nested too deeply for the recursive walks
+    except Exception as exc:
+        # usage, ParseError and JSON errors are ValueErrors, a formula nested
+        # too deeply a RecursionError; none is a traceback or an exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return EXIT[report.verdict]

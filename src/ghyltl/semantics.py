@@ -202,19 +202,20 @@ _SHAPES = ("exists", "exists", "forall", "mixed")
 def _facts(f: Hyper) -> tuple[dict, frozenset[str], frozenset, bool]:
     """(nodes, names, gammas, contexts) from one postorder fold: per node id
     its sorted free variables (its child's tuple when they are the same),
-    whether Yesterday or Since occurs at or below it, and the kinds of the
-    quantifiers at or below it after negation polarity; then all_vars(f),
-    gamma_members(f) and whether a context operator occurs."""
-    nodes: dict[int, tuple[tuple[str, ...], bool, int]] = {}
+    its past horizon h (the most Yesterday nodes on a path at or below it,
+    math.inf with a Since there; h > 0 when it looks back), and the kinds of
+    the quantifiers at or below it after negation polarity; then
+    all_vars(f), gamma_members(f) and whether a context operator occurs."""
+    nodes: dict[int, tuple[tuple[str, ...], float, int]] = {}
     names, gammas, contexts = set(), set(), False
     for n in postorder(f):
         kids = children(n)
-        free, past, kinds = nodes[id(kids[0])] if kids else ((n.var,), False, 0)
+        free, h, kinds = nodes[id(kids[0])] if kids else ((n.var,), 0, 0)
         if len(kids) == 2:
-            rfree, rpast, rkinds = nodes[id(kids[1])]
+            rfree, rh, rkinds = nodes[id(kids[1])]
             if not set(rfree) <= set(free):
                 free = tuple(sorted({*free, *rfree}))
-            past, kinds = past or rpast, kinds | rkinds
+            h, kinds = max(h, rh), kinds | rkinds
         if isinstance(n, Not):
             kinds = _FLIP[kinds]
         elif isinstance(n, Atom):
@@ -228,8 +229,8 @@ def _facts(f: Hyper) -> tuple[dict, frozenset[str], frozenset, bool]:
             contexts = True
         elif not isinstance(n, Or):
             gammas.update(n.gamma)
-            past = past or isinstance(n, (Yesterday, Since))
-        nodes[id(n)] = (free, past, kinds)
+            h = math.inf if isinstance(n, Since) else h + isinstance(n, Yesterday)
+        nodes[id(n)] = (free, h, kinds)
     return nodes, frozenset(names), frozenset(gammas), contexts
 
 
@@ -334,14 +335,11 @@ FAILS = Verdict("fails")
 @dataclass(frozen=True)
 class EvalConfig:
     until_cutoff: int = 200
-    cycle_margin: int = 3
     use_cycle_detection: bool = True
 
     def __post_init__(self) -> None:
         if self.until_cutoff < 1:
             raise ValueError("until_cutoff must be >= 1")
-        if self.cycle_margin < 1:
-            raise ValueError("cycle_margin must be >= 1")
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -501,23 +499,35 @@ def _walk(move, gamma: Gamma, eff: tuple[str, ...], steps, left, right, bound, c
     return walk
 
 
-def _config_key(names: tuple[str, ...], gammas: tuple, margin: int, canon: dict, steps):
-    """Until cycle keys: start(a) gives the (threshold, period) of the trace
-    of each stepped coordinate (names) of a walk from a; a configuration's key
-    is their canonical positions t + (pos - t) % period.  The threshold is the
-    trace's prefix plus every gamma profile's threshold plus margin periods;
-    the period is the lcm of the loop and the profile periods.  canon caches
-    the pair by id(trace) for the life of the program; the profiles come from
-    the memos of the step-table owner.
+# the cycle-key margin, in periods, of an Until with a Since below it
+_SINCE_MARGIN = 3
 
+
+def _config_key(names: tuple[str, ...], gammas: tuple, margin: int, canon: dict, steps):
+    """Until cycle keys: start(a) gives, per stepped coordinate (names) of a
+    walk from a, its trace's key threshold base + margin * period and its
+    period; a key is the canonical positions t + (pos - t) % period.  base
+    is the largest of the prefix and the gamma profile thresholds, period
+    the lcm of the loop and the profile periods; canon caches (base, period)
+    by id(trace) for the program's life, shared by Untils of any margin.
     Steps move positions, never traces, and leave unstepped coordinates
-    alone, so neither the traces nor those coordinates can tell two keys of
-    one walk apart.  For a past-free Until body, equal keys mean equal
-    futures: past the threshold, positions a period apart have equal
-    suffixes and, every gamma member being periodic there, equal
-    changepoints, which is all such a body reads, coordinate by coordinate.
-    A body that looks back also sees below the threshold and the offsets
-    between coordinates; for it the key is not known to be sound.
+    alone, so neither tells two keys of one walk apart.
+
+    Past base, letters and gamma values repeat with the period; changepoints,
+    which also read i - 1, repeat from base + 1 on, with one of every gamma
+    in every period (or at every position).  So a successor step from base
+    on, and a predecessor step from base + 1 + period on, lands within a
+    period and commutes with whole-period shifts.  A body of past horizon h
+    (see _facts) takes at most h predecessor steps per coordinate on any
+    path; with margin = h + 1 each starts at or past base + 1 + period, so
+    from equal keys the body reads positions whole periods apart (equal
+    letters, equal steps), over joint contexts too.  The spare period keeps
+    the last of them off base, whose changepoint status reads base - 1; a
+    past-free body needs none, and counting flips (an even number per period
+    and member) would let margin h do, but neither is relied on.  A Since
+    below may walk back any distance and see the offsets between
+    coordinates: its margin is _SINCE_MARGIN, and the key is not known to be
+    sound.
     """
     def start(a):
         out = []
@@ -529,8 +539,9 @@ def _config_key(names: tuple[str, ...], gammas: tuple, margin: int, canon: dict,
                 profs = [pl.valuation_profile(trace, th, memo) for th in gammas]
                 base = max([len(trace.prefix)] + [p.threshold for p in profs])
                 period = math.lcm(len(trace.loop), *[p.period for p in profs])
-                hit = canon[id(trace)] = (base + margin * period, period)
-            out.append(hit)
+                hit = canon[id(trace)] = (base, period)
+            base, period = hit
+            out.append((base + margin * period, period))
         return out
     return start
 
@@ -657,8 +668,9 @@ class _Compiler:
             left = self.compile(n.left, c, dom)
             key = None
             if future and self.cfg.use_cycle_detection:
-                key = _config_key(eff, self.gammas, self.cfg.cycle_margin, self.canon,
-                                  self.steps)
+                h = self.facts[id(n)][1]
+                margin = _SINCE_MARGIN if h == math.inf else h + 1
+                key = _config_key(eff, self.gammas, margin, self.canon, self.steps)
             bound = range(self.cfg.until_cutoff + 1) if future else itertools.repeat(None)
             return self._memo(n, c, dom, _walk(move, n.gamma, eff, self.steps, left, right,
                                                bound, key))

@@ -164,19 +164,6 @@ class StepTables:
         return pred[pt.pos] if pt.pos < len(pred) else tab.far(pred, pt.pos)
 
 
-def gamma_succ(pt: PointedTrace, gamma: Gamma) -> PointedTrace:
-    """Step to the least changepoint strictly after the current position."""
-    return StepTables().succ(pt, gamma)
-
-
-def gamma_pred(pt: PointedTrace, gamma: Gamma) -> PointedTrace | None:
-    """Step to the greatest changepoint strictly before the current position.
-
-    Undefined (None) at the origin.
-    """
-    return StepTables().pred(pt, gamma)
-
-
 Assignment = Mapping[str, PointedTrace]
 
 

@@ -240,6 +240,7 @@ def replay_run(ts: TransitionSystem, prefix_vs: Iterable[str], cycle_vs: Iterabl
 # Trace sets:  {"ap": [...], "traces": [{"name":..., "prefix": [[...]], "loop": [[...]]}]}
 # Systems:     {"ap": [...], "vertices": [{"id":..., "label": [...]}],
 #               "edges": [[src, dst], ...], "initial": [...]}
+# Vertex ids are all strings or all integers (not booleans), each id once.
 
 
 def trace_set_to_obj(ap: Iterable[str], traces: Iterable[LassoTrace]) -> dict:
@@ -282,7 +283,8 @@ def _is_letter(v) -> bool:
 
 
 def _is_vertex(v) -> bool:
-    return isinstance(v, (str, int))
+    # JSON true and 1 compare and hash equal, so booleans are no vertex ids
+    return isinstance(v, (str, int)) and not isinstance(v, bool)
 
 
 def _word(obj, path: str, key: str) -> tuple[Letter, ...]:
@@ -325,6 +327,9 @@ def ts_from_obj(obj: dict) -> TransitionSystem:
         vid = _get(v, path, "id")
         if not _is_vertex(vid):
             raise ValueError(f"field {path}.id must be a string or integer")
+        if vid in labels or (ids and type(vid) is not type(ids[0])):
+            # vertices are sorted, so strings and integers do not mix
+            raise ValueError(f"field {path}.id repeats an id or mixes strings and integers")
         ids.append(vid)
         labels[vid] = frozenset(_list(v, path, "label", _is_name, " of strings"))
     edges = _list(obj, "", "edges",

@@ -186,19 +186,21 @@ def gen_gamma(rng: random.Random, ap: Sequence[str], member_depth: int = 2):
 
 def gen_matrix(rng: random.Random, ap: Sequence[str], scope: Sequence[str],
                depth: int, stutter: bool = False, contexts: bool = False,
-               past: bool = False) -> hy.Hyper:
+               past: bool = False, since: bool = True) -> hy.Hyper:
+    """A random quantifier-free formula; with past, Yesterday and (unless
+    since is false) Since nodes."""
     ops = ["atom", "atom", "not", "or", "and", "next", "until", "ev", "alw"]
     if contexts:
         ops.append("ctx")
     if past:
-        ops += ["yesterday", "since"]
+        ops += ["yesterday", "since"] if since else ["yesterday"]
     kind = rng.choice(ops) if depth > 0 else "atom"
 
     def gamma():
         return gen_gamma(rng, ap) if stutter else frozenset()
 
     def sub(d=1):
-        return gen_matrix(rng, ap, scope, depth - d, stutter, contexts, past)
+        return gen_matrix(rng, ap, scope, depth - d, stutter, contexts, past, since)
 
     if kind == "atom":
         return hy.Atom(rng.choice(ap), rng.choice(list(scope)))

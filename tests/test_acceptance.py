@@ -12,7 +12,7 @@ from ghyltl.arith import (alpha_per_context, alpha_per_stutter, gadget_assignmen
 from ghyltl.pltl import pltl_eval
 from ghyltl.semantics import (EvalConfig, bounded_sat, check_traceset, evaluate,
                               parse_hyper)
-from ghyltl.stutter import gamma_pred, gamma_succ
+from ghyltl.stutter import StepTables
 from ghyltl.traces import PointedTrace, lasso
 from ghyltl.transform import prenexify
 from ghyltl.arith import PeriodicWitnessSpec
@@ -59,13 +59,13 @@ def test_criterion_02_remark_conformance():
             frozenset({gen_pltl(rng, ("c",), 1), gen_pltl(rng, ("d",), 2)}),
         ])
         for i in range(21):
-            if gamma_succ(PointedTrace(trace, i), gamma).pos != i + 1:
+            if StepTables().succ(PointedTrace(trace, i), gamma).pos != i + 1:
                 bad += 1
             if i > 0:
-                prev = gamma_pred(PointedTrace(trace, i), gamma)
+                prev = StepTables().pred(PointedTrace(trace, i), gamma)
                 if prev is None or prev.pos != i - 1:
                     bad += 1
-        if gamma_pred(PointedTrace(trace, 0), gamma) is not None:
+        if StepTables().pred(PointedTrace(trace, 0), gamma) is not None:
             bad += 1
     report(2, "remark-plus-minus-one", bad == 0, f"(200 traces, {bad} deviations)")
 

@@ -150,6 +150,48 @@ def test_usage_error_exit_three(capsys, args):
     assert len(lines) == 1 and lines[0].startswith("error: ghyltl eval: ")
 
 
+def _cli_runs(workdir):
+    # one cheap run of each command that evaluates sentences
+    (workdir / "f.ghyltl").write_text("ap: p\nexists x. p_x\n", encoding="utf-8")
+    (workdir / "s.json").write_text(json.dumps(GOOD_SYSTEM), encoding="utf-8")
+    return {
+        "eval": ["eval", workdir / "traces.json", workdir / "f.ghyltl"],
+        "check": ["check", workdir / "s.json", workdir / "f.ghyltl"],
+        "gadget": ["gadget", "--encoding", "context", "--op", "add",
+                   "--n1", "1", "--n2", "1", "--n3", "2"],
+        "sat": ["sat", workdir / "f.ghyltl", "--max-traces", "1", "--max-prefix", "0",
+                "--max-loop", "1"],
+    }
+
+
+@pytest.mark.parametrize("command", ["eval", "check", "gadget", "sat"])
+def test_cycle_margin_is_no_option_and_no_bound(workdir, capsys, command):
+    args = _cli_runs(workdir)[command]
+    code, out = run(args + ["--json"], capsys)
+    assert code in (0, 1, 2)
+    assert json.loads(out)["bounds"]["until_cutoff"] == 200
+    assert "cycle_margin" not in json.loads(out)["bounds"]
+    code = main([str(a) for a in args] + ["--cycle-margin", "3"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "--cycle-margin" in captured.err
+
+
+def test_unexpected_exception_exit_three(workdir, capsys, monkeypatch):
+    import ghyltl.cli
+
+    def broken(*args, **kwargs):
+        raise TypeError("unorderable vertex ids")
+
+    monkeypatch.setattr(ghyltl.cli.semantics, "check_traceset", broken)
+    code = main([str(a) for a in _cli_runs(workdir)["eval"]])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: unorderable vertex ids"]
+    assert "Traceback" not in captured.err
+
+
 def test_help_exit_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--help"])
@@ -364,6 +406,13 @@ MALFORMED_JSON = [
     ("check", {**GOOD_SYSTEM, "vertices": [{"id": "a", "label": 3}]}, "vertices[0].label"),
     ("check", {**GOOD_SYSTEM, "edges": [["a"]]}, "edges"),
     ("check", {**GOOD_SYSTEM, "initial": [["a"]]}, "initial"),
+    # JSON true and 1 would name one vertex; strings and integers do not sort
+    ("check", {**GOOD_SYSTEM, "vertices": [{"id": "a", "label": []}, {"id": "a", "label": []}]},
+     "vertices[1].id"),
+    ("check", {"ap": ["p"], "vertices": [{"id": True, "label": ["p"]}, {"id": 1, "label": []}],
+               "edges": [[True, True], [1, 1]], "initial": [True]}, "vertices[0].id"),
+    ("check", {**GOOD_SYSTEM, "vertices": [{"id": "a", "label": []}, {"id": 1, "label": []}],
+               "edges": [["a", "a"], [1, 1]]}, "vertices[1].id"),
 ]
 
 

@@ -601,8 +601,9 @@ def _key_per_iteration(names, gammas, margin, canon, steps):
                 profs = [pl.valuation_profile(trace, th, memo) for th in gammas]
                 base = max([len(trace.prefix)] + [p.threshold for p in profs])
                 period = math.lcm(len(trace.loop), *[p.period for p in profs])
-                hit = canon[id(trace)] = (base + margin * period, period)
-            t, l = hit
+                hit = canon[id(trace)] = (base, period)
+            base, l = hit
+            t = base + margin * l
             out.append((id(trace), pos if pos < t else t + (pos - t) % l))
         return tuple(out)
     return key
@@ -644,7 +645,7 @@ JUMPING_GAMMAS = [frozenset(), frozenset({pl.Atom("p")}), frozenset({pl.eventual
                   frozenset({pl.Atom("p"), pl.Next(pl.Next(pl.Atom("q")))})]
 
 
-def _desynchronized_walk(rng, k, past):
+def _desynchronized_walk(rng, k, past, since=True):
     def letter():
         return {a for a in AP if rng.random() < 0.3}
     traces = [lasso(AP, [letter() for _ in range(rng.randint(0, 5))],
@@ -653,9 +654,10 @@ def _desynchronized_walk(rng, k, past):
     a = {x: PointedTrace(t, rng.randint(0, 9)) for x, t in zip(scope, traces)}
     gamma = rng.choice(JUMPING_GAMMAS)
     right = gen_matrix(rng, AP, scope, rng.randint(0, 2), stutter=True, contexts=True,
-                       past=past)
+                       past=past, since=since)
     left = hy.tautology_over(right) if rng.random() < 0.5 else \
-        gen_matrix(rng, AP, scope, rng.randint(0, 2), stutter=True, contexts=True, past=past)
+        gen_matrix(rng, AP, scope, rng.randint(0, 2), stutter=True, contexts=True, past=past,
+                   since=since)
     return traces, a, hy.Not(hy.Until(gamma, left, right)) if rng.random() < 0.3 \
         else hy.Until(gamma, left, right)
 
@@ -681,7 +683,7 @@ def test_cycle_key_shortcut_vs_per_iteration_key(monkeypatch, k):
     rng = random.Random(9100 + k)
     for i in range(40):
         traces, a, f = _desynchronized_walk(rng, k, past=i % 2 == 1)
-        config = cfg(cycle_margin=rng.randint(1, 3), until_cutoff=rng.choice([6, 40, 200]))
+        config = cfg(until_cutoff=rng.choice([6, 40, 200]))
         got = _verdict_and_steps(monkeypatch, traces, a, f, config)
         with monkeypatch.context() as m:
             m.setattr(hy, "_walk", _walk_per_iteration)
@@ -691,16 +693,92 @@ def test_cycle_key_shortcut_vs_per_iteration_key(monkeypatch, k):
 
 @pytest.mark.parametrize("k", range(1, 8))
 def test_cycle_key_shortcut_vs_unroller(k):
+    # past-free bodies, and bodies that look back through Yesterday only
     rng = random.Random(9200 + k)
     decided = 0
-    for _ in range(40):
-        traces, a, f = _desynchronized_walk(rng, k, past=False)
+    for i in range(40):
+        traces, a, f = _desynchronized_walk(rng, k, past=i % 2 == 1, since=False)
         unrolled = evaluate(traces, a, set(a), f, cfg(use_cycle_detection=False))
         if not unrolled.is_unknown:
             decided += 1
-            assert evaluate(traces, a, set(a), f, cfg(cycle_margin=rng.randint(1, 3))) \
-                == unrolled
+            assert evaluate(traces, a, set(a), f) == unrolled
     assert decided >= 10
+
+
+# -- Until cycle keys over bodies that look back -----------------------------
+#
+# A body with a chain of k Yesterday steps reads positions up to k changepoints
+# back, so its walk builds keys only from k + 1 periods past the point where
+# the trace and every gamma turn periodic.
+
+Q_THEN_EMPTY = [lasso(("q",), [{"q"}], [set()])]
+
+
+@pytest.mark.parametrize("text,status", [
+    ("exists x. F[] Y[] Y[] Y[] Y[] Y[] q_x", "holds"),
+    ("forall x. G[] !(Y[] Y[] Y[] Y[] Y[] q_x)", "fails"),
+])
+def test_yesterday_chain_longer_than_three_periods(text, status):
+    f = parse_hyper(text, ("q",))
+    assert check_traceset(Q_THEN_EMPTY, f).status == status
+    assert check_traceset(Q_THEN_EMPTY, f, cfg(use_cycle_detection=False)).status == status
+
+
+@pytest.mark.xfail(strict=True, reason="an Until with a Since below still closes cycles on keys "
+                                       "not known to be sound (ROADMAP item 1(a))")
+def test_since_below_an_until_over_desynchronized_coordinates():
+    universe = [lasso(("q",), [], [set()]), Q_THEN_EMPTY[0]]
+    f = parse_hyper("exists x. exists y. C{y} X[] X[] X[] X[] X[] (C{x} F[] (C{x,y} O[] q_y))",
+                    ("q",))
+    assert check_traceset(universe, f, cfg(use_cycle_detection=False)).is_holds
+    assert check_traceset(universe, f).is_holds
+
+
+def _y_chain_sentence(rng, scope):
+    # F, G or U over chains of up to 8 Yesterday steps on jumping gammas,
+    # joint contexts on the chain and C{v} X[]^m prefixes that set the
+    # coordinates apart
+    def ctx(f):
+        return hy.Context(frozenset(rng.sample(scope, rng.randint(1, len(scope)))), f)
+
+    def chain():
+        f = hy.Atom(rng.choice(AP), rng.choice(scope))
+        for _ in range(rng.randint(0, 8)):
+            f = hy.Yesterday(rng.choice(JUMPING_GAMMAS), f)
+            if rng.random() < 0.25:
+                f = ctx(f)
+        return f
+
+    kind, gamma = rng.choice("FGU"), rng.choice(JUMPING_GAMMAS)
+    f = hy.ev(gamma, chain()) if kind == "F" else hy.alw(gamma, chain()) if kind == "G" \
+        else hy.Until(gamma, hy.Not(chain()), chain())
+    if rng.random() < 0.5:
+        f = ctx(f)
+    for v in scope:
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(1, 5)):
+                f = hy.Next(frozenset(), f)
+            f = hy.Context(frozenset({v}), f)
+    for v in reversed(scope):
+        f = (hy.Exists if rng.random() < 0.5 else hy.Forall)(v, f)
+    return f
+
+
+def test_yesterday_chain_corpus_vs_unroller():
+    rng = random.Random(11)
+    unroller = cfg(until_cutoff=60, use_cycle_detection=False)
+    decided = 0
+    for _ in range(600):
+        scope = [f"v{j}" for j in range(rng.randint(1, 3))]
+        universe = [gen_trace(rng, AP, 3, 3) for _ in range(rng.randint(1, 3))]
+        f = _y_chain_sentence(rng, scope)
+        got = check_traceset(universe, f)
+        assert not got.is_unknown
+        unrolled = check_traceset(universe, f, unroller)
+        if not unrolled.is_unknown:
+            decided += 1
+            assert got == unrolled, (render_hyper(f), universe)
+    assert decided >= 400
 
 
 def test_fold_matches_the_separate_walks():

@@ -4,7 +4,7 @@ import pytest
 
 from ghyltl import pltl as pl
 from ghyltl.stutter import (StepTables, assign_pred, assign_succ, changepoint_profile,
-                            gamma_pred, gamma_succ, is_proper_changepoint)
+                            is_proper_changepoint)
 from ghyltl.traces import PointedTrace, lasso, pointwise_union, spike_trace
 
 from helpers import brute_pltl_horizon, brute_pltl_table, gen_pltl, gen_trace
@@ -56,15 +56,15 @@ def test_profile_alternating_is_periodic():
 
 
 def test_gamma_succ_examples():
-    assert gamma_succ(PointedTrace(SPIKE, 0), frozenset()).pos == 1
-    assert gamma_succ(PointedTrace(SPIKE, 0), MARK).pos == 3
-    assert gamma_succ(PointedTrace(SPIKE, 4), MARK).pos == 5
+    assert StepTables().succ(PointedTrace(SPIKE, 0), frozenset()).pos == 1
+    assert StepTables().succ(PointedTrace(SPIKE, 0), MARK).pos == 3
+    assert StepTables().succ(PointedTrace(SPIKE, 4), MARK).pos == 5
 
 
 def test_gamma_pred_examples():
-    assert gamma_pred(PointedTrace(SPIKE, 0), MARK) is None
-    assert gamma_pred(PointedTrace(SPIKE, 5), frozenset()).pos == 4
-    assert gamma_pred(PointedTrace(SPIKE, 4), MARK).pos == 3
+    assert StepTables().pred(PointedTrace(SPIKE, 0), MARK) is None
+    assert StepTables().pred(PointedTrace(SPIKE, 5), frozenset()).pos == 4
+    assert StepTables().pred(PointedTrace(SPIKE, 4), MARK).pos == 3
 
 
 def test_disjoint_gamma_steps_by_one():
@@ -73,9 +73,9 @@ def test_disjoint_gamma_steps_by_one():
         t = gen_trace(rng, ("a", "b"), 4, 3)
         g = rng.choice([frozenset(), frozenset({gen_pltl(rng, ("c", "d"), 2)})])
         for i in range(20):
-            assert gamma_succ(PointedTrace(t, i), g).pos == i + 1
+            assert StepTables().succ(PointedTrace(t, i), g).pos == i + 1
             if i > 0:
-                assert gamma_pred(PointedTrace(t, i), g).pos == i - 1
+                assert StepTables().pred(PointedTrace(t, i), g).pos == i - 1
 
 
 def test_monotone_and_roundtrip():
@@ -85,13 +85,13 @@ def test_monotone_and_roundtrip():
         g = frozenset({gen_pltl(rng, ("a", "b"), 2)})
         prof = changepoint_profile(t, g)
         for i in range(15):
-            nxt = gamma_succ(PointedTrace(t, i), g)
+            nxt = StepTables().succ(PointedTrace(t, i), g)
             assert nxt.pos > i
-            prev = gamma_pred(PointedTrace(t, i), g)
+            prev = StepTables().pred(PointedTrace(t, i), g)
             if i > 0:
                 assert prev is not None and prev.pos < i
             if prof.is_changepoint(i):
-                assert gamma_pred(nxt, g).pos == i
+                assert StepTables().pred(nxt, g).pos == i
 
 
 def test_assign_succ_single_coordinate():
@@ -199,6 +199,6 @@ def test_step_tables_match_a_brute_changepoint_scan():
                 prev = steps.pred(PointedTrace(t, i), g)
                 assert nxt.trace is t and nxt.pos == succ[i], (t, g, i)
                 assert (None if prev is None else prev.pos) == pred[i], (t, g, i)
-        assert gamma_succ(PointedTrace(t, last), g).pos == succ[last]
-        assert gamma_pred(PointedTrace(t, 0), g) is None
+        assert StepTables().succ(PointedTrace(t, last), g).pos == succ[last]
+        assert StepTables().pred(PointedTrace(t, 0), g) is None
     assert kinds == {True, False}  # periodic changepoints and a tail_start
