@@ -1,11 +1,12 @@
 """LTL with past (PLTL) over lasso traces.
 
-Core connectives are atom, not, or, next, until, yesterday, since; everything
-else (and, implies, iff, F, G, O, H, true, false) is expanded at construction
-time.  Evaluation goes through valuation profiles: a finite threshold/period
-description of the truth values of a formula along an ultimately periodic
-trace, computed compositionally (future operators by fixpoint on the lasso,
-past operators by a forward pass until its carried state repeats).
+Core connectives are true, atom, not, or, next, until, yesterday, since;
+everything else (and, implies, iff, F, G, O, H, false) is expanded at
+construction time.  Evaluation goes through valuation profiles: a finite
+threshold/period description of the truth values of a formula along an
+ultimately periodic trace, computed compositionally (future operators by
+fixpoint on the lasso, past operators by a forward pass until its carried
+state repeats).
 """
 
 from __future__ import annotations
@@ -21,6 +22,14 @@ class Pltl:
     """Base class for PLTL AST nodes."""
 
     __slots__ = ()
+
+
+@dataclass(frozen=True)
+class Top(Pltl):
+    """The constant true, a leaf of the PLTL and the hyper family alike."""
+
+
+TRUE = Top()
 
 
 @dataclass(frozen=True)
@@ -61,11 +70,6 @@ class Since(Pltl):
     right: Pltl
 
 
-def tautology_over(f: Pltl) -> Pltl:
-    """A tautology built from f itself, so no proposition universe is needed."""
-    return Or(f, Not(f))
-
-
 def p_and(a: Pltl, b: Pltl) -> Pltl:
     return Not(Or(Not(a), Not(b)))
 
@@ -79,7 +83,7 @@ def p_iff(a: Pltl, b: Pltl) -> Pltl:
 
 
 def eventually(f: Pltl) -> Pltl:
-    return Until(tautology_over(f), f)
+    return Until(TRUE, f)
 
 
 def always(f: Pltl) -> Pltl:
@@ -87,25 +91,17 @@ def always(f: Pltl) -> Pltl:
 
 
 def once(f: Pltl) -> Pltl:
-    return Since(tautology_over(f), f)
+    return Since(TRUE, f)
 
 
 def historically(f: Pltl) -> Pltl:
     return Not(once(Not(f)))
 
 
-def true_over(prop: str) -> Pltl:
-    return tautology_over(Atom(prop))
-
-
-def false_over(prop: str) -> Pltl:
-    return Not(true_over(prop))
-
-
 def is_past_free(f: Pltl) -> bool:
     if isinstance(f, (Yesterday, Since)):
         return False
-    if isinstance(f, Atom):
+    if isinstance(f, (Top, Atom)):
         return True
     if isinstance(f, (Not, Next)):
         return is_past_free(f.sub)
@@ -113,7 +109,7 @@ def is_past_free(f: Pltl) -> bool:
 
 
 def depth(f: Pltl) -> int:
-    if isinstance(f, Atom):
+    if isinstance(f, (Top, Atom)):
         return 0
     if isinstance(f, (Not, Next, Yesterday)):
         return 1 + depth(f.sub)
@@ -162,6 +158,8 @@ def _make(trace: LassoTrace, f: Pltl, threshold: int, period: int, value) -> Val
 
 
 def _compute_profile(trace: LassoTrace, f: Pltl, memo: dict) -> ValuationProfile:
+    if isinstance(f, Top):
+        return ValuationProfile(f, trace, 0, 1, (True,))
     if isinstance(f, Atom):
         t, l = len(trace.prefix), len(trace.loop)
         return _make(trace, f, t, l, lambda i: f.name in trace.letter(i))
@@ -246,8 +244,8 @@ def pltl_eval(trace: LassoTrace, i: int, f: Pltl) -> bool:
 
 # -- concrete syntax ----------------------------------------------------------
 #
-# atoms are identifiers; operators ! | & -> <->, temporal X U Y S,
-# sugar F G O H true false; parentheses.  Precedence: unary > U/S > & > | > -> > <->.
+# atoms are identifiers; constants true false; operators ! | & -> <->, temporal
+# X U Y S, sugar F G O H; parentheses.  Precedence: unary > U/S > & > | > -> > <->.
 
 
 class ParseError(ValueError):
@@ -303,12 +301,13 @@ class _Parser:
     node classes: ``a & b`` is ``!(!a | !b)``, ``a -> b`` is ``!a | b`` and
     ``a <-> b`` is ``(a -> b) & (b -> a)``.  Below ``&`` come the
     right-associative ``U``/``S`` level and the prefix operators ``! X Y F G
-    O H``, then parentheses and ``leaf``.  A family supplies ``ops``, mapping
-    each temporal operator name to its node class or sugar constructor (index
-    arguments first), ``index`` (the index arguments read after an operator
-    name) and ``leaf``; it may extend ``formula`` (the entry level, also used
-    inside parentheses) and ``unary``, or replace ``primary``.  An empty
-    ``ops`` reads no temporal operator.
+    O H``, then parentheses, ``true`` (``TRUE``), ``false`` (``!true``) and
+    ``leaf``.  A family supplies ``ops``, mapping each temporal operator name
+    to its node class or sugar constructor (index arguments first), ``index``
+    (the index arguments read after an operator name) and ``leaf``; it may
+    extend ``formula`` (the entry level, also used inside parentheses) and
+    ``unary``, or replace ``primary``.  An empty ``ops`` reads no temporal
+    operator.
     """
 
     Not: type
@@ -407,11 +406,15 @@ class _Parser:
         return ()
 
     def primary(self):
-        if self.peek() == ("sym", "("):
+        nxt = self.peek()
+        if nxt == ("sym", "("):
             self.take()
             f = self.formula()
             self.take(")")
             return f
+        if nxt in (("id", "true"), ("id", "false")):
+            self.take()
+            return TRUE if nxt[1] == "true" else self.Not(TRUE)
         return self.leaf()
 
 
@@ -424,12 +427,6 @@ class _PltlParser(_Parser):
         nxt = self.peek()
         if nxt is not None and nxt[0] == "id":
             name = nxt[1]
-            if name in ("true", "false"):
-                self.take()
-                if not self.ap:
-                    self.error(f"{name!r} needs a nonempty proposition universe")
-                p = sorted(self.ap)[0]
-                return true_over(p) if name == "true" else false_over(p)
             if name in self.ap:
                 self.take()
                 return Atom(name)
@@ -495,19 +492,15 @@ def _resugar(f, fam: _Family):
     """(tag, indexed node, payload) for recognized sugar shapes and for a
     plain Or (tag "|"), else None."""
     Not, Or = fam.Not, fam.Or
-
-    def guards(u, g):  # u's left side is the tautology over g
-        return same_formula(u.left, Or(g, Not(g)))
-    if isinstance(f, fam.Until) and guards(f, f.right):
+    if isinstance(f, fam.Until) and isinstance(f.left, Top):
         return ("F", f, f.right)
-    if isinstance(f, fam.Since) and guards(f, f.right):
+    if isinstance(f, fam.Since) and isinstance(f.left, Top):
         return ("O", f, f.right)
     if isinstance(f, Not):
         s = f.sub
-        if isinstance(s, fam.Until) and isinstance(s.right, Not) and guards(s, s.right):
-            return ("G", s, s.right.sub)
-        if isinstance(s, fam.Since) and isinstance(s.right, Not) and guards(s, s.right):
-            return ("H", s, s.right.sub)
+        if isinstance(s, (fam.Until, fam.Since)) and isinstance(s.left, Top) \
+                and isinstance(s.right, Not):
+            return ("G" if isinstance(s, fam.Until) else "H", s, s.right.sub)
         if isinstance(s, Or) and isinstance(s.left, Not) and isinstance(s.right, Not):
             a, b = s.left.sub, s.right.sub
             ia, ib = _match_implies(a, fam), _match_implies(b, fam)
@@ -550,6 +543,8 @@ def _render(f, prec: int, fam: _Family) -> str:
         s = (f"{_render(f.left, _PREC_UNARY, fam)} {op}{fam.index(f)} "
              f"{_render(f.right, _PREC_UNTIL, fam)}")
         return f"({s})" if prec > _PREC_UNTIL else s
+    if isinstance(f, Top):
+        return "true"
     return fam.leaf(f, prec)
 
 

@@ -21,8 +21,8 @@ from typing import Iterable, Mapping, Sequence
 
 from . import stutter
 from . import pltl as pl
-from .pltl import _PREC_QUANT, _PREC_UNARY, ParseError, _PltlParser, render_pltl, \
-    same_formula, tokenize
+from .pltl import _PREC_QUANT, _PREC_UNARY, TRUE, ParseError, Top, _PltlParser, \
+    render_pltl, tokenize
 from .traces import LassoTrace, PointedTrace, TransitionSystem, enumerate_lassos, \
     enumerate_ts_traces, normalize
 
@@ -103,16 +103,6 @@ class Forall(Hyper):
     sub: Hyper
 
 
-def tautology_over(f: Hyper) -> Hyper:
-    return Or(f, Not(f))
-
-
-def is_tautology(f: Hyper) -> bool:
-    """f has the shape of tautology_over(g) for some g."""
-    return isinstance(f, Or) and isinstance(f.right, Not) \
-        and (f.right.sub is f.left or same_formula(f.right.sub, f.left))
-
-
 def h_and(a: Hyper, b: Hyper) -> Hyper:
     return Not(Or(Not(a), Not(b)))
 
@@ -144,8 +134,8 @@ def h_iff(a: Hyper, b: Hyper) -> Hyper:
 
 
 def ev(gamma: Gamma, f: Hyper) -> Hyper:
-    """F_gamma, expanded as a tautology-guarded until."""
-    return Until(gamma, tautology_over(f), f)
+    """F_gamma, expanded as true U_gamma f."""
+    return Until(gamma, TRUE, f)
 
 
 def alw(gamma: Gamma, f: Hyper) -> Hyper:
@@ -153,7 +143,7 @@ def alw(gamma: Gamma, f: Hyper) -> Hyper:
 
 
 def once(gamma: Gamma, f: Hyper) -> Hyper:
-    return Since(gamma, tautology_over(f), f)
+    return Since(gamma, TRUE, f)
 
 
 def hist(gamma: Gamma, f: Hyper) -> Hyper:
@@ -164,7 +154,7 @@ def hist(gamma: Gamma, f: Hyper) -> Hyper:
 
 
 def children(f: Hyper) -> tuple[Hyper, ...]:
-    if isinstance(f, Atom):
+    if isinstance(f, (Atom, Top)):
         return ()
     if isinstance(f, (Not, Context, Next, Yesterday, Exists, Forall)):
         return (f.sub,)
@@ -210,7 +200,7 @@ def _facts(f: Hyper) -> tuple[dict, frozenset[str], frozenset, bool]:
     names, gammas, contexts = set(), set(), False
     for n in postorder(f):
         kids = children(n)
-        free, h, kinds = nodes[id(kids[0])] if kids else ((n.var,), 0, 0)
+        free, h, kinds = nodes[id(kids[0])] if kids else ((), 0, 0)
         if len(kids) == 2:
             rfree, rh, rkinds = nodes[id(kids[1])]
             if not set(rfree) <= set(free):
@@ -220,6 +210,7 @@ def _facts(f: Hyper) -> tuple[dict, frozenset[str], frozenset, bool]:
             kinds = _FLIP[kinds]
         elif isinstance(n, Atom):
             names.add(n.var)
+            free = (n.var,)
         elif isinstance(n, (Exists, Forall)):
             names.add(n.var)
             free = tuple(x for x in free if x != n.var)
@@ -227,7 +218,7 @@ def _facts(f: Hyper) -> tuple[dict, frozenset[str], frozenset, bool]:
         elif isinstance(n, Context):
             names.update(n.vars)
             contexts = True
-        elif not isinstance(n, Or):
+        elif not isinstance(n, (Or, Top)):
             gammas.update(n.gamma)
             h = math.inf if isinstance(n, Since) else h + isinstance(n, Yesterday)
         nodes[id(n)] = (free, h, kinds)
@@ -454,7 +445,7 @@ def _walk(move, gamma: Gamma, eff: tuple[str, ...], steps, left, right, bound, c
     is None when no cycle is closed) or bound runs out (unknown).
 
     Invariant: result is 0 or 2 and prefix_ok is 1 or 2 inside the loop; a
-    left side compiled to the constant guard is never called.
+    left side true (compiled to _holds) is never called.
 
     Cycle keys (see _config_key) wait until every stepped coordinate is at
     or past its threshold.  A successor step moves every stepped coordinate
@@ -562,7 +553,7 @@ def _operands(n: Hyper) -> list[Hyper]:
             m = m.sub.sub
         if conj and _is_and(m):
             stack += (m.sub.right.sub, m.sub.left.sub)
-        elif not conj and isinstance(m, Or) and not is_tautology(m):
+        elif not conj and isinstance(m, Or):
             stack += (m.right, m.left)
         else:
             out.append(m)
@@ -636,6 +627,8 @@ class _Compiler:
     def _build(self, n: Hyper, c: frozenset[str], dom: frozenset[str]):
         if isinstance(n, Atom):
             return _atom(n.prop, n.var)
+        if isinstance(n, Top):
+            return _holds
         if isinstance(n, Not):
             if _is_and(n):
                 return _all(tuple(self.compile(x, c, dom) for x in _operands(n)))
@@ -643,9 +636,6 @@ class _Compiler:
                 return self.compile(n.sub.sub, c, dom)
             return _not(self.compile(n.sub, c, dom))
         if isinstance(n, Or):
-            if is_tautology(n):
-                # tautology_over: the guard of every F/G and O/H
-                return _holds
             return _any(tuple(self.compile(x, c, dom) for x in _operands(n)))
         if isinstance(n, Context):
             return self.compile(n.sub, n.vars, dom)
@@ -859,7 +849,7 @@ def bounded_sat(f: Hyper, max_traces: int, max_prefix: int, max_loop: int,
 #
 # forall x. / exists x. binders; C{x,y} phi contexts; X[g] phi, phi U[g] psi,
 # Y[g] phi, phi S[g] psi with comma-separated PLTL formulas inside brackets;
-# atoms p_x; booleans ! | & -> <->; sugar F[g] G[g] O[g] H[g]; parentheses.
+# atoms p_x, true, false; booleans ! | & -> <->; sugar F[g] G[g] O[g] H[g]; parentheses.
 
 
 class _HyperParser(pl._Parser):
@@ -923,6 +913,8 @@ class _HyperParser(pl._Parser):
                     best = p
             if best is None:
                 self.error(f"expected an atom of the form prop_var over ap {sorted(self.ap)}")
+            if tok == best + "_":
+                self.error("expected a trace variable after the underscore")
             self.take()
             return Atom(best, tok[len(best) + 1:])
         self.error("expected a formula")

@@ -167,12 +167,11 @@ class StepTables:
 Assignment = Mapping[str, PointedTrace]
 
 
-def _coordinates(a: Assignment, c) -> None:
+def _coordinates(c) -> None:
+    """c must be nonempty; a coordinate missing from the assignment raises
+    KeyError at its lookup (compiled closures fix theirs at compile time)."""
     if not c:
         raise ValueError("coordinate set must be nonempty")
-    missing = {x for x in c if x not in a}
-    if missing:
-        raise KeyError(f"coordinates not in assignment domain: {sorted(missing)}")
 
 
 def assign_succ(a: Assignment, gamma: Gamma, c: Iterable[str],
@@ -181,7 +180,7 @@ def assign_succ(a: Assignment, gamma: Gamma, c: Iterable[str],
 
     steps owns the step tables; without it a throwaway owner is built.
     """
-    _coordinates(a, c)
+    _coordinates(c)
     steps = steps or StepTables()
     out = dict(a)
     for x in c:
@@ -197,7 +196,7 @@ def assign_pred(a: Assignment, gamma: Gamma, c: Iterable[str],
     not matter); returns None otherwise, after the first coordinate, in the
     order of c, that has none.
     """
-    _coordinates(a, c)
+    _coordinates(c)
     steps = steps or StepTables()
     out = dict(a)
     for x in c:

@@ -26,11 +26,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .pltl import TRUE, Top
 from .semantics import (
     EMPTY_GAMMA, Atom, Context, Exists, Forall, Gamma, Hyper, Next, Not, Or,
     Since, Until, Yesterday, all_vars, alw, children, ev, free_vars,
-    h_all, h_and, h_implies, has_quantifier, is_prenex, is_tautology, once,
-    tautology_over,
+    h_all, h_and, h_implies, has_quantifier, is_prenex, once,
 )
 from .traces import LassoTrace, spike_trace
 
@@ -52,9 +52,8 @@ def pos_traces(bound: int) -> PosTraceFamily:
     return PosTraceFamily(bound, traces)
 
 
-def origin_marker(x: str, prop: str = MARK) -> Hyper:
-    """!Y[] true_x: holds exactly when x points at position 0."""
-    return Not(Yesterday(EMPTY_GAMMA, tautology_over(Atom(prop, x))))
+# !Y[] true: under the context {x}, holds exactly when x points at position 0
+AT_ORIGIN: Hyper = Not(Yesterday(EMPTY_GAMMA, TRUE))
 
 
 def mark_atom(x: str) -> Hyper:
@@ -121,6 +120,8 @@ def alpha_unique(f: Hyper) -> Hyper:
         return fresh
 
     def walk(n: Hyper, ren: dict[str, str]) -> Hyper:
+        if isinstance(n, Top):
+            return n
         if isinstance(n, Atom):
             return Atom(n.prop, ren.get(n.var, n.var))
         if isinstance(n, Context):
@@ -137,12 +138,6 @@ def alpha_unique(f: Hyper) -> Hyper:
         if isinstance(n, (Next, Yesterday)):
             return type(n)(n.gamma, walk(n.sub, ren))
         if isinstance(n, (Until, Since)):
-            # the F/G/O/H sugar guards the operand with a tautology built from
-            # the operand itself; renaming the copies apart would defeat the
-            # tautology detection downstream, so rebuild the shared shape
-            if is_tautology(n.left) and (n.left.left is n.right or n.left.left == n.right):
-                w = walk(n.right, ren)
-                return type(n)(n.gamma, tautology_over(w), w)
             return type(n)(n.gamma, walk(n.left, ren), walk(n.right, ren))
         raise TypeError(f"not a hyper formula node: {n!r}")
 
@@ -168,7 +163,7 @@ def hoist_prenex(f: Hyper) -> Hyper:
     f = alpha_unique(f)
 
     def walk(n: Hyper) -> tuple[_Prefix, Hyper]:
-        if isinstance(n, Atom):
+        if isinstance(n, (Atom, Top)):
             return [], n
         if isinstance(n, Not):
             p, m = walk(n.sub)
@@ -207,7 +202,7 @@ class _Prenexifier:
 
     def walk(self, n: Hyper, context: frozenset[str], scope: frozenset[str]) \
             -> tuple[_Prefix, Hyper]:
-        if isinstance(n, Atom):
+        if isinstance(n, (Atom, Top)):
             return [], n
         if isinstance(n, Not):
             p, m = self.walk(n.sub, context, scope)
@@ -253,7 +248,7 @@ class _Prenexifier:
     def _past_body(self, gamma: Gamma, x: str, inner: Hyper,
                    context: frozenset[str], scope: frozenset[str]) -> Hyper:
         walkctx = (context & scope) | {x}
-        stop = Context(frozenset({x}), origin_marker(x))
+        stop = Context(frozenset({x}), AT_ORIGIN)
         back = Context(walkctx, once(gamma, h_and(stop, inner)))
         return Context(frozenset({x}), ev(EMPTY_GAMMA, h_and(mark_atom(x), back)))
 
@@ -275,24 +270,16 @@ class _Prenexifier:
             body = make_body(n.gamma, xi, self._wrap(context, scope, m), context, scope)
             return [("exists", xi)] + p, h_and(self.shape(xi, at_one=True), body)
 
-        # Until / Since: a tautological left operand (the F/O sugar) needs no
-        # walk of its own and is rebuilt from the right matrix
-        taut_left = is_tautology(n.left)
-        if taut_left:
-            lp: _Prefix = []
-            lm: Hyper | None = None
-        else:
-            lp, lm = self.walk(n.left, context, scope)
+        lp, lm = self.walk(n.left, context, scope)
         rp, rm = self.walk(n.right, context, scope)
         if not lp and not rp:
-            left = tautology_over(rm) if taut_left else lm
-            return [], type(n)(n.gamma, left, rm)
+            return [], type(n)(n.gamma, lm, rm)
         xi = next(self.fresh)
         conjuncts = [self.shape(xi),
                      make_body(n.gamma, xi, self._wrap(context, scope, rm),
                                context, scope)]
         prefix: _Prefix = [("exists", xi)] + rp
-        if not taut_left:
+        if not isinstance(lm, Top):  # a left operand true (the F/O sugar) needs no walk
             xj = next(self.fresh)
             guard_j = h_and(self.shape(xj), _mark_before(xj, xi))
             body_l = make_body(n.gamma, xj, self._wrap(context, scope, lm),

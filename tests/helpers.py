@@ -1,20 +1,22 @@
 """Shared test helpers: independent oracles and random generators.
 
 The oracles here deliberately avoid the library's evaluation machinery: the
-PLTL oracle works on an explicit unrolling with loop-aware wrap-around, and
-the HyperLTL reference evaluator unrolls the synchronous product of the
-assigned traces.
+PLTL oracle works on an explicit unrolling with loop-aware wrap-around, the
+HyperLTL reference evaluator unrolls the synchronous product of the assigned
+traces, and the three-valued GHyLTL_S+C reference (ref_ghyltl) steps along
+changepoints read off the PLTL oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import Sequence
 
 from ghyltl import pltl as pl
 from ghyltl import semantics as hy
-from ghyltl.traces import LassoTrace, lasso
+from ghyltl.traces import LassoTrace, PointedTrace, lasso
 
 
 # -- brute-force PLTL on an unrolled lasso ------------------------------------
@@ -31,6 +33,8 @@ def brute_pltl_table(trace: LassoTrace, f: pl.Pltl) -> list[bool]:
         return i + 1 if i + 1 < n else n - lam
 
     def table(g: pl.Pltl) -> list[bool]:
+        if isinstance(g, pl.Top):
+            return [True] * n
         if isinstance(g, pl.Atom):
             return [g.name in trace.letter(i) for i in range(n)]
         if isinstance(g, pl.Not):
@@ -72,6 +76,28 @@ def brute_pltl_horizon(trace: LassoTrace, f: pl.Pltl) -> int:
     return len(trace.prefix) + (pl.depth(f) + 1) * len(trace.loop)
 
 
+def brute_changepoints(trace: LassoTrace, gamma, horizon: int) -> list[bool]:
+    """Changepoint flags at 0..horizon-1 from the unrolled tables above.
+
+    A formula of depth d repeats with the loop from prefix + d * loop, the
+    start of the last loop of its reliable horizon, so each table is extended
+    by that loop.  The proper changepoints repeat the same way, so when none
+    lies in the last loop of the horizon there are finitely many, and every
+    position after the last one is a changepoint too.
+    """
+    lam = len(trace.loop)
+    values = []
+    for th in gamma:
+        table, h = brute_pltl_table(trace, th), brute_pltl_horizon(trace, th)
+        values.append([table[i] if i < h else table[h - lam + (i - h) % lam]
+                       for i in range(horizon)])
+    proper = [i == 0 or any(v[i] != v[i - 1] for v in values) for i in range(horizon)]
+    if any(proper[horizon - lam:]):
+        return proper
+    tail = max(i for i in range(horizon) if proper[i]) + 1
+    return [p or i >= tail for i, p in enumerate(proper)]
+
+
 # -- reference synchronous HyperLTL evaluator ---------------------------------
 
 
@@ -87,6 +113,8 @@ def _product_tables(env: dict[str, LassoTrace], matrix: hy.Hyper) -> bool:
         return i + 1 if i + 1 < n else stem
 
     def table(g: hy.Hyper) -> list[bool]:
+        if isinstance(g, pl.Top):
+            return [True] * n
         if isinstance(g, hy.Atom):
             t = env[g.var]
             return [g.prop in t.letter(i) for i in range(n)]
@@ -131,6 +159,124 @@ def ref_hyperltl(universe: Sequence[LassoTrace], sentence: hy.Hyper) -> bool:
         return any(results) if kind == "exists" else all(results)
 
     return bind(0, {})
+
+
+# -- three-valued GHyLTL_S+C reference ----------------------------------------
+#
+# Truth values are True, False and None (undetermined); and, or and not are
+# Kleene's.
+
+
+def _k_any(values) -> bool | None:
+    out = False
+    for v in values:
+        if v is True:
+            return True
+        if v is None:
+            out = None
+    return out
+
+
+def _k_not(v: bool | None) -> bool | None:
+    return None if v is None else not v
+
+
+def _k_all(values) -> bool | None:
+    return _k_not(_k_any(_k_not(v) for v in values))
+
+
+def ref_ghyltl(universe: Sequence[LassoTrace], assignment: dict, context,
+               f: hy.Hyper, horizon: int) -> bool | None:
+    """(universe, assignment, context) |= f, written from the definitions and
+    sharing no code with semantics, stutter or the PLTL profiles.
+
+    A temporal operator steps the coordinates of its context that are
+    assigned, each to its next (X, U) or previous (Y, S) changepoint, with
+    changepoints read off brute_changepoints; a backward step is undefined at
+    position 0, which makes Y false and ends an S.  With no coordinate to
+    step, the operand is read where it stands (the sequence of points is
+    constant).  U looks at most horizon points ahead and is undetermined past
+    them; S walks back exactly.  A quantifier binds its variable to position
+    0 of each universe trace.  No memo, no cycle closing, no fusion: None
+    wherever the horizon hides the answer.
+    """
+    flags: dict[tuple, object] = {}
+
+    def is_changepoint(trace: LassoTrace, gamma, i: int) -> bool:
+        key = (id(trace), gamma)
+        if key not in flags:
+            # a width whose last loop lies where every member is periodic
+            lam = len(trace.loop)
+            width = lam + max([brute_pltl_horizon(trace, th) for th in gamma],
+                              default=len(trace.prefix) + lam)
+            flags[key] = (width, lam, brute_changepoints(trace, gamma, width))
+        width, lam, cp = flags[key]
+        return cp[i] if i < width else cp[width - lam + (i - width) % lam]
+
+    def step(a: dict, gamma, coords, forward: bool) -> dict | None:
+        out = dict(a)
+        for x in coords:
+            trace, i = a[x].trace, a[x].pos
+            i += 1 if forward else -1
+            while i >= 0 and not is_changepoint(trace, gamma, i):
+                i += 1 if forward else -1
+            if i < 0:
+                return None
+            out[x] = PointedTrace(trace, i)
+        return out
+
+    def walk(n, a: dict, ctx, coords, forward: bool) -> bool | None:
+        # U and S: right now, or left now and the walk goes on
+        res, pre = False, True
+        for _ in (range(horizon + 1) if forward else itertools.count()):
+            res = _k_any((res, _k_all((pre, ev(n.right, a, ctx)))))
+            if res is True:
+                return True
+            pre = _k_all((pre, ev(n.left, a, ctx)))
+            if pre is False:
+                return res
+            a = step(a, n.gamma, coords, forward)
+            if a is None:
+                return res
+        return None
+
+    def ev(n, a: dict, ctx) -> bool | None:
+        if isinstance(n, pl.Top):
+            return True
+        if isinstance(n, hy.Atom):
+            return n.prop in a[n.var].trace.letter(a[n.var].pos)
+        if isinstance(n, hy.Not):
+            return _k_not(ev(n.sub, a, ctx))
+        if isinstance(n, hy.Or):
+            return _k_any(ev(g, a, ctx) for g in (n.left, n.right))
+        if isinstance(n, hy.Context):
+            return ev(n.sub, a, n.vars)
+        if isinstance(n, (hy.Exists, hy.Forall)):
+            values = (ev(n.sub, {**a, n.var: PointedTrace(t, 0)}, ctx) for t in universe)
+            return _k_any(values) if isinstance(n, hy.Exists) else _k_all(values)
+        coords = sorted(set(ctx) & a.keys())
+        forward = isinstance(n, (hy.Next, hy.Until))
+        if isinstance(n, (hy.Next, hy.Yesterday)):
+            b = step(a, n.gamma, coords, forward)
+            return False if b is None else ev(n.sub, b, ctx)
+        if not coords:
+            return ev(n.right, a, ctx)
+        return walk(n, a, ctx, coords, forward)
+
+    return ev(f, dict(assignment), frozenset(context))
+
+
+def ref_sentence(universe: Sequence[LassoTrace], f: hy.Hyper, horizon: int) -> str:
+    """ref_ghyltl on a sentence, under the context of all its bound
+    variables, as 'holds', 'fails' or 'unknown'."""
+    bound, stack = set(), [f]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, (hy.Exists, hy.Forall)):
+            bound.add(n.var)
+        stack += [getattr(n, k) for k in ("sub", "left", "right") if hasattr(n, k)]
+    v = ref_ghyltl(universe, {}, bound, f, horizon)
+    return "unknown" if v is None else "holds" if v else "fails"
 
 
 # -- random generators --------------------------------------------------------

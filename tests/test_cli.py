@@ -50,6 +50,15 @@ def test_eval_parse_error_exit_three(workdir, capsys):
     assert "line" in err and "column" in err
 
 
+def test_atom_without_variable_exit_three(workdir, capsys):
+    (workdir / "bad.ghyltl").write_text("ap: p\nforall x. p_\n", encoding="utf-8")
+    code = main(["eval", str(workdir / "traces.json"), str(workdir / "bad.ghyltl")])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "trace variable" in lines[0] and "column 11" in lines[0]
+
+
 def test_missing_file_exit_three(workdir, capsys):
     code = main(["eval", str(workdir / "nope.json"), str(workdir / "noninterference.ghyltl")])
     assert code == 3
@@ -127,8 +136,8 @@ def test_long_conjunction_gets_a_verdict(workdir, capsys, wrap, atom, code):
 
 
 def test_long_tautology_written_twice_gets_a_verdict(workdir, capsys):
-    # both sides of f | !f are equal but separate trees, so the guard test
-    # compares them structurally
+    # f | !f written out is an Or of two separate trees, evaluated as one
+    # chain of operands, so its length does not matter
     conj = " & ".join(["p_x"] * 2000)
     (workdir / "taut.ghyltl").write_text(f"ap: p\nforall x. ({conj}) | !({conj})\n",
                                          encoding="utf-8")
@@ -371,8 +380,8 @@ def test_negative_bound_exit_three(workdir, capsys, args):
 
 @pytest.mark.parametrize("wrap", ["{}", "G[] ({})", "F[] ({})", "H[] ({})"])
 def test_prenex_of_a_long_conjunction(workdir, capsys, wrap):
-    # printing walks the chain with a loop, and compares sugar guards by
-    # identity first, so the length of the chain does not matter
+    # printing walks the chain with a loop, and recognises F/G/H by their
+    # left operand true, so the length of the chain does not matter
     text = "ap: p\nforall x. " + wrap.format(" & ".join(["p_x"] * 2000)) + "\n"
     (workdir / "long.ghyltl").write_text(text, encoding="utf-8")
     out = workdir / "long_out.ghyltl"

@@ -20,7 +20,7 @@ from helpers import LEMMA1_AP, LEMMA1_SENTENCES, gen_pltl, gen_sentence
 PLTL_AP = ("a", "b")
 HYPER_AP = ("p", "q")
 
-CORPUS_SHA256 = "201136ed79f06641a7c46afeab0fea6e0183d024530f1ade90f7cb5340839ae6"
+CORPUS_SHA256 = "355250e257f56967976e3f83b73606d448a767efccb17ea565dc42a1f94a07c5"
 
 
 def _hyper_props(f: hy.Hyper) -> frozenset[str]:
@@ -36,6 +36,8 @@ def _hyper_props(f: hy.Hyper) -> frozenset[str]:
         g = stack.pop()
         if isinstance(g, pl.Atom):
             out.add(g.name)
+        elif isinstance(g, pl.Top):
+            continue
         elif isinstance(g, (pl.Not, pl.Next, pl.Yesterday)):
             stack.append(g.sub)
         else:

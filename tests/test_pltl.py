@@ -25,7 +25,7 @@ def test_yesterday_false_at_origin():
     rng = random.Random(0)
     for _ in range(20):
         t = gen_trace(rng, AP, 3, 3)
-        assert not pltl_eval(t, 0, pl.Yesterday(pl.true_over("a")))
+        assert not pltl_eval(t, 0, pl.Yesterday(pl.TRUE))
 
 
 def test_since_chain_broken():
@@ -107,7 +107,43 @@ def test_parse_precedence_and_sugar():
     assert parse_pltl("G a", ap) == pl.always(pl.Atom("a"))
     assert parse_pltl("O a", ap) == pl.once(pl.Atom("a"))
     assert parse_pltl("H a", ap) == pl.historically(pl.Atom("a"))
-    assert parse_pltl("true", ap) == pl.true_over(sorted(ap)[0])
+    assert parse_pltl("true", ap) == pl.TRUE
+    assert parse_pltl("false", ap) == pl.Not(pl.TRUE)
+
+
+def test_true_needs_no_propositions():
+    assert parse_pltl("true", set()) is pl.TRUE
+    assert parse_pltl("G (false -> true)", set()) == pl.always(pl.p_implies(pl.Not(pl.TRUE),
+                                                                             pl.TRUE))
+    assert render_pltl(pl.TRUE) == "true" and render_pltl(pl.Not(pl.TRUE)) == "!true"
+
+
+def test_profile_of_true():
+    t = lasso({"p"}, [{"p"}, set()], [{"p"}, set(), set()])
+    prof = valuation_profile(t, pl.TRUE)
+    assert (prof.threshold, prof.period, prof.bits) == (0, 1, (True,))
+    assert pl.depth(pl.TRUE) == 0 and pl.is_past_free(pl.TRUE)
+
+
+def test_sugar_is_built_over_true():
+    a = pl.Atom("a")
+    for make, node in ((pl.eventually, pl.Until), (pl.once, pl.Since)):
+        assert make(a) == node(pl.TRUE, a)
+    for make, node in ((pl.always, pl.Until), (pl.historically, pl.Since)):
+        assert make(a) == pl.Not(node(pl.TRUE, pl.Not(a)))
+
+
+def test_written_tautology_is_not_sugar():
+    # an until guarded by a | !a prints as written and evaluates as F a
+    rng = random.Random(4)
+    a = pl.Atom("a")
+    f = parse_pltl("(a | !a) U a", {"a"})
+    assert f == pl.Until(pl.Or(a, pl.Not(a)), a)
+    assert render_pltl(f) == "(a | !a) U a"
+    for _ in range(20):
+        t = gen_trace(rng, ("a",), 3, 3)
+        assert [pltl_eval(t, i, f) for i in range(8)] == \
+            [pltl_eval(t, i, pl.eventually(a)) for i in range(8)]
 
 
 def test_parse_errors_have_positions():
@@ -134,7 +170,8 @@ RENDER_GOLDEN = [
     (pl.always(pl.p_implies(A, pl.eventually(B))), "G (a -> F b)"),
     (pl.once(pl.historically(A)), "O H a"),
     (pl.Not(pl.always(A)), "!G a"),
-    (pl.true_over("a"), "a | !a"),
+    (pl.Or(A, pl.Not(A)), "a | !a"),
+    (pl.TRUE, "true"),
     (pl.p_and(pl.Or(A, B), C), "(a | b) & c"),
     (pl.Or(A, pl.p_and(B, C)), "a | b & c"),
     (pl.Not(pl.p_and(A, B)), "!(a & b)"),
@@ -187,6 +224,8 @@ PARSE_ERRORS = [
     (_parse_hyper_pq, "exists x. r_x", 1, 11,
      "expected an atom of the form prop_var over ap ['p', 'q'], found 'r_x'"),
     (_parse_hyper_pq, "exists x. p_x)", 1, 14, "trailing input after formula, found ')'"),
+    (_parse_hyper_pq, "forall x. p_", 1, 11,
+     "expected a trace variable after the underscore, found 'p_'"),
     (_parse_hyper_pq, "exists x. F[a] p_x", 1, 13, "unknown proposition 'a', found 'a'"),
     (_parse_arith, "exists a. a <", 1, 13, "expected a term at end of input"),
     (_parse_arith, "exists 1. 1 = 1", 1, 8, "expected a variable name, found '1'"),

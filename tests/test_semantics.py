@@ -232,7 +232,7 @@ def test_unroller_walks_to_the_cutoff(monkeypatch):
 
 
 def test_tautology_guard_is_constant():
-    # the F/G guard f | !f holds even where f itself hits the cutoff
+    # the F/G left operand true holds even where the body hits the cutoff
     t = lasso(AP, [set()], [{"p"}, set(), {"q"}])
     f = parse_hyper("exists v0. G[] G[X q] !p_v0", AP)
     assert check_traceset([t], f, cfg(until_cutoff=40, use_cycle_detection=False)).is_fails
@@ -569,6 +569,9 @@ RENDER_GOLDEN = [
     (hy.Forall("y", hy.Or(hy.Exists("x", PX), QY)), "forall y. (exists x. p_x) | q_y"),
     (hy.Forall("y", hy.h_implies(QY, hy.Exists("x", PX))), "forall y. q_y -> (exists x. p_x)"),
     (hy.Exists("x", hy.Not(hy.Exists("y", PY))), "exists x. !(exists y. p_y)"),
+    (hy.h_and(pl.TRUE, hy.Not(pl.TRUE)), "true & !true"),
+    (hy.Next(frozenset({pl.TRUE}), hy.Or(pl.TRUE, PX)), "X[true] (true | p_x)"),
+    (hy.Until(E, hy.Or(QX, hy.Not(QX)), QX), "(q_x | !q_x) U[] q_x"),
 ]
 
 
@@ -576,6 +579,35 @@ RENDER_GOLDEN = [
 def test_render_golden(f, text):
     assert render_hyper(f) == text
     assert parse_hyper(text, AP) == f
+
+
+def test_true_and_false_in_both_families():
+    assert parse_hyper("true", ()) is pl.TRUE
+    assert parse_hyper("exists x. false", AP) == hy.Exists("x", hy.Not(pl.TRUE))
+    assert render_hyper(pl.TRUE) == "true"
+    assert parse_hyper("F[true, false] p_x", AP) == hy.ev(frozenset({pl.TRUE, pl.Not(pl.TRUE)}),
+                                                         PX)
+    t = lasso(AP, [], [set()])
+    assert check_traceset([t], parse_hyper("forall x. G[] true & !F[] false", AP)).is_holds
+
+
+def test_hyper_sugar_is_built_over_true():
+    for make, node in ((hy.ev, hy.Until), (hy.once, hy.Since)):
+        assert make(E, PX) == node(E, pl.TRUE, PX)
+    for make, node in ((hy.alw, hy.Until), (hy.hist, hy.Since)):
+        assert make(E, PX) == hy.Not(node(E, pl.TRUE, hy.Not(PX)))
+
+
+def test_written_tautology_until_decides_as_f():
+    # (q_x | !q_x) U[g] q_x is no longer read as sugar, and still means F[g] q_x
+    rng = random.Random(21)
+    for _ in range(60):
+        gamma = rng.choice([E, frozenset({pl.Atom("p")})])
+        universe = [gen_trace(rng, AP, 3, 3) for _ in range(rng.randint(1, 2))]
+        for kind in (hy.Exists, hy.Forall):
+            written = kind("x", hy.Until(gamma, hy.Or(QX, hy.Not(QX)), QX))
+            assert check_traceset(universe, written) == \
+                check_traceset(universe, kind("x", hy.ev(gamma, QX)))
 
 
 # -- the Until cycle-key shortcut ---------------------------------------------
@@ -655,7 +687,7 @@ def _desynchronized_walk(rng, k, past, since=True):
     gamma = rng.choice(JUMPING_GAMMAS)
     right = gen_matrix(rng, AP, scope, rng.randint(0, 2), stutter=True, contexts=True,
                        past=past, since=since)
-    left = hy.tautology_over(right) if rng.random() < 0.5 else \
+    left = pl.TRUE if rng.random() < 0.5 else \
         gen_matrix(rng, AP, scope, rng.randint(0, 2), stutter=True, contexts=True, past=past,
                    since=since)
     return traces, a, hy.Not(hy.Until(gamma, left, right)) if rng.random() < 0.3 \
@@ -725,7 +757,8 @@ def test_yesterday_chain_longer_than_three_periods(text, status):
 
 
 @pytest.mark.xfail(strict=True, reason="an Until with a Since below still closes cycles on keys "
-                                       "not known to be sound (ROADMAP item 1(a))")
+                                       "not known to be sound (ROADMAP item 1(a)); the unroller "
+                                       "and the reference of test_reference say holds")
 def test_since_below_an_until_over_desynchronized_coordinates():
     universe = [lasso(("q",), [], [set()]), Q_THEN_EMPTY[0]]
     f = parse_hyper("exists x. exists y. C{y} X[] X[] X[] X[] X[] (C{x} F[] (C{x,y} O[] q_y))",

@@ -7,7 +7,7 @@ from ghyltl.stutter import (StepTables, assign_pred, assign_succ, changepoint_pr
                             is_proper_changepoint)
 from ghyltl.traces import PointedTrace, lasso, pointwise_union, spike_trace
 
-from helpers import brute_pltl_horizon, brute_pltl_table, gen_pltl, gen_trace
+from helpers import brute_changepoints, gen_pltl, gen_trace
 
 SPIKE = spike_trace((), "hash", 3)
 MARK = frozenset({pl.Atom("hash")})
@@ -152,28 +152,6 @@ def test_assign_pred_chain_terminates():
             a = assign_pred(a, g, {"x"})
             steps += 1
         assert steps <= start + 1
-
-
-def brute_changepoints(trace, gamma, horizon: int) -> list[bool]:
-    """Changepoint flags at 0..horizon-1 from the unrolled tables of helpers.
-
-    A formula of depth d repeats with the loop from prefix + d * loop, the
-    start of the last loop of its reliable horizon, so each table is extended
-    by that loop.  The proper changepoints repeat the same way, so when none
-    lies in the last loop of the horizon there are finitely many, and every
-    position after the last one is a changepoint too.
-    """
-    lam = len(trace.loop)
-    values = []
-    for th in gamma:
-        table, h = brute_pltl_table(trace, th), brute_pltl_horizon(trace, th)
-        values.append([table[i] if i < h else table[h - lam + (i - h) % lam]
-                       for i in range(horizon)])
-    proper = [i == 0 or any(v[i] != v[i - 1] for v in values) for i in range(horizon)]
-    if any(proper[horizon - lam:]):
-        return proper
-    tail = max(i for i in range(horizon) if proper[i]) + 1
-    return [p or i >= tail for i, p in enumerate(proper)]
 
 
 def test_step_tables_match_a_brute_changepoint_scan():

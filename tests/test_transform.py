@@ -7,8 +7,8 @@ from ghyltl.pltl import parse_pltl
 from ghyltl.semantics import check_traceset, evaluate, parse_hyper
 from ghyltl.stutter import assign_pred
 from ghyltl.traces import PointedTrace, lasso
-from ghyltl.transform import (MARK, alpha_unique, hoist_prenex, origin_marker,
-                              pos_traces, prenexify)
+from ghyltl.transform import (AT_ORIGIN, MARK, alpha_unique, hoist_prenex, pos_traces,
+                              prenexify)
 
 from helpers import (LEMMA1_AP, LEMMA1_SENTENCES, gen_sentence, gen_trace,
                      lemma1_models, stable_pos_verdict)
@@ -33,9 +33,8 @@ def test_pos_traces_satisfy_singleton_shape():
 
 def test_origin_marker():
     t = lasso(("p",), [{"p"}], [set()])
-    f = origin_marker("x", "p")
-    assert evaluate([t], {"x": PointedTrace(t, 0)}, {"x"}, f).is_holds
-    assert evaluate([t], {"x": PointedTrace(t, 3)}, {"x"}, f).is_fails
+    assert evaluate([t], {"x": PointedTrace(t, 0)}, {"x"}, AT_ORIGIN).is_holds
+    assert evaluate([t], {"x": PointedTrace(t, 3)}, {"x"}, AT_ORIGIN).is_fails
 
 
 def test_origin_marker_reached_by_pred_iteration():
@@ -43,8 +42,7 @@ def test_origin_marker_reached_by_pred_iteration():
         t = pos_traces(4).traces[i]
         a = {"x": PointedTrace(t, i)}
         steps = 0
-        marker = origin_marker("x")
-        while not evaluate([t], a, {"x"}, marker).is_holds:
+        while not evaluate([t], a, {"x"}, AT_ORIGIN).is_holds:
             a = assign_pred(a, frozenset(), {"x"})
             steps += 1
         assert steps == i
