@@ -1,10 +1,10 @@
 """Command-line interface: eval, check, compile, gadget, prenex, sat, oracle.
 
 Formula files carry their proposition universe in a header line ``ap: p, q``
-followed by the formula text.  Trace sets and transition systems are the JSON
-documents defined in the traces module.  Exit status: 0 holds, 1 fails,
-2 unknown, 3 error (malformed input, a usage error, a formula nested too
-deeply).
+(comma-separated identifiers other than ``true`` and ``false``) followed by
+the formula text.  Trace sets and transition systems are the JSON documents
+defined in the traces module.  Exit status: 0 holds, 1 fails, 2 unknown,
+3 error (malformed input, a usage error, a formula nested too deeply).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import arith, semantics, traces, transform
-from .pltl import ParseError
+from .pltl import ParseError, check_prop
 from .semantics import EvalConfig
 
 EXIT = {"holds": 0, "fails": 1, "unknown": 2, "error": 3}
@@ -71,10 +71,18 @@ def read_formula_file(path: str) -> tuple[frozenset[str], semantics.Hyper]:
     lines = text.splitlines()
     if not lines or not lines[0].strip().startswith("ap:"):
         raise ParseError("formula file must start with an 'ap:' header line", 1, 1)
-    header = lines[0].strip()[3:]
-    ap = frozenset(p.strip() for p in header.split(",") if p.strip())
-    body = "\n".join(lines[1:])
-    return ap, semantics.parse_hyper(body, ap)
+    # each name is checked where it stands, so an error points at it
+    col = lines[0].index("ap:") + 3
+    ap = set()
+    for part in lines[0][col:].split(","):
+        name = part.strip()
+        if name:
+            check_prop(name, 1, col + part.index(name) + 1)
+            ap.add(name)
+        col += len(part) + 1
+    # the header's place is kept, so error lines count from the file's start
+    body = "\n".join([""] + lines[1:])
+    return frozenset(ap), semantics.parse_hyper(body, ap)
 
 
 def write_formula_file(path: str, ap, formula: semantics.Hyper) -> None:

@@ -434,9 +434,31 @@ class _PltlParser(_Parser):
         self.error("expected a formula")
 
 
+def check_prop(name: str, line: int = 1, col: int = 1) -> None:
+    """Raise ParseError at (line, col) unless an atom can read the proposition
+    name: it must be one identifier token other than ``true`` and ``false``."""
+    try:
+        toks = tokenize(name) if isinstance(name, str) else []
+    except ParseError:
+        toks = []
+    if [t[:2] for t in toks] != [("id", name)]:
+        raise ParseError(f"proposition name {name!r} is not a single identifier", line, col)
+    if name in ("true", "false"):
+        raise ParseError(f"proposition name {name!r} is reserved for a constant", line, col)
+
+
+def checked_ap(ap) -> frozenset[str]:
+    """ap as a frozenset, every name passed through check_prop (an error is
+    reported at line 1, column 1: the names are not part of the text)."""
+    ap = frozenset(ap)
+    for name in sorted(ap, key=str):
+        check_prop(name)
+    return ap
+
+
 def parse_pltl(text: str, ap: frozenset[str] | set[str]) -> Pltl:
     """Parse PLTL concrete syntax; atoms must come from the declared universe."""
-    return _PltlParser(tokenize(text), frozenset(ap)).parse()
+    return _PltlParser(tokenize(text), checked_ap(ap)).parse()
 
 
 # Rendering with minimal parentheses, recognizing the canonical sugar

@@ -352,19 +352,27 @@ Assignment = Mapping[str, PointedTrace]
 # owner, never the program or the compiler, so a dropped program is freed by
 # reference counting.  Coordinates step through ``stutter.assign_succ`` or
 # ``assign_pred`` with the owner (``stutter.StepTables``) of the program's
-# EvalCache: it holds one successor and one predecessor table per (trace,
-# gamma) and the valuation-profile memos of every trace, for the life of the
-# cache.  The compiler reads the move function off the module once and the
-# closure keeps it, so a wrapper patched over ``stutter.assign_succ`` or
-# ``assign_pred`` (a test's counter, a tracer) sees the steps of exactly the
-# programs built after it was put in place.  A step names its coordinates in
-# sorted order, so the tables a predecessor step builds before it stops do not
-# depend on set order, that is, on the hash seed.
+# EvalCache: it hands out one pointed trace per (trace, position), keeps one
+# successor and one predecessor map per gamma and the valuation-profile memos
+# of every trace, for the life of the cache.  The compiler reads the move
+# function off the module once and the closure keeps it, so a wrapper patched
+# over ``stutter.assign_succ`` or ``assign_pred`` (a test's counter, a tracer)
+# sees the steps of exactly the programs built after it was put in place.  A
+# step names its coordinates in sorted order, so the maps a predecessor step
+# fills before it stops do not depend on set order, that is, on the hash seed.
 #
-# A memo keyed on (id(trace), pos) outlives a run when no quantifier sits at
-# or below its node: such a value depends on the assignment only, not on the
-# universe.  The program keeps every trace it has run on, so those ids stay
-# valid; the memos of nodes with a quantifier below are cleared on each run.
+# Memos are keyed on id(point), or a tuple of those, and only ever see the
+# owner's points: a run interns its assignment and takes its quantifier
+# starts from the owner, and every step returns an owner point.  Among those,
+# id(point) names a (trace, position) as (id(trace), pos) would, and the
+# owner holds every point and trace for the life of the cache, so no id is
+# reused while a key can name it.  A caller's point with an equal twin in the
+# owner is replaced by the twin; one of an equal trace of another identity
+# gets points and memo entries of its own, which costs misses, never a wrong
+# answer.  A memo outlives a run when no quantifier
+# sits at or below its node: such a value depends on the assignment only,
+# not on the universe.  The memos of nodes with a quantifier below are
+# cleared on each run.
 
 _NOT = (1, 0, 2)
 _VERDICTS = (FAILS, HOLDS, Verdict.unknown("until-cutoff"))
@@ -376,8 +384,7 @@ def _holds(a: Assignment) -> int:
 
 def _atom(prop: str, var: str):
     def atom(a):
-        pt = a[var]
-        return 1 if prop in pt.trace.letter(pt.pos) else 0
+        return 1 if prop in a[var].letter else 0
     return atom
 
 
@@ -416,7 +423,8 @@ def _all(subs: tuple):
 
 
 def _quant(var: str, sub, starts: list, existential: bool):
-    # starts holds PointedTrace(t, 0) for each universe trace of the current run
+    # starts holds the owner's point at 0 of each universe trace of the
+    # current run
     win, lose = (1, 0) if existential else (0, 1)
 
     def quant(a):
@@ -565,8 +573,7 @@ def _memoized(raw, names: tuple[str, ...], memo: dict):
         (x,) = names
 
         def one(a):
-            pt = a[x]
-            key = (id(pt.trace), pt.pos)
+            key = id(a[x])
             v = memo.get(key)
             if v is None:
                 v = memo[key] = raw(a)
@@ -574,7 +581,7 @@ def _memoized(raw, names: tuple[str, ...], memo: dict):
         return one
 
     def many(a):
-        key = tuple([(id(pt.trace), pt.pos) for pt in map(a.__getitem__, names)])
+        key = tuple([id(a[x]) for x in names])
         v = memo.get(key)
         if v is None:
             v = memo[key] = raw(a)
@@ -670,17 +677,20 @@ class _Compiler:
 class _Program:
     """A formula compiled for one (config, root context, assignment domain).
 
-    A run clears the memos of nodes with a quantifier below and the
-    quantifier start list before and after evaluating.  The other memos and
-    the per-trace canon table are kept across runs; they are keyed on
-    id(trace), so the program holds every trace it has run on.
+    A run interns its assignment with the step-table owner and takes its
+    quantifier starts from it, so the compiled closures only ever see owner
+    points and memo keys by id(point) are sound (see the comment above
+    _NOT).  A run clears the memos of nodes with a quantifier below and the
+    start list before and after evaluating.  The other memos and the canon
+    table (keyed on id(trace)) are kept across runs; the owner holds every
+    trace and point whose id they use.
     """
 
     def __init__(self, f: Hyper, cfg: EvalConfig, context: frozenset[str],
                  domain: frozenset[str], fold: tuple, steps: stutter.StepTables):
         self._canon: dict[int, tuple[int, int]] = {}
         self._starts: list[PointedTrace] = []
-        self._traces: dict[int, LassoTrace] = {}
+        self._steps = steps
         comp = _Compiler(cfg, self._canon, self._starts, fold, steps)
         missing = set(fold[0][id(f)][0]) - domain
         if missing:
@@ -695,9 +705,9 @@ class _Program:
 
     def run(self, universe: Iterable[LassoTrace], a: dict[str, PointedTrace]) -> Verdict:
         self._reset()
-        self._starts.extend(PointedTrace(t, 0) for t in universe)
-        self._traces.update((id(pt.trace), pt.trace) for pt in self._starts)
-        self._traces.update((id(pt.trace), pt.trace) for pt in a.values())
+        steps = self._steps
+        self._starts.extend(steps.point(t, 0) for t in universe)
+        a = {x: steps.intern(pt) for x, pt in a.items()}
         try:
             return _VERDICTS[self._root(a)]
         finally:
@@ -921,8 +931,9 @@ class _HyperParser(pl._Parser):
 
 
 def parse_hyper(text: str, ap: Iterable[str]) -> Hyper:
-    """Parse hyper concrete syntax; atom propositions must come from ap."""
-    return _HyperParser(tokenize(text), frozenset(ap)).parse()
+    """Parse hyper concrete syntax; atom propositions must come from ap, whose
+    names must pass pltl.check_prop."""
+    return _HyperParser(tokenize(text), pl.checked_ap(ap)).parse()
 
 
 def _render_index(f: Hyper) -> str:

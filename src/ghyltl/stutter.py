@@ -5,8 +5,9 @@ is the origin or some member formula flips truth value there.  When only
 finitely many positions are proper changepoints, every later position counts
 as a changepoint by convention, so successors are always defined.
 
-Steps are lookups in per-(trace, gamma) tables owned by a StepTables object,
-which the caller creates and keeps for as long as the tables should live.
+Steps are lookups in per-gamma maps owned by a StepTables object, which also
+owns the one pointed trace per (trace, position) that the maps are keyed by;
+the caller creates the owner and keeps it for as long as the maps should live.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from .pltl import pltl_eval, valuation_profile
 from .traces import LassoTrace, PointedTrace
 
 Gamma = frozenset  # of Pltl formulas
+
+_MISS = object()  # a map lookup that found no entry; None means no predecessor
 
 
 def is_proper_changepoint(trace: LassoTrace, gamma: Gamma, i: int) -> bool:
@@ -82,86 +85,113 @@ def changepoint_profile(trace: LassoTrace, gamma: Gamma,
     return ChangepointProfile(trace, gamma, threshold, period, flip_bits, tail_start)
 
 
-class _StepTable:
-    """Successor and predecessor of every position of one (trace, gamma).
-
-    From ``threshold`` on the changepoints repeat with ``period`` (tail_start
-    never exceeds the threshold) and every period holds at least one, so for
-    positions at or past threshold + period both steps commute with a shift
-    by whole periods.  The tables are built below threshold + 2 * period in
-    one sweep each and grow by such shifts when a later position is asked.
-    """
-
-    def __init__(self, prof: ChangepointProfile):
-        self.profile = prof
-        trace, limit = prof.trace, prof.threshold + 2 * prof.period
-        # one more period past the limit holds the successor of limit - 1
-        pts = [PointedTrace(trace, i) for i in range(limit + prof.period)]
-        succ: list = [None] * limit
-        nxt = None
-        for i in range(len(pts) - 1, -1, -1):
-            if i < limit:
-                succ[i] = nxt
-            if prof.is_changepoint(i):
-                nxt = pts[i]
-        pred: list = []
-        last = None
-        for i in range(limit):
-            pred.append(last)
-            if prof.is_changepoint(i):
-                last = pts[i]
-        self.succ, self.pred = succ, pred
-
-    def far(self, tab: list, pos: int) -> PointedTrace:
-        """Entry pos of tab (succ or pred) at or past its end."""
-        l = self.profile.period
-        if pos < 2 * len(tab):
-            trace = self.profile.trace
-            while len(tab) <= pos:
-                tab.append(PointedTrace(trace, tab[len(tab) - l].pos + l))
-            return tab[pos]
-        # far beyond the table: shift into its last period without growing it
-        k = (pos - len(tab)) // l + 1
-        return PointedTrace(self.profile.trace, tab[pos - k * l].pos + k * l)
-
-
 class StepTables:
-    """Owner of the step tables and valuation-profile memos of the traces
-    it is asked about.
+    """Owner of the pointed traces, step maps and valuation-profile memos of
+    the traces it is asked about.
 
-    Tables are keyed by (id(trace), id(gamma)) and memos by id(trace); both
-    hold the objects whose ids they use, so the keys stay valid for the life
-    of the owner.  An equal gamma of another identity gets its own table.
+    The owner hands out exactly one PointedTrace per (trace object,
+    position): point(trace, pos) finds or makes it, and intern(pt) returns
+    the owner's point at pt's position of the same trace object, adopting pt
+    when there is none.  Every step returns an owner point, so among owner
+    points id(point) names a (trace, position) as (id(trace), pos) does.
+
+    Per gamma object the owner keeps one successor and one predecessor map,
+    keyed by id(point) of owner points only.  The first step of a (trace,
+    gamma) fills both maps from one changepoint_profile for every position
+    below limit = threshold + 2 * period.  From the threshold on the
+    changepoints repeat with the period (tail_start never exceeds the
+    threshold) and every period holds at least one, so past limit - period
+    both steps commute with a shift by whole periods: a later position is
+    shifted into the last filled period, and its interned result is stored.
+
+    Invariant: the owner holds every object whose id it or a memo keyed on
+    its points uses (traces, points, gammas), so no id is reused while a key
+    can name it.  A point the owner does not hold is never a key; while it is
+    alive its id is no owner point's, so a lookup misses and falls back to
+    succ or pred, which intern it first.  A foreign point with an equal twin
+    costs a miss, never a wrong answer.  An equal trace or gamma of another
+    identity gets its own points and maps.
     """
 
     def __init__(self) -> None:
-        self._tables: dict[tuple[int, int], _StepTable] = {}
-        self._memos: dict[int, tuple[LassoTrace, dict]] = {}
+        # id(trace) -> (trace, its points by position, its profile memo)
+        self._traces: dict[int, tuple[LassoTrace, dict[int, PointedTrace], dict]] = {}
+        # id(gamma) -> (successor map, predecessor map, gamma)
+        self._maps: dict[int, tuple[dict, dict, Gamma]] = {}
+        # (id(trace), id(gamma)) -> (limit, period) once filled
+        self._filled: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def _entry(self, trace: LassoTrace) -> tuple:
+        hit = self._traces.get(id(trace))
+        if hit is None:
+            hit = self._traces[id(trace)] = (trace, {}, {})
+        return hit
 
     def profile_memo(self, trace: LassoTrace) -> dict:
         """The valuation-profile memo of trace (see pltl.valuation_profile)."""
-        hit = self._memos.get(id(trace))
-        if hit is None:
-            hit = self._memos[id(trace)] = (trace, {})
-        return hit[1]
+        return self._entry(trace)[2]
 
-    def table(self, trace: LassoTrace, gamma: Gamma) -> _StepTable:
-        key = (id(trace), id(gamma))
-        hit = self._tables.get(key)
+    def point(self, trace: LassoTrace, pos: int) -> PointedTrace:
+        """The owner's point at position pos of trace."""
+        known = (self._traces.get(id(trace)) or self._entry(trace))[1]
+        return known.get(pos) or known.setdefault(pos, PointedTrace(trace, pos))
+
+    def intern(self, pt: PointedTrace) -> PointedTrace:
+        """The owner's point at pt's position of pt.trace; pt itself if new."""
+        return self._entry(pt.trace)[1].setdefault(pt.pos, pt)
+
+    def maps(self, gamma: Gamma) -> tuple[dict, dict, Gamma]:
+        """(successor map, predecessor map, gamma): id(point) -> point, or
+        None for a point without a predecessor; filled on demand."""
+        hit = self._maps.get(id(gamma))
         if hit is None:
-            prof = changepoint_profile(trace, gamma, self.profile_memo(trace))
-            hit = self._tables[key] = _StepTable(prof)
+            hit = self._maps[id(gamma)] = ({}, {}, gamma)
         return hit
 
+    def _fill(self, trace: LassoTrace, gamma: Gamma) -> tuple[int, int]:
+        key = (id(trace), id(gamma))
+        hit = self._filled.get(key)
+        if hit is None:
+            prof = changepoint_profile(trace, gamma, self.profile_memo(trace))
+            limit, period = prof.threshold + 2 * prof.period, prof.period
+            succ, pred, _ = self.maps(gamma)
+            known = self._entry(trace)[1]
+            # one more period past the limit holds the successor of limit - 1
+            pts = [known.get(i) or known.setdefault(i, PointedTrace(trace, i))
+                   for i in range(limit + period)]
+            is_cp = prof.is_changepoint
+            cps = [i for i in range(limit + period) if is_cp(i)]
+            # between changepoints a < b, the positions a..b-1 step forward
+            # to b and a+1..b step back to a; position 0 is a changepoint
+            after, before = [], [None]
+            for a, b in zip(cps, cps[1:]):
+                after += [pts[b]] * (b - a)
+                before += [pts[a]] * (b - a)
+            ids = list(map(id, pts[:limit]))
+            succ.update(zip(ids, after))
+            pred.update(zip(ids, before))
+            hit = self._filled[key] = (limit, period)
+        return hit
+
+    def _step(self, pt: PointedTrace, gamma: Gamma, which: int) -> PointedTrace | None:
+        pt = self.intern(pt)
+        m = self.maps(gamma)[which]
+        out = m.get(id(pt), _MISS)
+        if out is _MISS:
+            limit, period = self._fill(pt.trace, gamma)
+            out = m.get(id(pt), _MISS)
+            if out is _MISS:
+                # past the filled positions: shift into their last period
+                k = (pt.pos - limit) // period + 1
+                near = m[id(self.point(pt.trace, pt.pos - k * period))]
+                out = m[id(pt)] = self.point(pt.trace, near.pos + k * period)
+        return out
+
     def succ(self, pt: PointedTrace, gamma: Gamma) -> PointedTrace:
-        tab = self._tables.get((id(pt.trace), id(gamma))) or self.table(pt.trace, gamma)
-        succ = tab.succ
-        return succ[pt.pos] if pt.pos < len(succ) else tab.far(succ, pt.pos)
+        return self._step(pt, gamma, 0)
 
     def pred(self, pt: PointedTrace, gamma: Gamma) -> PointedTrace | None:
-        tab = self._tables.get((id(pt.trace), id(gamma))) or self.table(pt.trace, gamma)
-        pred = tab.pred
-        return pred[pt.pos] if pt.pos < len(pred) else tab.far(pred, pt.pos)
+        return self._step(pt, gamma, 1)
 
 
 Assignment = Mapping[str, PointedTrace]
@@ -178,13 +208,16 @@ def assign_succ(a: Assignment, gamma: Gamma, c: Iterable[str],
                 steps: StepTables | None = None) -> dict[str, PointedTrace]:
     """Advance exactly the coordinates in c to their gamma-successors.
 
-    steps owns the step tables; without it a throwaway owner is built.
+    steps owns the step maps; without it a throwaway owner is built.  The
+    moved coordinates get the owner's points.
     """
     _coordinates(c)
     steps = steps or StepTables()
+    m = steps.maps(gamma)[0]
     out = dict(a)
     for x in c:
-        out[x] = steps.succ(a[x], gamma)
+        pt = a[x]
+        out[x] = m.get(id(pt)) or steps.succ(pt, gamma)
     return out
 
 
@@ -198,9 +231,13 @@ def assign_pred(a: Assignment, gamma: Gamma, c: Iterable[str],
     """
     _coordinates(c)
     steps = steps or StepTables()
+    m = steps.maps(gamma)[1]
     out = dict(a)
     for x in c:
-        prev = steps.pred(a[x], gamma)
+        pt = a[x]
+        prev = m.get(id(pt), _MISS)
+        if prev is _MISS:
+            prev = steps.pred(pt, gamma)
         if prev is None:
             return None
         out[x] = prev

@@ -63,12 +63,17 @@ class LassoTrace:
 
 @dataclass(frozen=True)
 class PointedTrace:
+    """Position pos of trace; letter caches trace.letter(pos) and takes no
+    part in equality, hashing or repr."""
+
     trace: LassoTrace
     pos: int
+    letter: Letter = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.pos < 0:
             raise ValueError("position must be nonnegative")
+        object.__setattr__(self, "letter", self.trace.letter(self.pos))
 
 
 def lasso(ap: Iterable[str], prefix: Iterable[Iterable[str]], loop: Iterable[Iterable[str]],

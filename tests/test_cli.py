@@ -50,6 +50,29 @@ def test_eval_parse_error_exit_three(workdir, capsys):
     assert "line" in err and "column" in err
 
 
+@pytest.mark.parametrize("header,column,problem", [
+    ("ap: true, q", 5, "'true' is reserved"),
+    ("ap: q, false", 8, "'false' is reserved"),
+    ("ap: p q", 5, "'p q' is not a single identifier"),
+    ("  ap: q ,  p-r", 12, "'p-r' is not a single identifier"),
+])
+def test_reserved_or_unreadable_proposition_exit_three(workdir, capsys, header, column, problem):
+    (workdir / "f.ghyltl").write_text(f"{header}\nexists x. F[true] q_x\n", encoding="utf-8")
+    code = main(["eval", str(workdir / "traces.json"), str(workdir / "f.ghyltl")])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and problem in lines[0]
+    assert f"(line 1, column {column})" in lines[0]
+
+
+def test_body_errors_count_lines_from_the_header(workdir, capsys):
+    (workdir / "bad.ghyltl").write_text("ap: p\nexists x.\n F[] p_ &\n", encoding="utf-8")
+    code = main(["eval", str(workdir / "traces.json"), str(workdir / "bad.ghyltl")])
+    err = capsys.readouterr().err
+    assert code == 3 and "(line 3, column 6)" in err
+
+
 def test_atom_without_variable_exit_three(workdir, capsys):
     (workdir / "bad.ghyltl").write_text("ap: p\nforall x. p_\n", encoding="utf-8")
     code = main(["eval", str(workdir / "traces.json"), str(workdir / "bad.ghyltl")])

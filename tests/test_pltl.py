@@ -146,6 +146,24 @@ def test_written_tautology_is_not_sugar():
             [pltl_eval(t, i, pl.eventually(a)) for i in range(8)]
 
 
+@pytest.mark.parametrize("name,problem", [
+    ("true", "is reserved for a constant"), ("false", "is reserved for a constant"),
+    ("p q", "is not a single identifier"), ("p-q", "is not a single identifier"),
+    ("", "is not a single identifier"), ("(", "is not a single identifier"),
+])
+def test_reserved_or_unreadable_proposition_names(name, problem):
+    # an atom could not read these names: true and false are the constants
+    with pytest.raises(ParseError, match=problem):
+        parse_pltl("a", {"a", name})
+    with pytest.raises(ParseError, match=problem):
+        pl.check_prop(name, 3, 7)
+
+
+def test_any_identifier_is_a_proposition_name():
+    assert parse_pltl("a_1 & _b & 2", {"a_1", "_b", "2"}) == \
+        pl.p_and(pl.p_and(pl.Atom("a_1"), pl.Atom("_b")), pl.Atom("2"))
+
+
 def test_parse_errors_have_positions():
     with pytest.raises(ParseError) as exc:
         parse_pltl("a &\n& b", {"a", "b"})

@@ -539,6 +539,13 @@ def test_render_parse_roundtrip_random():
         assert parse_hyper(text, AP) == f, text
 
 
+@pytest.mark.parametrize("ap", [("true", "q"), ("q", "false"), ("p q",), ("q", "p,r")])
+def test_reserved_or_unreadable_proposition_names(ap):
+    # with ap: true, q the text F[true] q_x would read the constant
+    with pytest.raises(hy.ParseError, match="proposition name"):
+        parse_hyper("exists x. F[true] q_x", ap)
+
+
 def test_parse_error_position():
     with pytest.raises(hy.ParseError) as exc:
         parse_hyper("forall x.\n p_x &", AP)
@@ -840,3 +847,46 @@ def test_fold_matches_the_separate_walks():
         memo = {}
         for n in hy.postorder(f):
             assert nodes[id(n)][0] == tuple(sorted(ref_free(n, memo)))
+
+
+# -- interned pointed traces --------------------------------------------------
+#
+# Memos and step maps are keyed by id(point), which is sound because the
+# step-table owner hands out one point per (trace, position) and a run interns
+# its assignment.  The calls below build new PointedTrace objects and drop
+# them, so their ids are recycled: a key on a point the owner does not hold
+# would give a later call another point's value.
+
+
+def _interning_cases(rng):
+    for _ in range(50):
+        scope = [f"v{i}" for i in range(rng.randint(1, 3))]
+        universe = [gen_trace(rng, AP, 3, 3) for _ in range(rng.randint(1, 3))]
+        f = gen_matrix(rng, AP, scope, rng.randint(1, 4), stutter=True, contexts=True,
+                       past=True)
+        if rng.random() < 0.3:
+            inner = gen_matrix(rng, AP, scope + ["w"], 2, stutter=True, contexts=True, past=True)
+            f = hy.Or(f, (hy.Exists if rng.random() < 0.5 else hy.Forall)("w", inner))
+        spots = [[(rng.randrange(len(universe)), rng.randint(0, 5)) for _ in scope]
+                 for _ in range(40)]
+        yield universe, scope, f, spots
+
+
+def test_interned_assignments_vs_fresh_cache():
+    rng = random.Random(9300)
+    config = cfg(until_cutoff=40)
+    cases = list(_interning_cases(rng))
+    # the fresh-cache verdicts first, so that the shared calls run back to back
+    want = [[evaluate(universe, {x: PointedTrace(universe[t], i) for x, (t, i) in zip(scope, s)},
+                      scope, f, config) for s in spots]
+            for universe, scope, f, spots in cases]
+    shared = hy.EvalCache()
+    calls = 0
+    for (universe, scope, f, spots), verdicts in zip(cases, want):
+        for s, verdict in zip(spots, verdicts):
+            a = {x: PointedTrace(universe[t], i) for x, (t, i) in zip(scope, s)}
+            assert evaluate(universe, a, scope, f, config, cache=shared) == verdict, \
+                (render_hyper(f), universe, s)
+            del a
+            calls += 1
+    assert calls >= 2000

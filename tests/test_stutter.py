@@ -180,3 +180,47 @@ def test_step_tables_match_a_brute_changepoint_scan():
         assert StepTables().succ(PointedTrace(t, last), g).pos == succ[last]
         assert StepTables().pred(PointedTrace(t, 0), g) is None
     assert kinds == {True, False}  # periodic changepoints and a tail_start
+
+
+def test_owner_hands_out_one_point_per_position():
+    # successor and predecessor steps over different gammas, below and past
+    # the filled positions, return the owner's one point at each position
+    rng = random.Random(17)
+    for case in range(60):
+        t = gen_trace(rng, ("a", "b"), 4, 4)
+        g1, g2 = (frozenset(gen_pltl(rng, ("a", "b"), rng.randint(0, 3))
+                            for _ in range(rng.randint(0, 2))) for _ in range(2))
+        steps = StepTables()
+        seen = {}
+        for i in rng.sample(range(80), 30):
+            for out in (steps.succ(steps.point(t, i), g1), steps.pred(PointedTrace(t, i), g2),
+                        steps.pred(steps.point(t, i), g1), steps.succ(PointedTrace(t, i), g2)):
+                if out is not None:
+                    assert out is seen.setdefault(out.pos, out) is steps.point(t, out.pos)
+        fresh = PointedTrace(t, 500)
+        assert steps.intern(fresh) is fresh and steps.point(t, 500) is fresh
+        assert steps.intern(PointedTrace(t, 500)) is fresh
+        # an equal trace of another identity gets points of its own
+        twin = lasso(t.ap, t.prefix, t.loop)
+        assert steps.point(twin, 500) is not fresh and steps.point(twin, 500) == fresh
+
+
+def test_foreign_points_step_to_the_documented_positions():
+    # fresh points, dropped after each step, so their ids are recycled: an
+    # owner that keyed a map on one would answer a later point wrongly
+    rng = random.Random(18)
+    horizon = 90
+    for case in range(40):
+        t = gen_trace(rng, ("a", "b"), 5, 5)
+        g = frozenset(gen_pltl(rng, ("a", "b"), rng.randint(0, 4))
+                      for _ in range(rng.randint(0, 2)))
+        cp = brute_changepoints(t, g, horizon)
+        steps = StepTables()
+        for i in [rng.randrange(horizon - 10) for _ in range(200)]:
+            nxt = steps.succ(PointedTrace(t, i), g)
+            assert nxt.pos == next(j for j in range(i + 1, horizon) if cp[j]), (t, g, i)
+            prev = steps.pred(PointedTrace(t, i), g)
+            assert (None if prev is None else prev.pos) == \
+                max((j for j in range(i) if cp[j]), default=None), (t, g, i)
+            a = assign_succ({"x": PointedTrace(t, i)}, g, ("x",), steps)
+            assert a["x"] is nxt
