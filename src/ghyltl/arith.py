@@ -18,7 +18,7 @@ from typing import Iterable
 
 from . import pltl as pl
 from . import semantics as hy
-from .pltl import ParseError, tokenize
+from .pltl import ParseError, token_pattern, tokenize
 from .semantics import EMPTY_GAMMA, EvalConfig, evaluate
 from .traces import LassoTrace, PointedTrace, TransitionSystem, pointwise_union, spike_trace
 from .transform import fresh_names, pos_shape, purity
@@ -266,7 +266,7 @@ class RawAtom:
     right: object
 
 
-_ARITH_SYMBOLS = ("<->", "->", "!", "|", "&", "(", ")", ".", "<", "=", "+", "*")
+_ARITH_TOKENS = token_pattern(("<->", "->", "!", "|", "&", "(", ")", ".", "<", "=", "+", "*"))
 
 
 def _is_set_var(name: str) -> bool:
@@ -368,7 +368,7 @@ class _ArithParser(pl._Parser):
 def parse_arith(text: str) -> Arith:
     """Parse the nested-term concrete syntax: the AST's connectives and
     quantifiers over RawAtom comparison leaves (see flatten)."""
-    return _ArithParser(tokenize(text, _ARITH_SYMBOLS)).parse()
+    return _ArithParser(tokenize(text, _ARITH_TOKENS)).parse()
 
 
 class _Flattener:

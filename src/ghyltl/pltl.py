@@ -12,6 +12,8 @@ state repeats).
 from __future__ import annotations
 
 import math
+import operator
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -152,33 +154,42 @@ def valuation_profile(trace: LassoTrace, f: Pltl, memo: dict | None = None) -> V
     return hit
 
 
-def _make(trace: LassoTrace, f: Pltl, threshold: int, period: int, value) -> ValuationProfile:
-    bits = tuple(bool(value(i)) for i in range(threshold + period))
-    return ValuationProfile(f, trace, threshold, period, bits)
+def unrolled(p: ValuationProfile, n: int) -> tuple[bool, ...]:
+    """p's values at positions 0..n-1: its bits, then copies of its cycle."""
+    bits = p.bits
+    if n <= len(bits):
+        return bits[:n]
+    t = p.threshold
+    return (bits + bits[t:] * ((n - len(bits)) // p.period + 1))[:n]
 
 
 def _compute_profile(trace: LassoTrace, f: Pltl, memo: dict) -> ValuationProfile:
+    # every profile's bits are built from its operands' bits a tuple at a
+    # time, each operand unrolled to the length the result needs
     if isinstance(f, Top):
         return ValuationProfile(f, trace, 0, 1, (True,))
     if isinstance(f, Atom):
-        t, l = len(trace.prefix), len(trace.loop)
-        return _make(trace, f, t, l, lambda i: f.name in trace.letter(i))
+        name = f.name
+        bits = tuple([name in s for s in trace.prefix + trace.loop])
+        return ValuationProfile(f, trace, len(trace.prefix), len(trace.loop), bits)
     if isinstance(f, Not):
         p = valuation_profile(trace, f.sub, memo)
-        return _make(trace, f, p.threshold, p.period, lambda i: not p.value(i))
+        return ValuationProfile(f, trace, p.threshold, p.period, tuple(map(operator.not_, p.bits)))
     if isinstance(f, Or):
         a = valuation_profile(trace, f.left, memo)
         b = valuation_profile(trace, f.right, memo)
         t = max(a.threshold, b.threshold)
         l = math.lcm(a.period, b.period)
-        return _make(trace, f, t, l, lambda i: a.value(i) or b.value(i))
+        bits = tuple(map(operator.or_, unrolled(a, t + l), unrolled(b, t + l)))
+        return ValuationProfile(f, trace, t, l, bits)
     if isinstance(f, Next):
         p = valuation_profile(trace, f.sub, memo)
-        return _make(trace, f, max(p.threshold - 1, 0), p.period, lambda i: p.value(i + 1))
+        t, l = max(p.threshold - 1, 0), p.period
+        return ValuationProfile(f, trace, t, l, unrolled(p, t + l + 1)[1:])
     if isinstance(f, Yesterday):
         p = valuation_profile(trace, f.sub, memo)
-        return _make(trace, f, p.threshold + 1, p.period,
-                     lambda i: i > 0 and p.value(i - 1))
+        t, l = p.threshold + 1, p.period
+        return ValuationProfile(f, trace, t, l, (False,) + unrolled(p, t - 1 + l))
     if isinstance(f, Until):
         return _until_profile(trace, f, memo)
     if isinstance(f, Since):
@@ -187,25 +198,27 @@ def _compute_profile(trace: LassoTrace, f: Pltl, memo: dict) -> ValuationProfile
 
 
 def _until_profile(trace: LassoTrace, f: Until, memo: dict) -> ValuationProfile:
+    """The least fixpoint of v[i] = b[i] or (a[i] and v[i+1]) on the lasso of
+    positions 0..t+l-1 whose cycle t..t+l-1 wraps v[t+l] to v[t].
+
+    Two backward rounds over the cycle, from False, then one pass over the
+    prefix.  A witness of v[t] (a position where b holds, reached through a)
+    lies within the cycle, at t..t+l-1, so the first round, which only sees
+    witnesses before the wrap, already ends with the exact v[t].  The second
+    round starts from that exact v[t+l] = v[t], so every value it and the
+    prefix pass compute is exact.
+    """
     a = valuation_profile(trace, f.left, memo)
     b = valuation_profile(trace, f.right, memo)
     t = max(a.threshold, b.threshold)
     l = math.lcm(a.period, b.period)
-    # positions 0..t+l-1 form a lasso whose cycle is t..t+l-1
+    av, bv = unrolled(a, t + l), unrolled(b, t + l)
+    v = False
+    for i in range(t + l - 1, t - 1, -1):
+        v = bv[i] or (av[i] and v)
     val = [False] * (t + l)
-    for i in range(t, t + l):
-        # scan one full cycle ahead of i; wrap positions into the cycle
-        ok = False
-        for j in range(l + 1):
-            pos = t + ((i - t + j) % l)
-            if b.value(pos):
-                ok = True
-                break
-            if not a.value(pos):
-                break
-        val[i] = ok
-    for i in range(t - 1, -1, -1):
-        val[i] = b.value(i) or (a.value(i) and val[i + 1])
+    for i in range(t + l - 1, -1, -1):
+        v = val[i] = bv[i] or (av[i] and v)
     return ValuationProfile(f, trace, t, l, tuple(val))
 
 
@@ -214,19 +227,18 @@ def _since_profile(trace: LassoTrace, f: Since, memo: dict) -> ValuationProfile:
     b = valuation_profile(trace, f.right, memo)
     t = max(a.threshold, b.threshold)
     l = math.lcm(a.period, b.period)
-
-    def in_off(i: int) -> int:
-        return i if i < t else t + ((i - t) % l)
-
+    # the 2l states (offset, value) repeat by position max(t, 1) + 2l, so
+    # no later position is read
+    av, bv = unrolled(a, t + 2 * l + 1), unrolled(b, t + 2 * l + 1)
     bits: list[bool] = []
     seen: dict[tuple[int, bool], int] = {}
     prev = False
     i = 0
     while True:
-        cur = b.value(i) or (a.value(i) and prev)
+        cur = bv[i] or (av[i] and prev)
         bits.append(cur)
-        state = (in_off(i + 1), cur)
         if i + 1 >= t:
+            state = (t + (i + 1 - t) % l, cur)
             if state in seen:
                 first = seen[state]
                 return ValuationProfile(f, trace, first, i + 1 - first, tuple(bits))
@@ -255,40 +267,32 @@ class ParseError(ValueError):
         self.col = col
 
 
-_SYMBOLS = ("<->", "->", "!", "|", "&", "(", ")", "[", "]", "{", "}", ",", ".")
+def token_pattern(symbols: tuple[str, ...]) -> re.Pattern:
+    """The tokenizer's pattern for a family's symbols, tried in the given
+    order: a newline, other whitespace, a symbol, an identifier (``\\w``,
+    that is ``isalnum()`` or ``_``), any other character."""
+    syms = "|".join(map(re.escape, symbols))
+    return re.compile(rf"(\n)|[^\S\n]+|({syms})|(\w+)|(.)")
 
 
-def tokenize(text: str, symbols: tuple[str, ...] = _SYMBOLS) -> list[tuple[str, str, int, int]]:
-    """Tokens as (kind, value, line, col); kind is 'id' or 'sym'."""
+_TOKENS = token_pattern(("<->", "->", "!", "|", "&", "(", ")", "[", "]", "{", "}", ",", "."))
+
+
+def tokenize(text: str, pattern: re.Pattern = _TOKENS) -> list[tuple[str, str, int, int]]:
+    """Tokens as (kind, value, line, col); kind is 'id' or 'sym'.  pattern
+    comes from token_pattern."""
     toks = []
-    i, line, col = 0, 1, 1
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        for sym in symbols:
-            if text.startswith(sym, i):
-                toks.append(("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            if c.isalnum() or c == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                toks.append(("id", text[i:j], line, col))
-                col += j - i
-                i = j
-            else:
-                raise ParseError(f"unexpected character {c!r}", line, col)
+    line, line_start = 1, 0
+    for m in pattern.finditer(text):
+        group = m.lastindex
+        if group == 2:
+            toks.append(("sym", m[2], line, m.start() - line_start + 1))
+        elif group == 3:
+            toks.append(("id", m[3], line, m.start() - line_start + 1))
+        elif group == 1:
+            line, line_start = line + 1, m.end()
+        elif group == 4:
+            raise ParseError(f"unexpected character {m[4]!r}", line, m.start() - line_start + 1)
     return toks
 
 
@@ -436,7 +440,8 @@ class _PltlParser(_Parser):
 
 def check_prop(name: str, line: int = 1, col: int = 1) -> None:
     """Raise ParseError at (line, col) unless an atom can read the proposition
-    name: it must be one identifier token other than ``true`` and ``false``."""
+    name: it must be one identifier token other than ``true``, ``false`` and
+    the operator names ``X Y F G O H U S``."""
     try:
         toks = tokenize(name) if isinstance(name, str) else []
     except ParseError:
@@ -445,6 +450,8 @@ def check_prop(name: str, line: int = 1, col: int = 1) -> None:
         raise ParseError(f"proposition name {name!r} is not a single identifier", line, col)
     if name in ("true", "false"):
         raise ParseError(f"proposition name {name!r} is reserved for a constant", line, col)
+    if name in _PltlParser.ops:
+        raise ParseError(f"proposition name {name!r} is reserved for an operator", line, col)
 
 
 def checked_ap(ap) -> frozenset[str]:

@@ -462,17 +462,24 @@ def _walk(move, gamma: Gamma, eff: tuple[str, ...], steps, left, right, bound, c
     canonical, so at least the threshold): a key built then closes no cycle
     and is closed by none.  low, the first coordinate still below its
     threshold, only grows, so it costs amortized O(1) per iteration.
+
+    The thresholds (config_key(a)) are read at the top of the second
+    iteration, once the walk has taken its first step; a walk that ends at
+    its first iteration never reads them.  That iteration then runs the key
+    code for a, then for cur, so from there on seen holds what it would have
+    held had the keys been built from the first iteration: a's key, looked
+    up in an empty seen, could close no cycle.  thr is None until then, and
+    for good in a walk without keys, so the test for the first step sits in
+    the branch that a keyed walk leaves once it has stepped.
     """
     guard = left is _holds
     n = len(eff)
 
     def walk(a):
         result, prefix_ok = 0, 1
-        cur = a
-        if config_key is not None:
-            thr, low, seen = config_key(a), 0, set()
+        cur, thr = a, None
         for _ in bound:
-            if config_key is not None:
+            if thr is not None:
                 while low < n and cur[eff[low]].pos >= thr[low][0]:
                     low += 1
                 if low == n:
@@ -480,6 +487,16 @@ def _walk(move, gamma: Gamma, eff: tuple[str, ...], steps, left, right, bound, c
                     if key in seen:
                         return result
                     seen.add(key)
+            elif cur is not a and config_key is not None:
+                thr, low, seen = config_key(a), 0, set()
+                for b in (a, cur):
+                    while low < n and b[eff[low]].pos >= thr[low][0]:
+                        low += 1
+                    if low == n:
+                        key = tuple([t + (b[x].pos - t) % l for x, (t, l) in zip(eff, thr)])
+                        if key in seen:
+                            return result
+                        seen.add(key)
             v2 = right(cur)
             if v2:
                 if v2 == 1 and prefix_ok == 1:
@@ -505,7 +522,9 @@ _SINCE_MARGIN = 3
 def _config_key(names: tuple[str, ...], gammas: tuple, margin: int, canon: dict, steps):
     """Until cycle keys: start(a) gives, per stepped coordinate (names) of a
     walk from a, its trace's key threshold base + margin * period and its
-    period; a key is the canonical positions t + (pos - t) % period.  base
+    period; a key is the canonical positions t + (pos - t) % period.  A walk
+    calls start(a) only once it has taken its first step (see _walk), so a
+    walk that stops at a builds no gamma profile for its keys.  base
     is the largest of the prefix and the gamma profile thresholds, period
     the lcm of the loop and the profile periods; canon caches (base, period)
     by id(trace) for the program's life, shared by Untils of any margin.

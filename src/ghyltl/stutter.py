@@ -13,10 +13,11 @@ the caller creates the owner and keeps it for as long as the maps should live.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .pltl import pltl_eval, valuation_profile
+from .pltl import pltl_eval, unrolled, valuation_profile
 from .traces import LassoTrace, PointedTrace
 
 Gamma = frozenset  # of Pltl formulas
@@ -73,11 +74,12 @@ def changepoint_profile(trace: LassoTrace, gamma: Gamma,
     profiles = [valuation_profile(trace, th, memo) for th in gamma]
     threshold = max([p.threshold for p in profiles], default=0) + 1
     period = math.lcm(*[p.period for p in profiles]) if profiles else 1
-
-    def flips(i: int) -> bool:
-        return i > 0 and any(p.value(i) != p.value(i - 1) for p in profiles)
-
-    flip_bits = tuple(flips(i) for i in range(threshold + period))
+    # position i > 0 flips if some member's value at i differs from i - 1
+    flips = (False,) * (threshold + period - 1)
+    for p in profiles:
+        vals = unrolled(p, threshold + period)
+        flips = tuple(map(operator.or_, flips, map(operator.ne, vals[1:], vals)))
+    flip_bits = (False,) + flips
     tail_start: int | None = None
     if not any(flip_bits[threshold:]):
         last_proper = max((i for i in range(threshold) if flip_bits[i]), default=0)

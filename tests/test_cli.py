@@ -55,6 +55,7 @@ def test_eval_parse_error_exit_three(workdir, capsys):
     ("ap: q, false", 8, "'false' is reserved"),
     ("ap: p q", 5, "'p q' is not a single identifier"),
     ("  ap: q ,  p-r", 12, "'p-r' is not a single identifier"),
+    ("ap: X, q", 5, "'X' is reserved for an operator"),
 ])
 def test_reserved_or_unreadable_proposition_exit_three(workdir, capsys, header, column, problem):
     (workdir / "f.ghyltl").write_text(f"{header}\nexists x. F[true] q_x\n", encoding="utf-8")

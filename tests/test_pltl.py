@@ -150,9 +150,10 @@ def test_written_tautology_is_not_sugar():
     ("true", "is reserved for a constant"), ("false", "is reserved for a constant"),
     ("p q", "is not a single identifier"), ("p-q", "is not a single identifier"),
     ("", "is not a single identifier"), ("(", "is not a single identifier"),
-])
+] + [(op, "is reserved for an operator") for op in "XYFGOHUS"])
 def test_reserved_or_unreadable_proposition_names(name, problem):
-    # an atom could not read these names: true and false are the constants
+    # an atom could not read these names: true and false are the constants,
+    # X Y F G O H U S the operators
     with pytest.raises(ParseError, match=problem):
         parse_pltl("a", {"a", name})
     with pytest.raises(ParseError, match=problem):

@@ -539,7 +539,8 @@ def test_render_parse_roundtrip_random():
         assert parse_hyper(text, AP) == f, text
 
 
-@pytest.mark.parametrize("ap", [("true", "q"), ("q", "false"), ("p q",), ("q", "p,r")])
+@pytest.mark.parametrize("ap", [("true", "q"), ("q", "false"), ("p q",), ("q", "p,r"),
+                                ("X", "q"), ("q", "U")])
 def test_reserved_or_unreadable_proposition_names(ap):
     # with ap: true, q the text F[true] q_x would read the constant
     with pytest.raises(hy.ParseError, match="proposition name"):
@@ -728,6 +729,35 @@ def test_cycle_key_shortcut_vs_per_iteration_key(monkeypatch, k):
             m.setattr(hy, "_walk", _walk_per_iteration)
             m.setattr(hy, "_config_key", _key_per_iteration)
             assert _verdict_and_steps(monkeypatch, traces, a, f, config) == got
+
+
+def _profiled(monkeypatch, traces, f):
+    """check_traceset's verdict on f and the formulas whose valuation
+    profiles it built, rendered."""
+    built = []
+    real = pl.valuation_profile
+
+    def counting(trace, g, memo=None):
+        if memo is None or id(g) not in memo:
+            built.append(pl.render_pltl(g))
+        return real(trace, g, memo)
+
+    with monkeypatch.context() as m:
+        m.setattr(pl, "valuation_profile", counting)
+        m.setattr(ghyltl.stutter, "valuation_profile", counting)
+        verdict = check_traceset(traces, f)
+    return verdict, built
+
+
+def test_cycle_key_thresholds_wait_for_the_first_step(monkeypatch):
+    # the walk of F[q, X X p] p_x returns at its first iteration where p
+    # holds at 0, so no threshold, and no profile of a gamma member, is read
+    f = parse_hyper("forall x. F[q, X X p] p_x", AP)
+    verdict, built = _profiled(monkeypatch, [lasso(AP, [{"p"}], [set()])], f)
+    assert verdict.is_holds and built == []
+    # one step later the walk steps: the thresholds read the members
+    verdict, built = _profiled(monkeypatch, [lasso(AP, [set(), {"p"}], [set()])], f)
+    assert verdict.is_holds and {"q", "X X p"} <= set(built)
 
 
 @pytest.mark.parametrize("k", range(1, 8))
