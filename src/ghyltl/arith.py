@@ -165,6 +165,12 @@ def free_arith_vars(f: Arith) -> frozenset[str]:
     return free[id(f)]
 
 
+def _require_closed(f: Arith) -> None:
+    free = free_arith_vars(f)
+    if free:
+        raise ValueError(f"sentence must be closed; free variables {sorted(free)}")
+
+
 def _subsets(cap: int) -> list[frozenset[int]]:
     """Every subset of 0..cap, 2^(cap+1) of them."""
     return [frozenset(i for i in range(cap + 1) if mask >> i & 1)
@@ -177,9 +183,11 @@ def arith_eval_bounded(f: Arith, n: int, bit_cap: int = 12) -> bool:
 
     Exact for sentences whose quantifiers are semantically bounded below n.
     The subsets are built when the first second-order quantifier is reached.
+    An open formula is rejected, as by the compilers.
     """
     if n < 1 or bit_cap < 0:
         raise ValueError(f"need bound >= 1 and bit_cap >= 0, got {n}, {bit_cap}")
+    _require_closed(f)
     cap = min(n, bit_cap)
     subsets: list[frozenset[int]] = []
 
@@ -356,12 +364,10 @@ class _ArithParser(pl._Parser):
             self.take(")")
             return t
         if nxt is not None and nxt[0] == "id":
+            if _is_set_var(nxt[1]):
+                self.error(f"second-order variable {nxt[1]!r} cannot appear in a term")
             tok = self.take()
-            if tok.isdigit():
-                return TConst(int(tok))
-            if _is_set_var(tok):
-                self.error(f"second-order variable {tok!r} cannot appear in a term")
-            return TVar(tok)
+            return TConst(int(tok)) if tok.isdigit() else TVar(tok)
         self.error("expected a term")
 
 
@@ -765,8 +771,7 @@ def _require_closed_flat(f: Arith) -> None:
     if not isinstance(f, Arith) or any(isinstance(n, RawAtom)
                                        for n in hy.postorder(f, _children)):
         raise TypeError("expected a flat arithmetic sentence; run flatten first")
-    if free_arith_vars(f):
-        raise ValueError(f"sentence must be closed; free variables {sorted(free_arith_vars(f))}")
+    _require_closed(f)
 
 
 def _compile(f: Arith, encoding: str, strict_fidelity: bool) -> CompiledArtifact:

@@ -3,7 +3,8 @@
 A position of a trace is a proper changepoint for a set of PLTL formulas if it
 is the origin or some member formula flips truth value there.  When only
 finitely many positions are proper changepoints, every later position counts
-as a changepoint by convention, so successors are always defined.
+as a changepoint by convention, so successors are always defined.  Proper and
+conventional changepoints alike are the bits of one pltl.ValuationProfile.
 
 Steps are lookups in per-gamma maps owned by a StepTables object, which also
 owns the one pointed trace per (trace, position) that the maps are keyed by;
@@ -14,10 +15,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .pltl import pltl_eval, unrolled, valuation_profile
+from .pltl import ValuationProfile, pltl_eval, unrolled, valuation_profile
 from .traces import LassoTrace, PointedTrace
 
 Gamma = frozenset  # of Pltl formulas
@@ -32,59 +32,26 @@ def is_proper_changepoint(trace: LassoTrace, gamma: Gamma, i: int) -> bool:
     return any(pltl_eval(trace, i, th) != pltl_eval(trace, i - 1, th) for th in gamma)
 
 
-@dataclass(frozen=True)
-class ChangepointProfile:
-    """Finite description of the changepoints of a trace w.r.t. a gamma set.
-
-    Below ``threshold`` flips are tabulated exactly; from there they repeat
-    with ``period``.  ``tail_start`` is set when only finitely many proper
-    changepoints exist: every position from there on is a changepoint by
-    convention.
-    """
-
-    trace: LassoTrace
-    gamma: Gamma
-    threshold: int
-    period: int
-    flip_bits: tuple[bool, ...]
-    tail_start: int | None
-
-    def _flips(self, i: int) -> bool:
-        if i < self.threshold:
-            return self.flip_bits[i]
-        return self.flip_bits[self.threshold + ((i - self.threshold) % self.period)]
-
-    def is_changepoint(self, i: int) -> bool:
-        if i == 0:
-            return True
-        if self.tail_start is not None and i >= self.tail_start:
-            return True
-        return self._flips(i)
-
-    def proper_changepoints(self, horizon: int) -> list[int]:
-        return [i for i in range(horizon) if i == 0 or self._flips(i)]
-
-
 def changepoint_profile(trace: LassoTrace, gamma: Gamma,
-                        memo: dict | None = None) -> ChangepointProfile:
-    """The changepoints of trace w.r.t. gamma; memo is the trace's
-    valuation-profile memo (see pltl.valuation_profile)."""
+                        memo: dict | None = None) -> ValuationProfile:
+    """The changepoints of trace w.r.t. gamma as a profile of gamma: bit i is
+    true when position i is a changepoint.  The flips repeat from the
+    members' largest threshold plus one, with the lcm of their periods; memo
+    is the trace's valuation-profile memo (see pltl.valuation_profile)."""
     if memo is None:
         memo = {}
     profiles = [valuation_profile(trace, th, memo) for th in gamma]
     threshold = max([p.threshold for p in profiles], default=0) + 1
     period = math.lcm(*[p.period for p in profiles]) if profiles else 1
-    # position i > 0 flips if some member's value at i differs from i - 1
-    flips = (False,) * (threshold + period - 1)
-    for p in profiles:
-        vals = unrolled(p, threshold + period)
-        flips = tuple(map(operator.or_, flips, map(operator.ne, vals[1:], vals)))
-    flip_bits = (False,) + flips
-    tail_start: int | None = None
-    if not any(flip_bits[threshold:]):
-        last_proper = max((i for i in range(threshold) if flip_bits[i]), default=0)
-        tail_start = last_proper + 1
-    return ChangepointProfile(trace, gamma, threshold, period, flip_bits, tail_start)
+    n = threshold + period
+    # position i > 0 flips when the members' values at i differ from i - 1
+    rows = list(zip(*[unrolled(p, n) for p in profiles])) or [()] * n
+    bits = (True,) + tuple(map(operator.ne, rows[1:], rows))
+    if not any(bits[threshold:]):
+        # no flip from the threshold on: all after the last are changepoints
+        last = max(i for i in range(threshold) if bits[i])
+        bits = bits[:last + 1] + (True,) * (n - 1 - last)
+    return ValuationProfile(gamma, trace, threshold, period, bits)
 
 
 class StepTables:
@@ -99,12 +66,14 @@ class StepTables:
 
     Per gamma object the owner keeps one successor and one predecessor map,
     keyed by id(point) of owner points only.  The first step of a (trace,
-    gamma) fills both maps from one changepoint_profile for every position
-    below limit = threshold + 2 * period.  From the threshold on the
-    changepoints repeat with the period (tail_start never exceeds the
-    threshold) and every period holds at least one, so past limit - period
-    both steps commute with a shift by whole periods: a later position is
-    shifted into the last filled period, and its interned result is stored.
+    gamma) fills both maps for every position below limit = threshold +
+    2 * period from the bits of one changepoint_profile.  From the threshold
+    on the bits repeat with the period, and a period with no flip is all
+    changepoints, so every such period holds at least one; past limit -
+    period both steps thus commute with a shift by whole periods: a later
+    position is shifted into the last filled period, and its interned result
+    is stored.  The fill is eager because scanning the bits on each miss
+    makes a walk across a long gap between changepoints quadratic.
 
     Invariant: the owner holds every object whose id it or a memo keyed on
     its points uses (traces, points, gammas), so no id is reused while a key
@@ -161,8 +130,7 @@ class StepTables:
             # one more period past the limit holds the successor of limit - 1
             pts = [known.get(i) or known.setdefault(i, PointedTrace(trace, i))
                    for i in range(limit + period)]
-            is_cp = prof.is_changepoint
-            cps = [i for i in range(limit + period) if is_cp(i)]
+            cps = [i for i, cp in enumerate(unrolled(prof, limit + period)) if cp]
             # between changepoints a < b, the positions a..b-1 step forward
             # to b and a+1..b step back to a; position 0 is a changepoint
             after, before = [], [None]

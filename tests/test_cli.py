@@ -383,6 +383,19 @@ def test_oracle_alternation_is_unknown(workdir, capsys, text, bounded):
     assert obj["detail"] == {"bounded_value": bounded}
 
 
+@pytest.mark.parametrize("text,free", [
+    ("a < 1", "['a']"),  # a free first-order variable
+    ("exists a. a in B", "['B']"),  # a free second-order one
+])
+def test_oracle_open_formula_exit_three(workdir, capsys, text, free):
+    (workdir / "open.txt").write_text(text, encoding="utf-8")
+    code = main(["oracle", str(workdir / "open.txt")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: sentence must be closed; free variables {free}"]
+
+
 @pytest.mark.parametrize("args", [
     ["sat", "{f}", "--max-prefix", -1],
     ["check", "{sys}", "{f}", "--max-prefix", -1],

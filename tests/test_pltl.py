@@ -252,8 +252,8 @@ PARSE_ERRORS = [
     (_parse_arith, "exists a. a in b", 1, 16,
      "expected a second-order (upper-case) variable after 'in', found 'b'"),
     (_parse_arith, "exists a. a", 1, 11, "expected '=', '<' or 'in' after a term at end of input"),
-    (_parse_arith, "exists a. X + a = a", 1, 13,
-     "second-order variable 'X' cannot appear in a term, found '+'"),
+    (_parse_arith, "exists a. X + a = a", 1, 11,
+     "second-order variable 'X' cannot appear in a term, found 'X'"),
     (_parse_arith, "exists a. (a = a", 1, 16, "expected ')' at end of input"),
     (_parse_arith, "exists a. (a + 1 = 2", 1, 20, "expected ')' at end of input"),
 ]

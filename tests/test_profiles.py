@@ -119,10 +119,16 @@ def test_profiles_match_the_per_position_builder_and_the_brute_tables():
         gamma = frozenset([f] + [gen_pltl(rng, AP, rng.randint(0, 6))
                                  for _ in range(rng.randint(0, 2))])
         cp = changepoint_profile(t, gamma)
-        assert (cp.threshold, cp.period, cp.flip_bits, cp.tail_start) == ref_flips(t, gamma), \
+        # the origin is a changepoint, and with no flip from the threshold
+        # on so is every position from tail_start
+        threshold, period, flip_bits, tail_start = ref_flips(t, gamma)
+        bits = tuple(i == 0 or flip or (tail_start is not None and i >= tail_start)
+                     for i, flip in enumerate(flip_bits))
+        assert cp.formula is gamma and cp.trace is t
+        assert (cp.threshold, cp.period, cp.bits) == (threshold, period, bits), \
             (t, sorted(map(render_pltl, gamma)))
         horizon = cp.threshold + 2 * cp.period + len(t.loop)
         brute = brute_changepoints(t, gamma, horizon)
-        assert [cp.is_changepoint(i) for i in range(horizon)] == brute, \
+        assert [cp.value(i) for i in range(horizon)] == brute, \
             (t, sorted(map(render_pltl, gamma)))
     assert shapes >= {(False, False), (False, True), (True, False)}

@@ -34,25 +34,32 @@ def test_empty_gamma_never_flips():
         assert not is_proper_changepoint(t, frozenset(), 1)
 
 
+def _proper(trace, gamma, horizon):
+    return [i for i in range(horizon) if is_proper_changepoint(trace, gamma, i)]
+
+
 def test_profile_empty_gamma():
     t = lasso({"p"}, [], [{"p"}])
     prof = changepoint_profile(t, frozenset())
-    assert prof.tail_start == 1
-    assert prof.proper_changepoints(8) == [0]
-    assert all(prof.is_changepoint(i) for i in range(8))
+    assert _proper(t, frozenset(), 8) == [0]
+    # by convention every position after the origin is a changepoint too
+    assert prof.bits == (True, True)
+    assert all(prof.value(i) for i in range(8))
 
 
 def test_profile_spike():
     prof = changepoint_profile(SPIKE, MARK)
-    assert prof.proper_changepoints(10) == [0, 3, 4]
-    assert prof.tail_start == 5
+    assert _proper(SPIKE, MARK, 10) == [0, 3, 4]
+    assert [prof.value(i) for i in range(10)] == [i in (0, 3, 4) or i >= 5 for i in range(10)]
 
 
 def test_profile_alternating_is_periodic():
     t = lasso({"p"}, [], [{"p"}, set()])
-    prof = changepoint_profile(t, frozenset({pl.Atom("p")}))
-    assert prof.tail_start is None
-    assert all(prof.is_changepoint(i) for i in range(12))
+    g = frozenset({pl.Atom("p")})
+    prof = changepoint_profile(t, g)
+    # every position is a proper changepoint, so the convention plays no part
+    assert _proper(t, g, 12) == list(range(12))
+    assert all(prof.value(i) for i in range(12))
 
 
 def test_gamma_succ_examples():
@@ -90,7 +97,7 @@ def test_monotone_and_roundtrip():
             prev = StepTables().pred(PointedTrace(t, i), g)
             if i > 0:
                 assert prev is not None and prev.pos < i
-            if prof.is_changepoint(i):
+            if prof.value(i):
                 assert StepTables().pred(nxt, g).pos == i
 
 
@@ -167,7 +174,10 @@ def test_step_tables_match_a_brute_changepoint_scan():
         pred = [max((j for j in range(i) if cp[j]), default=None) for i in range(last + 1)]
         prof = changepoint_profile(t, g)
         assert prof.threshold + 2 * prof.period < last
-        kinds.add(prof.tail_start is None)
+        # changepoints repeat with the loop from the threshold on, so the
+        # convention holds when the last loop below horizon has no proper one
+        kinds.add(any(is_proper_changepoint(t, g, i)
+                      for i in range(horizon - len(t.loop), horizon)))
         # one owner walked upward grows its tables a period at a time; a
         # fresh owner asked from the top first shifts without growing
         for steps, order in ((StepTables(), range(last + 1)),
@@ -179,7 +189,7 @@ def test_step_tables_match_a_brute_changepoint_scan():
                 assert (None if prev is None else prev.pos) == pred[i], (t, g, i)
         assert StepTables().succ(PointedTrace(t, last), g).pos == succ[last]
         assert StepTables().pred(PointedTrace(t, 0), g) is None
-    assert kinds == {True, False}  # periodic changepoints and a tail_start
+    assert kinds == {True, False}  # periodic changepoints and the convention
 
 
 def test_owner_hands_out_one_point_per_position():
