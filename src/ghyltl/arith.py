@@ -396,7 +396,8 @@ class _Flattener:
 
     def constant(self, k: int, bindings: list[tuple[str, list[Arith]]]) -> str:
         # 0 is the unique additive idempotent, 1 the other multiplicative one;
-        # larger constants are built by repeated addition of 1
+        # larger constants are built by doubling along the binary digits of k
+        # after the leading 1, adding 1 after each doubling whose digit is 1
         if k == 0:
             v = next(self.fresh)
             bindings.append((v, [Add(v, v, v)]))
@@ -404,10 +405,11 @@ class _Flattener:
         one = next(self.fresh)
         bindings.append((one, [Mul(one, one, one), Not(Add(one, one, one))]))
         prev = one
-        for _ in range(k - 1):
-            nxt = next(self.fresh)
-            bindings.append((nxt, [Add(prev, one, nxt)]))
-            prev = nxt
+        for digit in bin(k)[3:]:
+            for addend in (prev, one) if digit == "1" else (prev,):
+                nxt = next(self.fresh)
+                bindings.append((nxt, [Add(prev, addend, nxt)]))
+                prev = nxt
         return prev
 
     def atom(self, raw: RawAtom) -> Arith:

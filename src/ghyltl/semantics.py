@@ -194,8 +194,10 @@ def _facts(f: Hyper) -> tuple[dict, frozenset[str], frozenset, bool]:
     its sorted free variables (its child's tuple when they are the same),
     its past horizon h (the most Yesterday nodes on a path at or below it,
     math.inf with a Since there; h > 0 when it looks back), and the kinds of
-    the quantifiers at or below it after negation polarity; then
-    all_vars(f), gamma_members(f) and whether a context operator occurs."""
+    the quantifiers at or below it after negation polarity (0 for none); then
+    the variables of atoms, binders and context sets, the temporal index
+    members, and whether a context operator occurs.  No other walk answers
+    a structural query about a hyper formula."""
     nodes: dict[int, tuple[tuple[str, ...], float, int]] = {}
     names, gammas, contexts = set(), set(), False
     for n in postorder(f):
@@ -203,7 +205,7 @@ def _facts(f: Hyper) -> tuple[dict, frozenset[str], frozenset, bool]:
         free, h, kinds = nodes[id(kids[0])] if kids else ((), 0, 0)
         if len(kids) == 2:
             rfree, rh, rkinds = nodes[id(kids[1])]
-            if not set(rfree) <= set(free):
+            if rfree != free and not set(rfree) <= set(free):
                 free = tuple(sorted({*free, *rfree}))
             h, kinds = max(h, rh), kinds | rkinds
         if isinstance(n, Not):
@@ -232,28 +234,7 @@ def free_vars(f: Hyper) -> frozenset[str]:
 
 def all_vars(f: Hyper) -> frozenset[str]:
     """Every variable mentioned anywhere: atoms, binders, and context sets."""
-    out: set[str] = set()
-    for n in postorder(f):
-        if isinstance(n, Atom):
-            out.add(n.var)
-        elif isinstance(n, (Exists, Forall)):
-            out.add(n.var)
-        elif isinstance(n, Context):
-            out.update(n.vars)
-    return frozenset(out)
-
-
-def gamma_members(f: Hyper) -> frozenset:
-    """All PLTL formulas appearing in any temporal index of the formula."""
-    out: set = set()
-    for n in postorder(f):
-        if isinstance(n, (Next, Until, Yesterday, Since)):
-            out.update(n.gamma)
-    return frozenset(out)
-
-
-def has_quantifier(f: Hyper) -> bool:
-    return any(isinstance(n, (Exists, Forall)) for n in postorder(f))
+    return _facts(f)[1]
 
 
 def strip_prefix(f: Hyper) -> tuple[list[tuple[str, str]], Hyper]:
@@ -266,8 +247,7 @@ def strip_prefix(f: Hyper) -> tuple[list[tuple[str, str]], Hyper]:
 
 
 def is_prenex(f: Hyper) -> bool:
-    _, matrix = strip_prefix(f)
-    return not has_quantifier(matrix)
+    return not _facts(f)[0][id(strip_prefix(f)[1])][2]
 
 
 def quantifier_shape(f: Hyper) -> str:

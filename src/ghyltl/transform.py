@@ -29,8 +29,8 @@ from typing import Iterable, Iterator
 from .pltl import TRUE, Top
 from .semantics import (
     EMPTY_GAMMA, Atom, Context, Exists, Forall, Gamma, Hyper, Next, Not, Or,
-    Since, Until, Yesterday, all_vars, alw, children, ev, free_vars,
-    h_all, h_and, h_implies, has_quantifier, is_prenex, once,
+    Since, Until, Yesterday, _facts, all_vars, alw, ev, h_all, h_and,
+    h_implies, is_prenex, once, strip_prefix,
 )
 from .traces import LassoTrace, spike_trace
 
@@ -161,6 +161,7 @@ def hoist_prenex(f: Hyper) -> Hyper:
     a temporal operator; that case needs prenexify.
     """
     f = alpha_unique(f)
+    nodes = _facts(f)[0]
 
     def walk(n: Hyper) -> tuple[_Prefix, Hyper]:
         if isinstance(n, (Atom, Top)):
@@ -180,7 +181,7 @@ def hoist_prenex(f: Hyper) -> Hyper:
             kind = "exists" if isinstance(n, Exists) else "forall"
             return [(kind, n.var)] + p, m
         if isinstance(n, (Next, Until, Yesterday, Since)):
-            if any(has_quantifier(c) for c in children(n)):
+            if nodes[id(n)][2]:  # the kinds of the quantifiers below n
                 raise ValueError("quantifier under a temporal operator; use prenexify")
             return [], n
         raise TypeError(f"not a hyper formula node: {n!r}")
@@ -296,9 +297,10 @@ def prenexify(f: Hyper, ap: Iterable[str]) -> Hyper:
     Non-prenex input is rewritten over ap + {hash}; its evaluation needs the
     position traces added to the model (see pos_traces).
     """
-    if free_vars(f):
-        raise ValueError(f"not a sentence; free variables {sorted(free_vars(f))}")
-    if is_prenex(f):
+    nodes = _facts(f)[0]
+    if nodes[id(f)][0]:
+        raise ValueError(f"not a sentence; free variables {list(nodes[id(f)][0])}")
+    if not nodes[id(strip_prefix(f)[1])][2]:
         return f
     props = frozenset(ap)
     if MARK in props:

@@ -68,6 +68,15 @@ def test_flatten_constant_equivalence():
     assert arith_eval_bounded(h, 3)
 
 
+def test_flatten_constants_by_doubling():
+    # a constant k takes O(log k) additions, not k - 1
+    f = flat("exists a. a = 200000")
+    assert len(hy.postorder(f, arith._children)) <= 160
+    for k in range(21):
+        assert arith_eval_bounded(flat(f"exists a. a = {k}"), k + 1), k
+        assert not arith_eval_bounded(flat(f"exists a. (a = {k} & a < {k})"), k + 1), k
+
+
 def test_flatten_var_equation_uses_order():
     f = flat("forall a. forall b. (a = b -> !(a < b))")
     assert arith_eval_bounded(f, 6)

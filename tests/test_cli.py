@@ -369,6 +369,14 @@ def test_oracle_command(workdir, capsys):
     assert "bounded_value: False" in out
 
 
+def test_oracle_large_constant(workdir, capsys):
+    # constants are built by doubling, so a six-digit one flattens at once
+    (workdir / "big.txt").write_text("exists a. 200000 = a", encoding="utf-8")
+    code, out = run(["oracle", workdir / "big.txt", "--bound", 4, "--json"], capsys)
+    assert code == 2
+    assert json.loads(out)["reason"] == "arith-bound(bound=4,bit_cap=12)"
+
+
 @pytest.mark.parametrize("text,bounded", [
     ("forall a. exists b. a < b", False),  # true over N; the bound has a largest number
     ("exists a. forall b. b < a | b = a", True),  # false over N; the bound's largest is a

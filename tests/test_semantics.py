@@ -376,7 +376,7 @@ def test_structural_queries_visit_shared_nodes_once(monkeypatch):
 
     monkeypatch.setattr(hy, "children", counting)
     for query, expected in [(hy.free_vars, frozenset()), (hy.quantifier_shape, "forall"),
-                            (hy.all_vars, {"x"})]:
+                            (hy.all_vars, {"x"}), (hy.is_prenex, True)]:
         calls.clear()
         assert query(f) == expected
         visits = Counter(calls)
@@ -871,11 +871,19 @@ def test_fold_matches_the_separate_walks():
                for enc in ("stutter", "context") for strict in (False, True)]
     for f in corpus:
         nodes, names, gammas, contexts = hy._facts(f)
-        assert names == hy.all_vars(f)
-        assert gammas == hy.gamma_members(f)
-        assert contexts == any(isinstance(n, hy.Context) for n in hy.postorder(f))
+        walk = hy.postorder(f)
+        ref_names = set()
+        for n in walk:
+            if isinstance(n, (hy.Atom, hy.Exists, hy.Forall)):
+                ref_names.add(n.var)
+            elif isinstance(n, hy.Context):
+                ref_names |= n.vars
+        assert names == ref_names
+        assert gammas == {th for n in walk if isinstance(n, (hy.Next, hy.Until, hy.Yesterday,
+                                                             hy.Since)) for th in n.gamma}
+        assert contexts == any(isinstance(n, hy.Context) for n in walk)
         memo = {}
-        for n in hy.postorder(f):
+        for n in walk:
             assert nodes[id(n)][0] == tuple(sorted(ref_free(n, memo)))
 
 

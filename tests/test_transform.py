@@ -56,6 +56,8 @@ def test_identity_on_prenex():
 def test_rejects_open_formulas_and_reserved_mark():
     with pytest.raises(ValueError):
         prenexify(parse_hyper("p_x", LEMMA1_AP), LEMMA1_AP)
+    with pytest.raises(ValueError, match=r"^not a sentence; free variables \['x', 'y'\]$"):
+        prenexify(parse_hyper("p_y & F[] (exists a. q_x)", LEMMA1_AP), LEMMA1_AP)
     f = parse_hyper("exists a. F[] (exists b. hash_b)", {"hash"})
     with pytest.raises(ValueError):
         prenexify(f, {"hash"})
@@ -67,7 +69,6 @@ def test_output_prenex_and_fresh():
         fp = prenexify(f, LEMMA1_AP)
         assert hy.is_prenex(fp)
         prefix, matrix = hy.strip_prefix(fp)
-        assert not hy.has_quantifier(matrix)
         bound = {v for _, v in prefix}
         assert hy.all_vars(f) <= bound | hy.all_vars(matrix)
         fresh = bound - hy.all_vars(f)
@@ -148,12 +149,22 @@ def test_hoist_prenex_boolean_only():
     assert [k for k, _ in prefix] == ["exists", "forall"]
     L = [lasso(LEMMA1_AP, [], [{"p"}])]
     assert check_traceset(L, f).status == check_traceset(L, g).status
+    # a quantifier under a context under a boolean still hoists
+    f = parse_hyper("(exists a. p_a) | !C{a} (exists b. q_b)", LEMMA1_AP)
+    g = hoist_prenex(f)
+    assert hy.is_prenex(g)
+    prefix, _ = hy.strip_prefix(g)
+    assert [k for k, _ in prefix] == ["exists", "forall"]
+    for L in ([lasso(LEMMA1_AP, [], [{"q"}])], [lasso(LEMMA1_AP, [], [set()])],
+              [lasso(LEMMA1_AP, [], [{"p"}]), lasso(LEMMA1_AP, [], [{"q"}])]):
+        assert check_traceset(L, f).status == check_traceset(L, g).status
 
 
 def test_hoist_prenex_rejects_temporal_nesting():
-    f = parse_hyper("exists a. F[] (exists b. p_b)", LEMMA1_AP)
-    with pytest.raises(ValueError):
-        hoist_prenex(f)
+    # the second has a context between the temporal operator and the quantifier
+    for text in ("exists a. F[] (exists b. p_b)", "exists a. F[] C{a} (exists b. p_b)"):
+        with pytest.raises(ValueError):
+            hoist_prenex(parse_hyper(text, LEMMA1_AP))
 
 
 def test_hoist_prenex_preserves_verdicts_random():
