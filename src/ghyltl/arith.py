@@ -2,6 +2,10 @@
 into the stuttering and context fragments.  The parser emits connectives over
 comparison leaves (RawAtom); flatten rewrites those into the four flat atoms.
 
+Only the atoms are arithmetic's own: the connectives are pltl's Not and Or,
+the binders semantics' Exists and Forall.  A variable is second-order (a set)
+iff its name starts upper-case (_is_set_var).
+
 Numbers are encoded as traces carrying a single marker at the encoded
 position, sets as arbitrary marker traces.  Addition and multiplication are
 expressed through synchronization gadgets: the stuttering encoding steps along
@@ -18,8 +22,8 @@ from typing import Iterable
 
 from . import pltl as pl
 from . import semantics as hy
-from .pltl import ParseError, token_pattern, tokenize
-from .semantics import EMPTY_GAMMA, EvalConfig, evaluate
+from .pltl import Not, Or, ParseError, p_and, token_pattern, tokenize
+from .semantics import EMPTY_GAMMA, EvalConfig, Exists, Forall, evaluate
 from .traces import LassoTrace, PointedTrace, TransitionSystem, pointwise_union, spike_trace
 from .transform import fresh_names, pos_shape, purity
 
@@ -71,46 +75,11 @@ class Member(Arith):
     set_var: str
 
 
-@dataclass(frozen=True)
-class Not(Arith):
-    sub: Arith
+a_and = p_and
 
 
-@dataclass(frozen=True)
-class Or(Arith):
-    left: Arith
-    right: Arith
-
-
-@dataclass(frozen=True)
-class ExistsFirst(Arith):
-    var: str
-    sub: Arith
-
-
-@dataclass(frozen=True)
-class ForallFirst(Arith):
-    var: str
-    sub: Arith
-
-
-@dataclass(frozen=True)
-class ExistsSecond(Arith):
-    var: str
-    sub: Arith
-
-
-@dataclass(frozen=True)
-class ForallSecond(Arith):
-    var: str
-    sub: Arith
-
-
-def a_and(a: Arith, b: Arith) -> Arith:
-    return Not(Or(Not(a), Not(b)))
-
-
-_QUANTIFIERS = (ExistsFirst, ForallFirst, ExistsSecond, ForallSecond)
+def _is_set_var(name: str) -> bool:
+    return name[:1].isupper()
 
 
 def _children(f) -> tuple:
@@ -118,7 +87,7 @@ def _children(f) -> tuple:
     leaf, sum or product; flat atoms, variables and constants have none."""
     if isinstance(f, (Or, TPlus, TTimes)):
         return (f.left, f.right)
-    if isinstance(f, (Not,) + _QUANTIFIERS):
+    if isinstance(f, (Not, Exists, Forall)):
         return (f.sub,)
     if isinstance(f, RawAtom):
         return (f.left,) if f.kind == "in" else (f.left, f.right)
@@ -133,10 +102,8 @@ def _mentions(n) -> tuple[tuple[str, ...], tuple[str, ...]]:
         return (n.y1, n.y2), ()
     if isinstance(n, Member):
         return (n.y,), (n.set_var,)
-    if isinstance(n, (ExistsFirst, ForallFirst)):
-        return (n.var,), ()
-    if isinstance(n, (ExistsSecond, ForallSecond)):
-        return (), (n.var,)
+    if isinstance(n, (Exists, Forall)):
+        return ((), (n.var,)) if _is_set_var(n.var) else ((n.var,), ())
     if isinstance(n, TVar):
         return (n.name,), ()
     if isinstance(n, RawAtom) and n.kind == "in":
@@ -156,7 +123,7 @@ def free_arith_vars(f: Arith) -> frozenset[str]:
     free: dict[int, frozenset[str]] = {}
     for n in hy.postorder(f, _children):
         out = frozenset().union(*(free[id(c)] for c in _children(n)))
-        if isinstance(n, _QUANTIFIERS):
+        if isinstance(n, (Exists, Forall)):
             out -= {n.var}
         else:
             first, second = _mentions(n)
@@ -165,10 +132,22 @@ def free_arith_vars(f: Arith) -> frozenset[str]:
     return free[id(f)]
 
 
-def _require_closed(f: Arith) -> None:
+def _require_flat_sentence(f: Arith) -> None:
+    """Reject a node of no flat form, a free variable, and a variable whose
+    case contradicts where it stands: an upper-case (set) name where a number
+    goes, or a lower-case one where a set goes.  A binder's order is its case."""
+    nodes = hy.postorder(f, _children)
+    if not all(isinstance(n, (Add, Mul, Less, Member, Not, Or, Exists, Forall)) for n in nodes):
+        raise TypeError("expected a flat arithmetic sentence; run flatten first")
     free = free_arith_vars(f)
     if free:
         raise ValueError(f"sentence must be closed; free variables {sorted(free)}")
+    for n in nodes:
+        for second, names in enumerate(_mentions(n)):
+            for v in names:
+                if _is_set_var(v) != second:
+                    raise ValueError(f"{'lower' if second else 'upper'}-case variable {v!r} "
+                                     f"stands for a {'set' if second else 'number'}")
 
 
 def _subsets(cap: int) -> list[frozenset[int]]:
@@ -183,11 +162,11 @@ def arith_eval_bounded(f: Arith, n: int, bit_cap: int = 12) -> bool:
 
     Exact for sentences whose quantifiers are semantically bounded below n.
     The subsets are built when the first second-order quantifier is reached.
-    An open formula is rejected, as by the compilers.
+    The sentence is checked as by the compilers (_require_flat_sentence).
     """
     if n < 1 or bit_cap < 0:
         raise ValueError(f"need bound >= 1 and bit_cap >= 0, got {n}, {bit_cap}")
-    _require_closed(f)
+    _require_flat_sentence(f)
     cap = min(n, bit_cap)
     subsets: list[frozenset[int]] = []
 
@@ -204,14 +183,15 @@ def arith_eval_bounded(f: Arith, n: int, bit_cap: int = 12) -> bool:
             return not go(node.sub, env)
         if isinstance(node, Or):
             return go(node.left, env) or go(node.right, env)
-        if isinstance(node, (ExistsFirst, ForallFirst)):
-            vals = (go(node.sub, {**env, node.var: k}) for k in range(n + 1))
-            return any(vals) if isinstance(node, ExistsFirst) else all(vals)
-        if isinstance(node, (ExistsSecond, ForallSecond)):
-            if not subsets:
-                subsets.extend(_subsets(cap))
-            vals = (go(node.sub, {**env, node.var: s}) for s in subsets)
-            return any(vals) if isinstance(node, ExistsSecond) else all(vals)
+        if isinstance(node, (Exists, Forall)):
+            if _is_set_var(node.var):
+                if not subsets:
+                    subsets.extend(_subsets(cap))
+                domain = subsets
+            else:
+                domain = range(n + 1)
+            vals = (go(node.sub, {**env, node.var: v}) for v in domain)
+            return any(vals) if isinstance(node, Exists) else all(vals)
         raise TypeError(f"not a flat arithmetic node: {node!r}")
 
     return go(f, {})
@@ -232,9 +212,9 @@ def quantifier_shape(f: Arith) -> str:
             k |= kinds[id(c)]
         if isinstance(n, Not):
             k = hy._FLIP[k]
-        elif isinstance(n, (ExistsFirst, ExistsSecond)):
+        elif isinstance(n, Exists):
             k |= 1
-        elif isinstance(n, (ForallFirst, ForallSecond)):
+        elif isinstance(n, Forall):
             k |= 2
         kinds[id(n)] = k
     return hy._SHAPES[kinds[id(f)]]
@@ -277,13 +257,7 @@ class RawAtom:
 _ARITH_TOKENS = token_pattern(("<->", "->", "!", "|", "&", "(", ")", ".", "<", "=", "+", "*"))
 
 
-def _is_set_var(name: str) -> bool:
-    return name[0].isupper()
-
-
 class _ArithParser(pl._Parser):
-    Not, Or = Not, Or
-
     def formula(self):
         nxt = self.peek()
         if nxt is not None and nxt[0] == "id" and nxt[1] in ("forall", "exists"):
@@ -293,11 +267,7 @@ class _ArithParser(pl._Parser):
                 self.error("expected a variable name")
             var = self.take()
             self.take(".")
-            body = self.formula()
-            second = _is_set_var(var)
-            if kind == "exists":
-                return (ExistsSecond if second else ExistsFirst)(var, body)
-            return (ForallSecond if second else ForallFirst)(var, body)
+            return (Exists if kind == "exists" else Forall)(var, self.formula())
         return self.iff()
 
     def primary(self):
@@ -427,8 +397,8 @@ class _Flattener:
             core = self.equation(raw.left, raw.right, bindings)
         for v, defs in reversed(bindings):
             for d in reversed(defs):
-                core = a_and(d, core)
-            core = ExistsFirst(v, core)
+                core = p_and(d, core)
+            core = Exists(v, core)
         return core
 
     def equation(self, left, right, bindings) -> Arith:
@@ -452,7 +422,7 @@ def _map_leaves(f: Arith, leaf) -> Arith:
         return Not(_map_leaves(f.sub, leaf))
     if isinstance(f, Or):
         return Or(_map_leaves(f.left, leaf), _map_leaves(f.right, leaf))
-    if isinstance(f, _QUANTIFIERS):
+    if isinstance(f, (Exists, Forall)):
         return type(f)(f.var, _map_leaves(f.sub, leaf))
     return leaf(f)
 
@@ -496,7 +466,7 @@ def dealias(f: Arith) -> Arith:
         core: Arith = type(node)(*renamed)
         for u, y in reversed(eqs):
             same = Not(Or(Less(u, y), Less(y, u)))
-            core = ExistsFirst(u, a_and(same, core))
+            core = Exists(u, p_and(same, core))
         return core
 
     def leaf(node: Arith) -> Arith:
@@ -579,14 +549,14 @@ class _Compiler:
         return hy.Atom(self.marker(y), trace_var(y))
 
     def compile(self, f: Arith) -> hy.Hyper:
-        if isinstance(f, (ExistsFirst, ForallFirst, ExistsSecond, ForallSecond)):
+        if isinstance(f, (Exists, Forall)):
             xv = trace_var(f.var)
             self.var_map[f.var] = xv
-            if isinstance(f, (ExistsFirst, ForallFirst)):
-                guard = pos_shape(xv, self.marker(f.var), self.ap)
-            else:
+            if _is_set_var(f.var):
                 guard = purity(xv, HASH, self.ap)
-            if isinstance(f, (ExistsFirst, ExistsSecond)):
+            else:
+                guard = pos_shape(xv, self.marker(f.var), self.ap)
+            if isinstance(f, Exists):
                 return hy.Exists(xv, hy.h_and(guard, self.compile(f.sub)))
             return hy.Forall(xv, hy.h_implies(guard, self.compile(f.sub)))
         if isinstance(f, Not):
@@ -769,15 +739,8 @@ def _compiler(encoding: str, v1: Iterable[str], strict_fidelity: bool) -> _Compi
     raise ValueError(f"unknown encoding {encoding!r}")
 
 
-def _require_closed_flat(f: Arith) -> None:
-    if not isinstance(f, Arith) or any(isinstance(n, RawAtom)
-                                       for n in hy.postorder(f, _children)):
-        raise TypeError("expected a flat arithmetic sentence; run flatten first")
-    _require_closed(f)
-
-
 def _compile(f: Arith, encoding: str, strict_fidelity: bool) -> CompiledArtifact:
-    _require_closed_flat(f)
+    _require_flat_sentence(f)
     f = dealias(f)
     comp = _compiler(encoding, first_order_vars(f), strict_fidelity)
     sentence = comp.compile(f)

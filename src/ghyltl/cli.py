@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import arith, semantics, traces, transform
-from .pltl import ParseError, check_prop
+from .pltl import ParseError, check_prop, same_formula
 from .semantics import EvalConfig
 
 EXIT = {"holds": 0, "fails": 1, "unknown": 2, "error": 3}
@@ -85,9 +85,17 @@ def read_formula_file(path: str) -> tuple[frozenset[str], semantics.Hyper]:
     return frozenset(ap), semantics.parse_hyper(body, ap)
 
 
-def write_formula_file(path: str, ap, formula: semantics.Hyper) -> None:
-    text = f"ap: {', '.join(sorted(ap))}\n{semantics.render_hyper(formula)}\n"
-    Path(path).write_text(text, encoding="utf-8")
+def formula_text(ap, formula: semantics.Hyper) -> str:
+    """formula's text over ap, checked to read back as formula: atoms prop_var
+    are read at the longest proposition prefix, so some names print ambiguously."""
+    rendered = semantics.render_hyper(formula)
+    if not same_formula(semantics.parse_hyper(rendered, ap), formula):
+        raise ValueError("the output text would read back as a different formula")
+    return rendered
+
+
+def write_formula_file(path, ap, body: str) -> None:
+    Path(path).write_text(f"ap: {', '.join(sorted(ap))}\n{body}\n", encoding="utf-8")
 
 
 def _cfg(args) -> EvalConfig:
@@ -128,11 +136,12 @@ def cmd_compile(args) -> RunReport:
         artifact = arith.compile_stutter(flat)
     else:
         artifact = arith.compile_context(flat, strict_fidelity=args.strict_fidelity)
+    rendered = formula_text(artifact.system.ap, artifact.sentence)
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "system.json", "w", encoding="utf-8") as fp:
         traces.save_transition_system(fp, artifact.system)
-    write_formula_file(str(out / "formula.ghyltl"), artifact.system.ap, artifact.sentence)
+    write_formula_file(out / "formula.ghyltl", artifact.system.ap, rendered)
     with open(out / "varmap.json", "w", encoding="utf-8") as fp:
         json.dump({"encoding": artifact.encoding, "varmap": artifact.var_map},
                   fp, sort_keys=True, indent=2)
@@ -166,9 +175,9 @@ def cmd_prenex(args) -> RunReport:
     ap, formula = read_formula_file(args.formula)
     out_formula = transform.prenexify(formula, ap)
     out_ap = ap if out_formula is formula else ap | {transform.MARK}
-    rendered = semantics.render_hyper(out_formula)
+    rendered = formula_text(out_ap, out_formula)
     if args.out:
-        write_formula_file(args.out, out_ap, out_formula)
+        write_formula_file(args.out, out_ap, rendered)
     return RunReport(
         "prenex", {"formula": args.formula}, {}, "holds", None,
         {"already_prenex": out_formula is formula,

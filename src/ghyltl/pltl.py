@@ -2,11 +2,12 @@
 
 Core connectives are true, atom, not, or, next, until, yesterday, since;
 everything else (and, implies, iff, F, G, O, H, false) is expanded at
-construction time.  Evaluation goes through valuation profiles: a finite
-threshold/period description of the truth values of a formula along an
-ultimately periodic trace, computed compositionally (future operators by
-fixpoint on the lasso, past operators by a forward pass until its carried
-state repeats).
+construction time.  TRUE, Not and Or (so p_and, p_implies, p_iff too) are
+also the hyper and arithmetic families' true, negation and disjunction.
+Evaluation goes through valuation profiles: a finite threshold/period
+description of the truth values of a formula along an ultimately periodic
+trace, computed compositionally (future operators by fixpoint on the lasso,
+past operators by one forward pass over a prefix and two periods).
 """
 
 from __future__ import annotations
@@ -41,13 +42,13 @@ class Atom(Pltl):
 
 @dataclass(frozen=True)
 class Not(Pltl):
-    sub: Pltl
+    sub: object
 
 
 @dataclass(frozen=True)
 class Or(Pltl):
-    left: Pltl
-    right: Pltl
+    left: object
+    right: object
 
 
 @dataclass(frozen=True)
@@ -72,15 +73,15 @@ class Since(Pltl):
     right: Pltl
 
 
-def p_and(a: Pltl, b: Pltl) -> Pltl:
+def p_and(a, b):
     return Not(Or(Not(a), Not(b)))
 
 
-def p_implies(a: Pltl, b: Pltl) -> Pltl:
+def p_implies(a, b):
     return Or(Not(a), b)
 
 
-def p_iff(a: Pltl, b: Pltl) -> Pltl:
+def p_iff(a, b):
     return p_and(p_implies(a, b), p_implies(b, a))
 
 
@@ -223,28 +224,25 @@ def _until_profile(trace: LassoTrace, f: Until, memo: dict) -> ValuationProfile:
 
 
 def _since_profile(trace: LassoTrace, f: Since, memo: dict) -> ValuationProfile:
+    """v[i] = b[i] or (a[i] and v[i-1]), with v[-1] = False, in one forward
+    pass over t + 2l positions.
+
+    From t on, v and v shifted by l obey one monotone recurrence: once they
+    agree they agree for good, and while they differ they differ one way,
+    which over t-1..t+l-1 would give v[t-1] < v[t+l-1] < v[t+2l-1] (or >).
+    So the first j >= max(t, 1) with v[j-1] == v[j+l-1] is at most t + l, and
+    v is periodic from j with period l.
+    """
     a = valuation_profile(trace, f.left, memo)
     b = valuation_profile(trace, f.right, memo)
     t = max(a.threshold, b.threshold)
     l = math.lcm(a.period, b.period)
-    # the 2l states (offset, value) repeat by position max(t, 1) + 2l, so
-    # no later position is read
-    av, bv = unrolled(a, t + 2 * l + 1), unrolled(b, t + 2 * l + 1)
-    bits: list[bool] = []
-    seen: dict[tuple[int, bool], int] = {}
-    prev = False
-    i = 0
-    while True:
-        cur = bv[i] or (av[i] and prev)
-        bits.append(cur)
-        if i + 1 >= t:
-            state = (t + (i + 1 - t) % l, cur)
-            if state in seen:
-                first = seen[state]
-                return ValuationProfile(f, trace, first, i + 1 - first, tuple(bits))
-            seen[state] = i + 1
-        prev = cur
-        i += 1
+    v, prev = [], False
+    for x, y in zip(unrolled(a, t + 2 * l), unrolled(b, t + 2 * l)):
+        prev = y or (x and prev)
+        v.append(prev)
+    j = next(j for j in range(max(t, 1), t + l + 1) if v[j - 1] == v[j + l - 1])
+    return ValuationProfile(f, trace, j, l, tuple(v[:j + l]))
 
 
 def pltl_eval(trace: LassoTrace, i: int, f: Pltl) -> bool:
@@ -301,9 +299,8 @@ class _Parser:
     ends.
 
     The boolean ladder, loosest first, is ``<->`` (left-associative), ``->``
-    (right-associative), ``|``, ``&``, built from the subclass's ``Not``/``Or``
-    node classes: ``a & b`` is ``!(!a | !b)``, ``a -> b`` is ``!a | b`` and
-    ``a <-> b`` is ``(a -> b) & (b -> a)``.  Below ``&`` come the
+    (right-associative), ``|``, ``&``, built from the shared ``Not``/``Or``
+    nodes by ``p_iff``, ``p_implies``, ``Or`` and ``p_and``.  Below ``&`` come the
     right-associative ``U``/``S`` level and the prefix operators ``! X Y F G
     O H``, then parentheses, ``true`` (``TRUE``), ``false`` (``!true``) and
     ``leaf``.  A family supplies ``ops``, mapping each temporal operator name
@@ -314,8 +311,6 @@ class _Parser:
     operator.
     """
 
-    Not: type
-    Or: type
     ops: dict[str, Callable] = {}
 
     def __init__(self, toks: list[tuple[str, str, int, int]],
@@ -355,36 +350,32 @@ class _Parser:
     def formula(self):
         return self.iff()
 
-    def _and(self, a, b):
-        return self.Not(self.Or(self.Not(a), self.Not(b)))
-
     def iff(self):
         f = self.implies()
         while self.peek() == ("sym", "<->"):
             self.take()
-            g = self.implies()
-            f = self._and(self.Or(self.Not(f), g), self.Or(self.Not(g), f))
+            f = p_iff(f, self.implies())
         return f
 
     def implies(self):
         f = self.disj()
         if self.peek() == ("sym", "->"):
             self.take()
-            return self.Or(self.Not(f), self.implies())
+            return p_implies(f, self.implies())
         return f
 
     def disj(self):
         f = self.conj()
         while self.peek() == ("sym", "|"):
             self.take()
-            f = self.Or(f, self.conj())
+            f = Or(f, self.conj())
         return f
 
     def conj(self):
         f = self.untils()
         while self.peek() == ("sym", "&"):
             self.take()
-            f = self._and(f, self.untils())
+            f = p_and(f, self.untils())
         return f
 
     def untils(self):
@@ -399,7 +390,7 @@ class _Parser:
         nxt = self.peek()
         if nxt == ("sym", "!"):
             self.take()
-            return self.Not(self.unary())
+            return Not(self.unary())
         if nxt is not None and nxt[0] == "id" and nxt[1] in self.ops \
                 and nxt[1] not in ("U", "S"):
             make = self.ops[self.take()]
@@ -418,12 +409,11 @@ class _Parser:
             return f
         if nxt in (("id", "true"), ("id", "false")):
             self.take()
-            return TRUE if nxt[1] == "true" else self.Not(TRUE)
+            return TRUE if nxt[1] == "true" else Not(TRUE)
         return self.leaf()
 
 
 class _PltlParser(_Parser):
-    Not, Or = Not, Or
     ops = {"X": Next, "Y": Yesterday, "F": eventually, "G": always,
            "O": once, "H": historically, "U": Until, "S": Since}
 
@@ -479,8 +469,6 @@ _LEVELS = {"|": _PREC_OR, "&": _PREC_AND, "->": _PREC_IMPL, "<->": _PREC_IFF}
 class _Family:
     """What the shared printer needs to know about one formula family."""
 
-    Not: type
-    Or: type
     Next: type
     Until: type
     Yesterday: type
@@ -511,8 +499,8 @@ def same_formula(f, g) -> bool:
     return True
 
 
-def _match_implies(f, fam: _Family):
-    if isinstance(f, fam.Or) and isinstance(f.left, fam.Not):
+def _match_implies(f):
+    if isinstance(f, Or) and isinstance(f.left, Not):
         return (f.left.sub, f.right)
     return None
 
@@ -520,7 +508,6 @@ def _match_implies(f, fam: _Family):
 def _resugar(f, fam: _Family):
     """(tag, indexed node, payload) for recognized sugar shapes and for a
     plain Or (tag "|"), else None."""
-    Not, Or = fam.Not, fam.Or
     if isinstance(f, fam.Until) and isinstance(f.left, Top):
         return ("F", f, f.right)
     if isinstance(f, fam.Since) and isinstance(f.left, Top):
@@ -532,11 +519,11 @@ def _resugar(f, fam: _Family):
             return ("G" if isinstance(s, fam.Until) else "H", s, s.right.sub)
         if isinstance(s, Or) and isinstance(s.left, Not) and isinstance(s.right, Not):
             a, b = s.left.sub, s.right.sub
-            ia, ib = _match_implies(a, fam), _match_implies(b, fam)
+            ia, ib = _match_implies(a), _match_implies(b)
             if ia and ib and same_formula(ia[0], ib[1]) and same_formula(ia[1], ib[0]):
                 return ("<->", None, ia)
             return ("&", None, (a, b))
-    imp = _match_implies(f, fam)
+    imp = _match_implies(f)
     if imp is not None:
         return ("->", None, imp)
     if isinstance(f, Or):
@@ -561,7 +548,7 @@ def _render(f, prec: int, fam: _Family) -> str:
         tag, node, payload = sug
         s = f"{tag}{fam.index(node)} {_render(payload, _PREC_UNARY, fam)}"
         return f"({s})" if prec > _PREC_UNARY else s
-    if isinstance(f, fam.Not):
+    if isinstance(f, Not):
         return f"!{_render(f.sub, _PREC_UNARY, fam)}"
     if isinstance(f, (fam.Next, fam.Yesterday)):
         op = "X" if isinstance(f, fam.Next) else "Y"
@@ -583,7 +570,7 @@ def _pltl_leaf(f, prec: int) -> str:
     raise TypeError(f"not a PLTL node: {f!r}")
 
 
-_PLTL = _Family(Not, Or, Next, Until, Yesterday, Since, lambda f: "", _pltl_leaf)
+_PLTL = _Family(Next, Until, Yesterday, Since, lambda f: "", _pltl_leaf)
 
 
 def render_pltl(f: Pltl, prec: int = 0) -> str:

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import stutter
 from . import pltl as pl
-from .pltl import _PREC_QUANT, _PREC_UNARY, TRUE, ParseError, Top, _PltlParser, \
+from .pltl import _PREC_QUANT, _PREC_UNARY, TRUE, Not, Or, ParseError, Top, _PltlParser, \
     render_pltl, tokenize
 from .traces import LassoTrace, PointedTrace, TransitionSystem, enumerate_lassos, \
     enumerate_ts_traces, normalize
@@ -32,7 +32,8 @@ EMPTY_GAMMA: Gamma = frozenset()
 
 
 class Hyper:
-    """Base class for hyper formula AST nodes."""
+    """Base class for hyper formula AST nodes.  True, negation and disjunction
+    are pltl's TRUE, Not and Or, shared by every family."""
 
     __slots__ = ()
 
@@ -41,17 +42,6 @@ class Hyper:
 class Atom(Hyper):
     prop: str
     var: str
-
-
-@dataclass(frozen=True)
-class Not(Hyper):
-    sub: Hyper
-
-
-@dataclass(frozen=True)
-class Or(Hyper):
-    left: Hyper
-    right: Hyper
 
 
 @dataclass(frozen=True)
@@ -103,8 +93,7 @@ class Forall(Hyper):
     sub: Hyper
 
 
-def h_and(a: Hyper, b: Hyper) -> Hyper:
-    return Not(Or(Not(a), Not(b)))
+h_and, h_implies, h_iff = pl.p_and, pl.p_implies, pl.p_iff
 
 
 def h_all(fs: Sequence[Hyper]) -> Hyper:
@@ -123,14 +112,6 @@ def h_any(fs: Sequence[Hyper]) -> Hyper:
     for f in fs[1:]:
         out = Or(out, f)
     return out
-
-
-def h_implies(a: Hyper, b: Hyper) -> Hyper:
-    return Or(Not(a), b)
-
-
-def h_iff(a: Hyper, b: Hyper) -> Hyper:
-    return h_and(h_implies(a, b), h_implies(b, a))
 
 
 def ev(gamma: Gamma, f: Hyper) -> Hyper:
@@ -862,7 +843,6 @@ def bounded_sat(f: Hyper, max_traces: int, max_prefix: int, max_loop: int,
 
 
 class _HyperParser(pl._Parser):
-    Not, Or = Not, Or
     ops = {"X": Next, "Y": Yesterday, "F": ev, "G": alw,
            "O": once, "H": hist, "U": Until, "S": Since}
 
@@ -952,7 +932,7 @@ def _render_leaf(f: Hyper, prec: int) -> str:
     raise TypeError(f"not a hyper formula node: {f!r}")
 
 
-_HYPER = pl._Family(Not, Or, Next, Until, Yesterday, Since, _render_index, _render_leaf)
+_HYPER = pl._Family(Next, Until, Yesterday, Since, _render_index, _render_leaf)
 
 
 def render_hyper(f: Hyper, prec: int = 0) -> str:

@@ -26,11 +26,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .pltl import TRUE, Top
+from .pltl import TRUE, Not, Or, Top
 from .semantics import (
-    EMPTY_GAMMA, Atom, Context, Exists, Forall, Gamma, Hyper, Next, Not, Or,
-    Since, Until, Yesterday, _facts, all_vars, alw, ev, h_all, h_and,
-    h_implies, is_prenex, once, strip_prefix,
+    EMPTY_GAMMA, Atom, Context, Exists, Forall, Gamma, Hyper, Next, Since,
+    Until, Yesterday, _facts, all_vars, alw, ev, h_all, h_and, h_implies,
+    is_prenex, once, strip_prefix,
 )
 from .traces import LassoTrace, spike_trace
 

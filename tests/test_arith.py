@@ -3,8 +3,9 @@ import hashlib
 import pytest
 
 from ghyltl import arith, stutter
+from ghyltl import pltl as pl
 from ghyltl import semantics as hy
-from ghyltl.arith import (Add, ExistsFirst, ForallSecond, GadgetBoundError,
+from ghyltl.arith import (Add, GadgetBoundError,
                           Less, Member, Not, Or, PeriodicWitnessSpec, RawAtom, TConst,
                           TPlus, TVar,
                           alpha_per_context, alpha_per_stutter,
@@ -12,8 +13,8 @@ from ghyltl.arith import (Add, ExistsFirst, ForallSecond, GadgetBoundError,
                           flatten, gadget_assignment, gadget_formula,
                           minimal_block_ratio, parse_arith,
                           verify_gadget, witness_universe)
-from ghyltl.semantics import (EvalConfig, check_traceset, evaluate, fragment_of,
-                              parse_hyper)
+from ghyltl.semantics import (EvalConfig, Exists, Forall, check_traceset, evaluate,
+                              fragment_of, parse_hyper)
 from ghyltl.traces import PointedTrace, enumerate_lassos, enumerate_ts_traces, \
     lasso, normalize, spike_trace
 from ghyltl.transform import hoist_prenex
@@ -28,12 +29,12 @@ def flat(text: str):
 
 def test_flatten_already_flat():
     f = flat("exists a. exists b. exists c. a + b = c")
-    assert f == ExistsFirst("a", ExistsFirst("b", ExistsFirst("c", Add("a", "b", "c"))))
+    assert f == Exists("a", Exists("b", Exists("c", Add("a", "b", "c"))))
 
 
 def test_parse_emits_connectives_over_comparison_leaves():
     raw = parse_arith("exists a. forall B. !(a in B) | a < a + 1")
-    assert raw == ExistsFirst("a", ForallSecond("B", Or(
+    assert raw == Exists("a", Forall("B", Or(
         Not(RawAtom("in", TVar("a"), "B")),
         RawAtom("<", TVar("a"), TPlus(TVar("a"), TConst(1))))))
     assert arith.first_order_vars(raw) == {"a"}
@@ -46,7 +47,7 @@ def test_parse_emits_connectives_over_comparison_leaves():
 def test_flatten_rewrites_each_occurrence():
     # <-> repeats its operands; each occurrence gets its own fresh variables
     f = flat("exists a. (a = 1 <-> a = 1)")
-    binders = [n.var for n in hy.postorder(f, arith._children) if isinstance(n, ExistsFirst)]
+    binders = [n.var for n in hy.postorder(f, arith._children) if isinstance(n, Exists)]
     assert binders == ["t0", "t1", "t2", "t3", "a"]
 
 
@@ -54,7 +55,7 @@ def test_flatten_nested_product():
     f = flat("exists a. exists b. exists c. exists d. (a + b) * c = d")
     # one auxiliary: exists t. (a+b=t & t*c=d)
     inner = f.sub.sub.sub.sub
-    assert isinstance(inner, ExistsFirst)
+    assert isinstance(inner, Exists)
     assert arith.free_arith_vars(f) == frozenset()
 
 
@@ -110,6 +111,26 @@ def test_arith_eval_builds_subsets_on_demand(monkeypatch):
     assert builds == []
     assert arith_eval_bounded(flat("exists A. exists a. a in A"), 6, bit_cap=6)
     assert builds == [6]
+
+
+def test_families_share_connectives_and_binders():
+    assert pl.Not is hy.Not is arith.Not
+    assert pl.Or is hy.Or is arith.Or
+    f = flat("exists A. forall a. a in A")
+    assert f == hy.Exists("A", hy.Forall("a", Member("a", "A")))
+    assert arith.second_order_vars(f) == {"A"} and arith.first_order_vars(f) == {"a"}
+
+
+# a binder's order is its name's case, so a hand-built formula can put a set
+# where a number goes, or a number where a set goes
+@pytest.mark.parametrize("f", [hy.Exists("A", Less("A", "A")), hy.Exists("a", Member("a", "a"))],
+                         ids=["set-as-number", "number-as-set"])
+@pytest.mark.parametrize("run", [lambda f: arith_eval_bounded(f, 3), compile_stutter,
+                                 compile_context], ids=["oracle", "stutter", "context"])
+def test_wrong_case_variable_is_rejected(f, run):
+    with pytest.raises(ValueError, match="upper-case variable 'A' stands for a number|"
+                                         "lower-case variable 'a' stands for a set"):
+        run(f)
 
 
 # -- compiled clause shapes ---------------------------------------------------

@@ -290,6 +290,33 @@ def test_prenex_transforms_inner_quantifier(workdir, capsys):
     assert is_prenex(formula)
 
 
+# atoms print as prop_var and read back at the longest proposition prefix, so
+# these outputs would mean other formulas: hy_a on x_a prints as hy_a_x_a,
+# read back as hy_a_x on a, and q on the renamed x_2 as q_x on 2
+@pytest.mark.parametrize("text", [
+    "exists a. exists a_x. a < a_x",
+    "exists a. exists a_x_a. exists a_x_a_x_a. (a < a_x_a & a_x_a < a_x_a_x_a)",
+])
+def test_compile_refuses_text_that_reads_back_differently(workdir, capsys, text):
+    (workdir / "arith.txt").write_text(text, encoding="utf-8")
+    out = workdir / "compiled"
+    code = main(["compile", "--encoding", "stutter", str(workdir / "arith.txt"), str(out)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and len(captured.err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_prenex_refuses_text_that_reads_back_differently(workdir, capsys, to_file):
+    (workdir / "p.ghyltl").write_text("ap: q, q_x\nexists x. G[] (exists x. q_x)\n",
+                                      encoding="utf-8")
+    target = workdir / "prenexed.ghyltl"
+    code = main(["prenex", str(workdir / "p.ghyltl")] + (["--out", str(target)] * to_file))
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and len(captured.err.splitlines()) == 1
+    assert not target.exists()
+
+
 def test_sat_contradiction_unknown(workdir, capsys):
     # an exhausted bounded search proves nothing about larger models
     (workdir / "c.ghyltl").write_text("ap: p\nexists x. p_x & !p_x\n", encoding="utf-8")

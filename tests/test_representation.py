@@ -20,10 +20,20 @@ from ghyltl.semantics import EvalConfig, check_traceset, parse_hyper
 from ghyltl.traces import LassoTrace, lasso, normalize
 from ghyltl.transform import pos_traces, prenexify
 
-from helpers import LEMMA1_AP, LEMMA1_SENTENCES, gen_sentence, gen_trace, lemma1_models
+from helpers import (LEMMA1_AP, LEMMA1_SENTENCES, gen_sentence, gen_trace, lemma1_models,
+                     ref_sentence)
 
 AP = ("p", "q")
-UNROLLER = EvalConfig(until_cutoff=60, use_cycle_detection=False)
+
+
+def unroller(universe, f) -> str:
+    return check_traceset(universe, f, EvalConfig(until_cutoff=60,
+                                                  use_cycle_detection=False)).status
+
+
+def reference(universe, f) -> str:
+    # the horizon of test_reference
+    return ref_sentence(universe, f, 24)
 
 
 def represent(t: LassoTrace, k: int, j: int) -> LassoTrace:
@@ -40,19 +50,18 @@ def _forms(universe, rng):
         yield [represent(t, rng.randint(0, 3), rng.randint(1, 3)) for t in universe]
 
 
-def _disagreement(universe, f, rng, unroller: bool = False):
-    """None when the definite verdicts over the forms of universe agree (and
-    with the unroller's, when asked and definite), else the case."""
+def _disagreement(universe, f, rng, oracles=()):
+    """None when the definite verdicts over the forms of universe agree, also
+    with each oracle's (unroller, reference) on universe, else the case."""
     verdicts = [check_traceset(form, f).status for form in _forms(universe, rng)]
-    if unroller:
-        verdicts.append(check_traceset(universe, f, UNROLLER).status)
+    verdicts += [oracle(universe, f) for oracle in oracles]
     if len({v for v in verdicts if v != "unknown"}) > 1:
         return hy.render_hyper(f), universe, verdicts
     return None
 
 
-def _gate(cases, rng, unroller: bool = False):
-    bad = [d for d in (_disagreement(u, f, rng, unroller) for f, u in cases) if d]
+def _gate(cases, rng, oracles=()):
+    bad = [d for d in (_disagreement(u, f, rng, oracles) for f, u in cases) if d]
     assert not bad, (len(bad), bad[:3])
 
 
@@ -82,7 +91,7 @@ def test_representation_on_the_criterion_11_corpus():
         universe = [gen_trace(rng, AP, 3, 2) for _ in range(rng.randint(1, 3))]
         cases.append((gen_sentence(rng, AP, rng.randint(1, 2), rng.randint(1, 4),
                                    stutter=True, contexts=True), universe))
-    _gate(cases, random.Random(3))
+    _gate(cases, random.Random(3), (reference,))
 
 
 # -- an Until with a Since below (ROADMAP item 1) -----------------------------
@@ -106,7 +115,7 @@ _ITEM_1 = pytest.mark.xfail(strict=True, reason="an Until with a Since below clo
 @_ITEM_1
 @pytest.mark.parametrize("text,universe", SINCE_ROWS, ids=["example-3", "past-guard-row"])
 def test_representation_on_the_since_rows(text, universe):
-    _gate([(parse_hyper(text, AP), universe)], random.Random(4), unroller=True)
+    _gate([(parse_hyper(text, AP), universe)], random.Random(4), (unroller, reference))
 
 
 _TARGET_GAMMAS = [frozenset(), frozenset({pl.Atom("p")}), frozenset({pl.Atom("q")}),
@@ -153,4 +162,4 @@ def _targeted_case(rng):
 @_ITEM_1
 def test_representation_on_the_targeted_since_corpus():
     rng = random.Random(3)
-    _gate([_targeted_case(rng) for _ in range(500)], random.Random(5), unroller=True)
+    _gate([_targeted_case(rng) for _ in range(500)], random.Random(5), (unroller, reference))
