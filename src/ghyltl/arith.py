@@ -3,8 +3,9 @@ into the stuttering and context fragments.  The parser emits connectives over
 comparison leaves (RawAtom); flatten rewrites those into the four flat atoms.
 
 Only the atoms are arithmetic's own: the connectives are pltl's Not and Or,
-the binders semantics' Exists and Forall.  A variable is second-order (a set)
-iff its name starts upper-case (_is_set_var).
+the binders semantics' Exists and Forall, so semantics.quantifier_shape, to
+which the atoms are leaves, gives a sentence's shape.  A variable is
+second-order (a set) iff its name starts upper-case (_is_set_var).
 
 Numbers are encoded as traces carrying a single marker at the encoded
 position, sets as arbitrary marker traces.  Addition and multiplication are
@@ -195,29 +196,6 @@ def arith_eval_bounded(f: Arith, n: int, bit_cap: int = 12) -> bool:
         raise TypeError(f"not a flat arithmetic node: {node!r}")
 
     return go(f, {})
-
-
-def quantifier_shape(f: Arith) -> str:
-    """'exists' when every quantifier occurrence is existential after negation
-    polarity, 'forall' dually, else 'mixed' (as semantics.quantifier_shape).
-
-    A purely existential sentence true over the bounded domain is true over
-    the naturals, since its witnesses are numbers and finite sets; dually, a
-    purely universal one false over the bounded domain is false.
-    """
-    kinds: dict[int, int] = {}
-    for n in hy.postorder(f, _children):
-        k = 0
-        for c in _children(n):
-            k |= kinds[id(c)]
-        if isinstance(n, Not):
-            k = hy._FLIP[k]
-        elif isinstance(n, Exists):
-            k |= 1
-        elif isinstance(n, Forall):
-            k |= 2
-        kinds[id(n)] = k
-    return hy._SHAPES[kinds[id(f)]]
 
 
 # -- concrete syntax with nested terms ---------------------------------------

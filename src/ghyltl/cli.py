@@ -217,7 +217,7 @@ def cmd_oracle(args) -> RunReport:
     value = arith.arith_eval_bounded(flat, args.bound, args.bit_cap)
     # the rule of semantics.check_ts: a bounded witness certifies a purely
     # existential sentence, a bounded counterexample a purely universal one
-    shape = arith.quantifier_shape(flat)
+    shape = semantics.quantifier_shape(flat)
     if shape == ("exists" if value else "forall"):
         verdict, reason, detail = ("holds" if value else "fails"), None, {}
     else:

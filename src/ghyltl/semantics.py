@@ -134,12 +134,13 @@ def hist(gamma: Gamma, f: Hyper) -> Hyper:
 # -- structural helpers -------------------------------------------------------
 
 
-def children(f: Hyper) -> tuple[Hyper, ...]:
-    if isinstance(f, (Atom, Top)):
-        return ()
+def children(f) -> tuple:
+    """Operands of any family's connectives, binders and operators; any other node is a leaf."""
     if isinstance(f, (Not, Context, Next, Yesterday, Exists, Forall)):
         return (f.sub,)
-    return (f.left, f.right)
+    if isinstance(f, (Or, Until, Since)):
+        return (f.left, f.right)
+    return ()
 
 
 def postorder(f, children_of=None) -> list:
@@ -178,7 +179,8 @@ def _facts(f: Hyper) -> tuple[dict, frozenset[str], frozenset, bool]:
     the quantifiers at or below it after negation polarity (0 for none); then
     the variables of atoms, binders and context sets, the temporal index
     members, and whether a context operator occurs.  No other walk answers
-    a structural query about a hyper formula."""
+    a structural query about a hyper formula, or the quantifier shape of an
+    arithmetic one (its atoms are leaves)."""
     nodes: dict[int, tuple[tuple[str, ...], float, int]] = {}
     names, gammas, contexts = set(), set(), False
     for n in postorder(f):
@@ -201,7 +203,7 @@ def _facts(f: Hyper) -> tuple[dict, frozenset[str], frozenset, bool]:
         elif isinstance(n, Context):
             names.update(n.vars)
             contexts = True
-        elif not isinstance(n, (Or, Top)):
+        elif isinstance(n, (Next, Until, Yesterday, Since)):
             gammas.update(n.gamma)
             h = math.inf if isinstance(n, Since) else h + isinstance(n, Yesterday)
         nodes[id(n)] = (free, h, kinds)
@@ -231,12 +233,14 @@ def is_prenex(f: Hyper) -> bool:
     return not _facts(f)[0][id(strip_prefix(f)[1])][2]
 
 
-def quantifier_shape(f: Hyper) -> str:
-    """'exists' when every quantifier occurrence is existential after negation
-    polarity, 'forall' dually, else 'mixed'.
+def quantifier_shape(f) -> str:
+    """'exists' when every quantifier occurrence of a hyper or arithmetic
+    formula is existential after negation polarity, 'forall' dually, else
+    'mixed'.
 
-    Purely existential sentences are monotone in the trace universe and purely
-    universal ones antitone, which is what makes bounded verdicts sound.
+    Purely existential sentences are monotone in the trace universe (an
+    arithmetic one in its bounded domain) and purely universal ones
+    antitone, which is what makes bounded verdicts sound.
     """
     return _SHAPES[_facts(f)[0][id(f)][2]]
 
@@ -310,12 +314,12 @@ Assignment = Mapping[str, PointedTrace]
 # cutoff is the only bound evaluation has, so 2 always means "until-cutoff".
 #
 # Closures capture their children, memo dicts, constants and the step-table
-# owner, never the program or the compiler, so a dropped program is freed by
+# owner, never the program (_Program), so a dropped program is freed by
 # reference counting.  Coordinates step through ``stutter.assign_succ`` or
 # ``assign_pred`` with the owner (``stutter.StepTables``) of the program's
 # EvalCache: it hands out one pointed trace per (trace, position), keeps one
 # successor and one predecessor map per gamma and the valuation-profile memos
-# of every trace, for the life of the cache.  The compiler reads the move
+# of every trace, for the life of the cache.  The program reads the move
 # function off the module once and the closure keeps it, so a wrapper patched
 # over ``stutter.assign_succ`` or ``assign_pred`` (a test's counter, a tracer)
 # sees the steps of exactly the programs built after it was put in place.  A
@@ -569,27 +573,38 @@ def _memoized(raw, names: tuple[str, ...], memo: dict):
     return many
 
 
-class _Compiler:
-    """Builds the closures of one program and is dropped afterwards.
+class _Program:
+    """A formula compiled for one (config, root context, assignment domain).
 
     Memoized nodes are quantifiers and temporal steps; plain boolean nodes are
     cheaper than their memo keys.  A node with Yesterday or Since below it is
     keyed on the whole assignment, since predecessor definedness can depend on
     any stepped coordinate; any other node is keyed on its free variables only
     and shares one memo per context across assignment domains.
+
+    A run interns its assignment with the step-table owner and takes its
+    quantifier starts from it, so the compiled closures only ever see owner
+    points and memo keys by id(point) are sound (see the comment above
+    _NOT).  A run clears the memos of nodes with a quantifier below and the
+    start list before and after evaluating.  The other memos and the canon
+    table (keyed on id(trace)) are kept across runs; the owner holds every
+    trace and point whose id they use.
     """
 
-    def __init__(self, cfg: EvalConfig, canon: dict, starts: list, fold: tuple,
-                 steps: stutter.StepTables):
+    def __init__(self, f: Hyper, cfg: EvalConfig, context: frozenset[str],
+                 domain: frozenset[str], fold: tuple, steps: stutter.StepTables):
         self.cfg = cfg
-        self.canon = canon
-        self.starts = starts
         self.steps = steps
-        self.facts, _, gammas, _ = fold
-        self.gammas = tuple(gammas)
+        self.facts, self.gammas = fold[0], tuple(fold[2])
+        self.canon: dict[int, tuple[int, int]] = {}
+        self.starts: list[PointedTrace] = []
         self.built: dict[tuple, object] = {}
         self.memos: dict[tuple, dict] = {}
         self.per_run: list[dict] = []  # memos of nodes with a quantifier below
+        missing = set(self.facts[id(f)][0]) - domain
+        if missing:
+            raise ValueError(f"free variables without bindings: {sorted(missing)}")
+        self._root = self.compile(f, context, domain)
 
     def compile(self, n: Hyper, c: frozenset[str], dom: frozenset[str]):
         key = (id(n), c, dom)
@@ -653,40 +668,15 @@ class _Compiler:
                                                bound, key))
         raise TypeError(f"not a hyper formula node: {n!r}")
 
-
-class _Program:
-    """A formula compiled for one (config, root context, assignment domain).
-
-    A run interns its assignment with the step-table owner and takes its
-    quantifier starts from it, so the compiled closures only ever see owner
-    points and memo keys by id(point) are sound (see the comment above
-    _NOT).  A run clears the memos of nodes with a quantifier below and the
-    start list before and after evaluating.  The other memos and the canon
-    table (keyed on id(trace)) are kept across runs; the owner holds every
-    trace and point whose id they use.
-    """
-
-    def __init__(self, f: Hyper, cfg: EvalConfig, context: frozenset[str],
-                 domain: frozenset[str], fold: tuple, steps: stutter.StepTables):
-        self._canon: dict[int, tuple[int, int]] = {}
-        self._starts: list[PointedTrace] = []
-        self._steps = steps
-        comp = _Compiler(cfg, self._canon, self._starts, fold, steps)
-        missing = set(fold[0][id(f)][0]) - domain
-        if missing:
-            raise ValueError(f"free variables without bindings: {sorted(missing)}")
-        self._root = comp.compile(f, context, domain)
-        self._per_run = comp.per_run
-
     def _reset(self) -> None:
-        for m in self._per_run:
+        for m in self.per_run:
             m.clear()
-        self._starts.clear()
+        self.starts.clear()
 
     def run(self, universe: Iterable[LassoTrace], a: dict[str, PointedTrace]) -> Verdict:
         self._reset()
-        steps = self._steps
-        self._starts.extend(steps.point(t, 0) for t in universe)
+        steps = self.steps
+        self.starts.extend(steps.point(t, 0) for t in universe)
         a = {x: steps.intern(pt) for x, pt in a.items()}
         try:
             return _VERDICTS[self._root(a)]

@@ -15,9 +15,11 @@ equivalence in the sense: L satisfies f iff L + pos_traces satisfies the
 output.  A finite slice of the (infinite) position-trace family gives a
 bounded approximation.
 
-The single-marker shape (pos_shape, purity) and the fresh-name source
-(fresh_names) also serve the arithmetic compilers, whose numbers are the same
-one-marker traces.
+Both transforms first make binder names unique (alpha_unique), which
+refuses a context that would step another trace once its binders are renamed
+or hoisted.  The single-marker shape (pos_shape, purity) and the fresh-name
+source (fresh_names, also alpha_unique's) serve the arithmetic compilers too,
+whose numbers are the same one-marker traces.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .pltl import TRUE, Not, Or, Top
 from .semantics import (
     EMPTY_GAMMA, Atom, Context, Exists, Forall, Gamma, Hyper, Next, Since,
     Until, Yesterday, _facts, all_vars, alw, ev, h_all, h_and, h_implies,
-    is_prenex, once, strip_prefix,
+    is_prenex, once, postorder, strip_prefix,
 )
 from .traces import LassoTrace, spike_trace
 
@@ -103,21 +105,24 @@ def _mark_before(a: str, b: str) -> Hyper:
 
 
 def alpha_unique(f: Hyper) -> Hyper:
-    """Rename binders so every bound variable name is used exactly once."""
+    """Rename binders so every bound variable name is used exactly once; a
+    repeated name v takes the first free one of fresh_names(v, ...): x0.
+
+    Context sets are renamed with the binder above them, which keeps their
+    meaning only when that binder is the one they mean.  So a context with a
+    temporal operator inside that names a variable some binder binds raises
+    ValueError, unless a binder above it binds the name and none inside
+    rebinds it.  A context with no temporal operator inside moves nothing,
+    and a name that no binder binds is never captured.
+    """
     used: set[str] = set(all_vars(f))
+    binders = {n.var for n in postorder(f) if isinstance(n, (Exists, Forall))}
     taken: set[str] = set()
 
     def variant(v: str) -> str:
-        if v not in taken:
-            taken.add(v)
-            return v
-        i = 2
-        while f"{v}_{i}" in used or f"{v}_{i}" in taken:
-            i += 1
-        fresh = f"{v}_{i}"
-        taken.add(fresh)
-        used.add(fresh)
-        return fresh
+        new = next(fresh_names(v, used)) if v in taken else v
+        taken.add(new)
+        return new
 
     def walk(n: Hyper, ren: dict[str, str]) -> Hyper:
         if isinstance(n, Top):
@@ -125,12 +130,17 @@ def alpha_unique(f: Hyper) -> Hyper:
         if isinstance(n, Atom):
             return Atom(n.prop, ren.get(n.var, n.var))
         if isinstance(n, Context):
+            inner = postorder(n.sub)
+            if any(isinstance(m, (Next, Until, Yesterday, Since)) for m in inner):
+                rebound = {m.var for m in inner if isinstance(m, (Exists, Forall))}
+                for v in sorted(n.vars & binders):
+                    if v not in ren or v in rebound:
+                        raise ValueError(f"context set names bound variable {v!r} outside "
+                                         "its binder or across a rebinding")
             return Context(frozenset(ren.get(v, v) for v in n.vars), walk(n.sub, ren))
         if isinstance(n, (Exists, Forall)):
             new = variant(n.var)
-            sub_ren = dict(ren)
-            sub_ren[n.var] = new
-            return type(n)(new, walk(n.sub, sub_ren))
+            return type(n)(new, walk(n.sub, {**ren, n.var: new}))
         if isinstance(n, Not):
             return Not(walk(n.sub, ren))
         if isinstance(n, Or):

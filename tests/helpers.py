@@ -415,6 +415,21 @@ LEMMA1_SENTENCES = [
 ]
 
 
+# Sentences over ap p whose context names a variable that a binder outside
+# its scope binds, or that a binder inside rebinds: renaming or hoisting the
+# binders would change what the context steps, so the prenex transforms
+# refuse them.  Each holds on (p)^w or on empty (p)^w, where renaming or
+# hoisting without the check gives a rewrite that fails.
+CONTEXT_CAPTURE_SENTENCES = [
+    "(exists a. C{a} F[] C{a,b} Y[] p_a) & (exists b. true)",
+    "(exists a. C{a} F[] C{a,b} Y[] p_a) & (exists b. F[] (exists c. p_c))",
+    "exists a. (C{a} F[] C{a,b} Y[] p_a) & X[] (exists b. p_b)",
+    "(exists b. p_b) | C{b} (exists b. F[] p_b)",
+    "C{v} (Y[] true & (exists v. p_v))",
+    "exists b. C{b} (exists b. F[] p_b)",
+]
+
+
 def lemma1_models() -> list[list[LassoTrace]]:
     ap = LEMMA1_AP
     return [

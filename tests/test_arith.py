@@ -1,4 +1,6 @@
 import hashlib
+import random
+from collections import Counter
 
 import pytest
 
@@ -119,6 +121,65 @@ def test_families_share_connectives_and_binders():
     f = flat("exists A. forall a. a in A")
     assert f == hy.Exists("A", hy.Forall("a", Member("a", "A")))
     assert arith.second_order_vars(f) == {"A"} and arith.first_order_vars(f) == {"a"}
+
+
+def _ref_shape(f) -> str:
+    """Quantifier shape of an arithmetic formula by a recursive polarity walk."""
+    kinds = set()
+
+    def walk(n, positive):
+        if isinstance(n, Not):
+            walk(n.sub, not positive)
+        elif isinstance(n, Or):
+            walk(n.left, positive)
+            walk(n.right, positive)
+        elif isinstance(n, (Exists, Forall)):
+            kinds.add("exists" if isinstance(n, Exists) == positive else "forall")
+            walk(n.sub, positive)
+
+    walk(f, True)
+    return kinds.pop() if len(kinds) == 1 else "mixed" if kinds else "exists"
+
+
+def _gen_arith(rng, scope: list[str], depth: int) -> str:
+    """Text of a random arithmetic sentence over the variables in scope."""
+    nums = [v for v in scope if v.islower()]
+    sets = [v for v in scope if v.isupper()]
+
+    def term():
+        t = rng.choice(nums + ["0", "1", "2"])
+        return f"{t} {rng.choice('+*')} {rng.choice(nums + ['1'])}" if rng.random() < 0.3 else t
+
+    r = rng.random()
+    if depth == 0 or r < 0.2:
+        if sets and rng.random() < 0.3:
+            return f"{term()} in {rng.choice(sets)}"
+        return f"{term()} {rng.choice('<=')} {term()}"
+    if r < 0.35:
+        return f"!({_gen_arith(rng, scope, depth - 1)})"
+    if r < 0.6:
+        op = rng.choice(["|", "&", "->", "<->"])
+        return f"({_gen_arith(rng, scope, depth - 1)} {op} {_gen_arith(rng, scope, depth - 1)})"
+    v = f"{'A' if rng.random() < 0.3 else 'a'}{len(scope)}"
+    q = rng.choice(["exists", "forall"])
+    return f"({q} {v}. {_gen_arith(rng, scope + [v], depth - 1)})"
+
+
+def test_quantifier_shape_of_arithmetic_from_the_fold():
+    rng = random.Random(18)
+    texts = ["exists a. exists b. exists c. (a * b = c & c = 12 & a < b & 2 < a)",
+             "exists a. a < a", "exists a. 200000 = a",
+             "forall a. exists b. a < b", "exists a. forall b. b < a | b = a"]
+    texts += [_gen_arith(rng, [], rng.randint(1, 5)) for _ in range(200)]
+    shapes = Counter()
+    for text in texts:
+        f = flat(text)
+        shapes[hy.quantifier_shape(f)] += 1
+        assert hy.quantifier_shape(f) == _ref_shape(f), text
+    assert min(shapes.values()) >= 10 and len(shapes) == 3
+    leaves = [Add("a", "b", "c"), arith.Mul("a", "b", "c"), Less("a", "b"), Member("a", "A"),
+              RawAtom("<", TVar("a"), TPlus(TVar("a"), TConst(1)))]
+    assert [hy.children(n) for n in leaves] == [()] * 5
 
 
 # a binder's order is its name's case, so a hand-built formula can put a set

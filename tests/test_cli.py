@@ -4,8 +4,12 @@ from pathlib import Path
 import pytest
 
 from ghyltl.cli import main
-from ghyltl.semantics import parse_hyper
+from ghyltl.semantics import check_traceset, parse_hyper
 from ghyltl.cli import read_formula_file
+from ghyltl.traces import lasso
+from ghyltl.transform import MARK, pos_traces, prenexify
+
+from helpers import CONTEXT_CAPTURE_SENTENCES
 
 TRACES_ONE_EMPTY = {
     "ap": ["li", "lo", "p"],
@@ -292,7 +296,7 @@ def test_prenex_transforms_inner_quantifier(workdir, capsys):
 
 # atoms print as prop_var and read back at the longest proposition prefix, so
 # these outputs would mean other formulas: hy_a on x_a prints as hy_a_x_a,
-# read back as hy_a_x on a, and q on the renamed x_2 as q_x on 2
+# read back as hy_a_x on a
 @pytest.mark.parametrize("text", [
     "exists a. exists a_x. a < a_x",
     "exists a. exists a_x_a. exists a_x_a_x_a. (a < a_x_a & a_x_a < a_x_a_x_a)",
@@ -307,11 +311,33 @@ def test_compile_refuses_text_that_reads_back_differently(workdir, capsys, text)
 
 
 @pytest.mark.parametrize("to_file", [False, True])
-def test_prenex_refuses_text_that_reads_back_differently(workdir, capsys, to_file):
+def test_prenex_renamed_binder_reads_back(workdir, capsys, to_file):
+    # the inner x is renamed x0, whose atom q_x0 cannot be read as q_x on 0
+    ap = {"q", "q_x"}
     (workdir / "p.ghyltl").write_text("ap: q, q_x\nexists x. G[] (exists x. q_x)\n",
                                       encoding="utf-8")
     target = workdir / "prenexed.ghyltl"
     code = main(["prenex", str(workdir / "p.ghyltl")] + (["--out", str(target)] * to_file))
+    out = capsys.readouterr().out
+    assert code == 0
+    text = target.read_text(encoding="utf-8").splitlines()[1] if to_file \
+        else out.splitlines()[-1]
+    f = parse_hyper("exists x. G[] (exists x. q_x)", ap)
+    fp = prenexify(f, ap)
+    assert parse_hyper(text, ap | {MARK}) == fp
+    verdicts = []
+    for loops in ([[{"q"}]], [[{"q_x"}]], [[{"q_x"}], [{"q"}, set()]], [[set(), {"q"}]]):
+        universe = [lasso(sorted(ap), [], loop) for loop in loops]
+        verdicts.append(check_traceset(universe, f).status)
+        assert check_traceset(universe + list(pos_traces(8).traces), fp).status == verdicts[-1]
+    assert verdicts == ["holds", "fails", "holds", "fails"]
+
+
+@pytest.mark.parametrize("text", CONTEXT_CAPTURE_SENTENCES)
+def test_prenex_refuses_a_context_outside_its_binder(workdir, capsys, text):
+    (workdir / "c.ghyltl").write_text(f"ap: p\n{text}\n", encoding="utf-8")
+    target = workdir / "prenexed.ghyltl"
+    code = main(["prenex", str(workdir / "c.ghyltl"), "--out", str(target)])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == "" and len(captured.err.splitlines()) == 1
     assert not target.exists()

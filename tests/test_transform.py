@@ -10,8 +10,8 @@ from ghyltl.traces import PointedTrace, lasso
 from ghyltl.transform import (AT_ORIGIN, MARK, alpha_unique, hoist_prenex, pos_traces,
                               prenexify)
 
-from helpers import (LEMMA1_AP, LEMMA1_SENTENCES, gen_sentence, gen_trace,
-                     lemma1_models, stable_pos_verdict)
+from helpers import (CONTEXT_CAPTURE_SENTENCES, LEMMA1_AP, LEMMA1_SENTENCES, gen_sentence,
+                     gen_trace, lemma1_models, stable_pos_verdict)
 
 
 def test_pos_traces_shapes():
@@ -138,7 +138,7 @@ def test_alpha_unique_renames_rebinding():
             collect(c)
 
     collect(g)
-    assert len(prefix_vars) == len(set(prefix_vars))
+    assert prefix_vars == ["a", "a0"]  # the repeated binder takes a fresh_names name
 
 
 def test_hoist_prenex_boolean_only():
@@ -178,3 +178,54 @@ def test_hoist_prenex_preserves_verdicts_random():
         assert hy.is_prenex(g)
         L = [gen_trace(rng, LEMMA1_AP, 2, 2) for _ in range(rng.randint(1, 2))]
         assert check_traceset(L, f).status == check_traceset(L, g).status
+
+
+def test_hoist_prenex_preserves_verdicts_with_contexts():
+    rng = random.Random(18)
+    for _ in range(600):
+        f1, f2 = (gen_sentence(rng, LEMMA1_AP, rng.randint(1, 2), rng.randint(1, 3),
+                               stutter=True, contexts=True, past=True) for _ in range(2))
+        f = hy.Or(hy.Not(f1), f2)
+        g = hoist_prenex(f)
+        assert hy.is_prenex(g)
+        L = [gen_trace(rng, LEMMA1_AP, 2, 2) for _ in range(rng.randint(1, 2))]
+        assert check_traceset(L, f) == check_traceset(L, g), hy.render_hyper(f)
+
+
+_TEMPORAL = ("X[]", "F[]", "G[]", "Y[]", "O[]", "H[]", "F[p]", "G[q]")
+
+
+def _context_matrix(rng, depth):
+    """Text of a matrix over a and b with contexts C{a}, C{b}, C{a,b}."""
+    r = rng.random()
+    if depth == 0 or r < 0.2:
+        return f"{rng.choice('pq')}_{rng.choice('ab')}"
+    if r < 0.4:
+        op = rng.choice("&|")
+        return f"({_context_matrix(rng, depth - 1)} {op} {_context_matrix(rng, depth - 1)})"
+    if r < 0.5:
+        return f"!({_context_matrix(rng, depth - 1)})"
+    if r < 0.7:
+        return f"C{{{rng.choice(['a', 'b', 'a,b'])}}} ({_context_matrix(rng, depth - 1)})"
+    return f"{rng.choice(_TEMPORAL)} ({_context_matrix(rng, depth - 1)})"
+
+
+def test_prenexify_preserves_verdicts_with_contexts():
+    rng = random.Random(18)
+    positions = list(pos_traces(8).traces)
+    for _ in range(400):
+        q1, q2 = (rng.choice(["exists", "forall"]) for _ in range(2))
+        ctx = rng.choice(["", "C{a} "])
+        text = f"{q1} a. {ctx}{rng.choice(_TEMPORAL)} ({q2} b. {_context_matrix(rng, 2)})"
+        f = parse_hyper(text, LEMMA1_AP)
+        fp = prenexify(f, LEMMA1_AP)
+        L = [gen_trace(rng, LEMMA1_AP, 2, 2) for _ in range(rng.randint(1, 2))]
+        assert check_traceset(L, f) == check_traceset(L + positions, fp), text
+
+
+@pytest.mark.parametrize("text", CONTEXT_CAPTURE_SENTENCES)
+def test_transforms_refuse_a_context_outside_its_binder(text):
+    f = parse_hyper(text, LEMMA1_AP)
+    for transform in (alpha_unique, hoist_prenex, lambda g: prenexify(g, LEMMA1_AP)):
+        with pytest.raises(ValueError, match="^context set names bound variable"):
+            transform(f)
