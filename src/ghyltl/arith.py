@@ -3,8 +3,9 @@ into the stuttering and context fragments.  The parser emits connectives over
 comparison leaves (RawAtom); flatten rewrites those into the four flat atoms.
 
 Only the atoms are arithmetic's own: the connectives are pltl's Not and Or,
-the binders semantics' Exists and Forall, so semantics.quantifier_shape, to
-which the atoms are leaves, gives a sentence's shape.  A variable is
+the binders semantics' Exists and Forall, so semantics' children, rebuild,
+postorder and quantifier_shape serve arithmetic too, with the atoms as leaves
+(_mentions reads a comparison leaf's terms itself).  A variable is
 second-order (a set) iff its name starts upper-case (_is_set_var).
 
 Numbers are encoded as traces carrying a single marker at the encoded
@@ -18,7 +19,7 @@ multiplicand.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable
 
 from . import pltl as pl
@@ -76,27 +77,13 @@ class Member(Arith):
     set_var: str
 
 
-a_and = p_and
-
-
 def _is_set_var(name: str) -> bool:
     return name[:1].isupper()
 
 
-def _children(f) -> tuple:
-    """Operands of a connective or quantifier, and the terms of a comparison
-    leaf, sum or product; flat atoms, variables and constants have none."""
-    if isinstance(f, (Or, TPlus, TTimes)):
-        return (f.left, f.right)
-    if isinstance(f, (Not, Exists, Forall)):
-        return (f.sub,)
-    if isinstance(f, RawAtom):
-        return (f.left,) if f.kind == "in" else (f.left, f.right)
-    return ()
-
-
 def _mentions(n) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The first- and second-order variables node n itself reads or binds."""
+    """The first- and second-order variables node n itself reads or binds; a
+    comparison leaf reads the variables of its terms."""
     if isinstance(n, (Add, Mul)):
         return (n.y1, n.y2, n.y3), ()
     if isinstance(n, Less):
@@ -105,25 +92,30 @@ def _mentions(n) -> tuple[tuple[str, ...], tuple[str, ...]]:
         return (n.y,), (n.set_var,)
     if isinstance(n, (Exists, Forall)):
         return ((), (n.var,)) if _is_set_var(n.var) else ((n.var,), ())
-    if isinstance(n, TVar):
-        return (n.name,), ()
-    if isinstance(n, RawAtom) and n.kind == "in":
-        return (), (n.right,)
+    if isinstance(n, RawAtom):
+        terms, first = [n.left] if n.kind == "in" else [n.left, n.right], []
+        while terms:
+            t = terms.pop()
+            if isinstance(t, TVar):
+                first.append(t.name)
+            elif isinstance(t, (TPlus, TTimes)):
+                terms += (t.right, t.left)
+        return tuple(first), (n.right,) if n.kind == "in" else ()
     return (), ()
 
 
 def first_order_vars(f: Arith) -> frozenset[str]:
-    return frozenset(v for n in hy.postorder(f, _children) for v in _mentions(n)[0])
+    return frozenset(v for n in hy.postorder(f) for v in _mentions(n)[0])
 
 
 def second_order_vars(f: Arith) -> frozenset[str]:
-    return frozenset(v for n in hy.postorder(f, _children) for v in _mentions(n)[1])
+    return frozenset(v for n in hy.postorder(f) for v in _mentions(n)[1])
 
 
 def free_arith_vars(f: Arith) -> frozenset[str]:
     free: dict[int, frozenset[str]] = {}
-    for n in hy.postorder(f, _children):
-        out = frozenset().union(*(free[id(c)] for c in _children(n)))
+    for n in hy.postorder(f):
+        out = frozenset().union(*(free[id(c)] for c in hy.children(n)))
         if isinstance(n, (Exists, Forall)):
             out -= {n.var}
         else:
@@ -137,7 +129,7 @@ def _require_flat_sentence(f: Arith) -> None:
     """Reject a node of no flat form, a free variable, and a variable whose
     case contradicts where it stands: an upper-case (set) name where a number
     goes, or a lower-case one where a set goes.  A binder's order is its case."""
-    nodes = hy.postorder(f, _children)
+    nodes = hy.postorder(f)
     if not all(isinstance(n, (Add, Mul, Less, Member, Not, Or, Exists, Forall)) for n in nodes):
         raise TypeError("expected a flat arithmetic sentence; run flatten first")
     free = free_arith_vars(f)
@@ -396,12 +388,8 @@ class _Flattener:
 def _map_leaves(f: Arith, leaf) -> Arith:
     """f with each leaf (a node below every connective and quantifier)
     replaced by leaf(node), called once per occurrence, left to right."""
-    if isinstance(f, Not):
-        return Not(_map_leaves(f.sub, leaf))
-    if isinstance(f, Or):
-        return Or(_map_leaves(f.left, leaf), _map_leaves(f.right, leaf))
-    if isinstance(f, (Exists, Forall)):
-        return type(f)(f.var, _map_leaves(f.sub, leaf))
+    if isinstance(f, (Not, Or, Exists, Forall)):
+        return hy.rebuild(f, [_map_leaves(c, leaf) for c in hy.children(f)])
     return leaf(f)
 
 
@@ -537,10 +525,8 @@ class _Compiler:
             if isinstance(f, Exists):
                 return hy.Exists(xv, hy.h_and(guard, self.compile(f.sub)))
             return hy.Forall(xv, hy.h_implies(guard, self.compile(f.sub)))
-        if isinstance(f, Not):
-            return hy.Not(self.compile(f.sub))
-        if isinstance(f, Or):
-            return hy.Or(self.compile(f.left), self.compile(f.right))
+        if isinstance(f, (Not, Or)):
+            return hy.rebuild(f, [self.compile(c) for c in hy.children(f)])
         if isinstance(f, Member):
             return hy.ev(EMPTY_GAMMA, hy.h_and(self.at(f.y),
                                                hy.Atom(HASH, trace_var(f.set_var))))
@@ -717,12 +703,35 @@ def _compiler(encoding: str, v1: Iterable[str], strict_fidelity: bool) -> _Compi
     raise ValueError(f"unknown encoding {encoding!r}")
 
 
+def _renamed(f: Arith, names: dict[str, str]) -> Arith:
+    """Flat f with every variable y it reads or binds renamed names.get(y, y)."""
+    if isinstance(f, (Exists, Forall)):
+        return type(f)(names.get(f.var, f.var), _renamed(f.sub, names))
+    if isinstance(f, (Not, Or)):
+        return hy.rebuild(f, [_renamed(c, names) for c in hy.children(f)])
+    return type(f)(*(names.get(y, y) for y in astuple(f)))
+
+
+def _encodable(f: Arith) -> tuple[Arith, dict[str, str]]:
+    """dealias(f) with each number whose name has a '_' renamed to a fresh
+    name without one, and that renaming.  An atom prints as prop_var and reads
+    back at the longest proposition prefix, so beside a_x the marker hy_a on
+    x_a would read back as hy_a_x on a."""
+    f = dealias(f)
+    v1 = first_order_vars(f)
+    fresh = fresh_names("v", set(v1) | set(second_order_vars(f)))
+    names = {y: next(fresh) for y in sorted(v1) if "_" in y}
+    return _renamed(f, names), names
+
+
 def _compile(f: Arith, encoding: str, strict_fidelity: bool) -> CompiledArtifact:
     _require_flat_sentence(f)
-    f = dealias(f)
+    f, names = _encodable(f)
     comp = _compiler(encoding, first_order_vars(f), strict_fidelity)
     sentence = comp.compile(f)
-    return CompiledArtifact(comp.system(), sentence, encoding, dict(comp.var_map))
+    original = {new: y for y, new in names.items()}
+    var_map = {original.get(y, y): x for y, x in comp.var_map.items()}
+    return CompiledArtifact(comp.system(), sentence, encoding, var_map)
 
 
 def compile_stutter(f: Arith) -> CompiledArtifact:
@@ -823,8 +832,8 @@ def witness_universe(f: Arith, encoding: str, value_bound: int,
                      set_cap: int = 8) -> list[LassoTrace]:
     """A quantifier universe rich enough for sentences whose first-order
     values stay at or below value_bound."""
-    f = dealias(f)
-    atoms = [n for n in hy.postorder(f, _children) if isinstance(n, (Add, Mul, Less, Member))]
+    f = _encodable(f)[0]
+    atoms = [n for n in hy.postorder(f) if isinstance(n, (Add, Mul, Less, Member))]
     traces: list[LassoTrace] = []
     if encoding == "stutter":
         for y in sorted(first_order_vars(f)):

@@ -77,6 +77,12 @@ def p_and(a, b):
     return Not(Or(Not(a), Not(b)))
 
 
+def is_and(f) -> bool:
+    """f has p_and's shape, !(!a | !b)."""
+    return isinstance(f, Not) and isinstance(f.sub, Or) \
+        and isinstance(f.sub.left, Not) and isinstance(f.sub.right, Not)
+
+
 def p_implies(a, b):
     return Or(Not(a), b)
 
@@ -517,7 +523,7 @@ def _resugar(f, fam: _Family):
         if isinstance(s, (fam.Until, fam.Since)) and isinstance(s.left, Top) \
                 and isinstance(s.right, Not):
             return ("G" if isinstance(s, fam.Until) else "H", s, s.right.sub)
-        if isinstance(s, Or) and isinstance(s.left, Not) and isinstance(s.right, Not):
+        if is_and(f):
             a, b = s.left.sub, s.right.sub
             ia, ib = _match_implies(a), _match_implies(b)
             if ia and ib and same_formula(ia[0], ib[1]) and same_formula(ia[1], ib[0]):

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 from . import stutter
 from . import pltl as pl
 from .pltl import _PREC_QUANT, _PREC_UNARY, TRUE, Not, Or, ParseError, Top, _PltlParser, \
-    render_pltl, tokenize
+    is_and, render_pltl, tokenize
 from .traces import LassoTrace, PointedTrace, TransitionSystem, enumerate_lassos, \
     enumerate_ts_traces, normalize
 
@@ -143,21 +143,33 @@ def children(f) -> tuple:
     return ()
 
 
-def postorder(f, children_of=None) -> list:
+def rebuild(f, operands: Sequence):
+    """The inverse of children: a new node of f's class over operands that
+    keeps f's other fields (gamma, vars, var); a leaf is returned as is."""
+    if isinstance(f, (Not, Or)):
+        return type(f)(*operands)
+    if isinstance(f, (Next, Until, Yesterday, Since)):
+        return type(f)(f.gamma, *operands)
+    if isinstance(f, Context):
+        return Context(f.vars, *operands)
+    if isinstance(f, (Exists, Forall)):
+        return type(f)(f.var, *operands)
+    return f
+
+
+def postorder(f) -> list:
     """Subformulas in postorder: children first, left to right, each shared
-    node once, at its first occurrence.  children_of gives a node's operands
-    (default: children, the hyper family's); the walk keeps its own stack, so
+    node once, at its first occurrence.  The walk keeps its own stack, so
     formula depth is not bounded by the interpreter's recursion limit."""
-    kids = children_of or children
     seen = {id(f)}
     out = []
-    stack = [(f, iter(kids(f)))]
+    stack = [(f, iter(children(f)))]
     while stack:
         node, it = stack[-1]
         for c in it:
             if id(c) not in seen:
                 seen.add(id(c))
-                stack.append((c, iter(kids(c))))
+                stack.append((c, iter(children(c))))
                 break
         else:
             stack.pop()
@@ -529,11 +541,6 @@ def _config_key(names: tuple[str, ...], gammas: tuple, margin: int, canon: dict,
     return start
 
 
-def _is_and(n: Hyper) -> bool:
-    return isinstance(n, Not) and isinstance(n.sub, Or) \
-        and isinstance(n.sub.left, Not) and isinstance(n.sub.right, Not)
-
-
 def _operands(n: Hyper) -> list[Hyper]:
     """Operands, left to right, of the h_and chain (n a Not) or the Or chain
     rooted at n, with Not(Not(.)) stripped along the chain.  Iterative, so a
@@ -543,7 +550,7 @@ def _operands(n: Hyper) -> list[Hyper]:
         m = stack.pop()
         while isinstance(m, Not) and isinstance(m.sub, Not):
             m = m.sub.sub
-        if conj and _is_and(m):
+        if conj and is_and(m):
             stack += (m.sub.right.sub, m.sub.left.sub)
         elif not conj and isinstance(m, Or):
             stack += (m.right, m.left)
@@ -632,7 +639,7 @@ class _Program:
         if isinstance(n, Top):
             return _holds
         if isinstance(n, Not):
-            if _is_and(n):
+            if is_and(n):
                 return _all(tuple(self.compile(x, c, dom) for x in _operands(n)))
             if isinstance(n.sub, Not):
                 return self.compile(n.sub.sub, c, dom)

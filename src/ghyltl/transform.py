@@ -17,9 +17,11 @@ bounded approximation.
 
 Both transforms first make binder names unique (alpha_unique), which
 refuses a context that would step another trace once its binders are renamed
-or hoisted.  The single-marker shape (pos_shape, purity) and the fresh-name
-source (fresh_names, also alpha_unique's) serve the arithmetic compilers too,
-whose numbers are the same one-marker traces.
+or hoisted.  Each rewrite spells out only the node classes it changes and
+rebuilds every other node over its rewritten operands (semantics.rebuild, the
+inverse of semantics.children).  The single-marker shape (pos_shape, purity)
+and the fresh-name source (fresh_names, also alpha_unique's) serve the
+arithmetic compilers too, whose numbers are the same one-marker traces.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from typing import Iterable, Iterator
 from .pltl import TRUE, Not, Or, Top
 from .semantics import (
     EMPTY_GAMMA, Atom, Context, Exists, Forall, Gamma, Hyper, Next, Since,
-    Until, Yesterday, _facts, all_vars, alw, ev, h_all, h_and, h_implies,
-    is_prenex, once, postorder, strip_prefix,
+    Until, Yesterday, _facts, all_vars, alw, children, ev, h_all, h_and, h_implies,
+    is_prenex, once, postorder, rebuild, strip_prefix,
 )
 from .traces import LassoTrace, spike_trace
 
@@ -125,8 +127,6 @@ def alpha_unique(f: Hyper) -> Hyper:
         return new
 
     def walk(n: Hyper, ren: dict[str, str]) -> Hyper:
-        if isinstance(n, Top):
-            return n
         if isinstance(n, Atom):
             return Atom(n.prop, ren.get(n.var, n.var))
         if isinstance(n, Context):
@@ -141,20 +141,26 @@ def alpha_unique(f: Hyper) -> Hyper:
         if isinstance(n, (Exists, Forall)):
             new = variant(n.var)
             return type(n)(new, walk(n.sub, {**ren, n.var: new}))
-        if isinstance(n, Not):
-            return Not(walk(n.sub, ren))
-        if isinstance(n, Or):
-            return Or(walk(n.left, ren), walk(n.right, ren))
-        if isinstance(n, (Next, Yesterday)):
-            return type(n)(n.gamma, walk(n.sub, ren))
-        if isinstance(n, (Until, Since)):
-            return type(n)(n.gamma, walk(n.left, ren), walk(n.right, ren))
+        if isinstance(n, (Top, Not, Or, Next, Until, Yesterday, Since)):
+            return rebuild(n, [walk(c, ren) for c in children(n)])
         raise TypeError(f"not a hyper formula node: {n!r}")
 
     return walk(f, {})
 
 
 _Prefix = list[tuple[str, str]]
+
+# the nodes a quantifier moves across unchanged but for a Not's flip
+_BOOLEAN = (Atom, Top, Not, Or, Context)
+
+
+def _hoisted(n: Hyper, walked: list[tuple[_Prefix, Hyper]]) -> tuple[_Prefix, Hyper]:
+    """A _BOOLEAN node n over its walked operands: their prefixes in order,
+    kinds flipped under a Not, and n rebuilt over their matrices."""
+    prefix = [q for p, _ in walked for q in p]
+    if isinstance(n, Not):
+        prefix = [("forall" if k == "exists" else "exists", v) for k, v in prefix]
+    return prefix, rebuild(n, [m for _, m in walked])
 
 
 def _fold_prefix(prefix: _Prefix, matrix: Hyper) -> Hyper:
@@ -174,18 +180,8 @@ def hoist_prenex(f: Hyper) -> Hyper:
     nodes = _facts(f)[0]
 
     def walk(n: Hyper) -> tuple[_Prefix, Hyper]:
-        if isinstance(n, (Atom, Top)):
-            return [], n
-        if isinstance(n, Not):
-            p, m = walk(n.sub)
-            return [("forall" if k == "exists" else "exists", v) for k, v in p], Not(m)
-        if isinstance(n, Or):
-            p1, m1 = walk(n.left)
-            p2, m2 = walk(n.right)
-            return p1 + p2, Or(m1, m2)
-        if isinstance(n, Context):
-            p, m = walk(n.sub)
-            return p, Context(n.vars, m)
+        if isinstance(n, _BOOLEAN):
+            return _hoisted(n, [walk(c) for c in children(n)])
         if isinstance(n, (Exists, Forall)):
             p, m = walk(n.sub)
             kind = "exists" if isinstance(n, Exists) else "forall"
@@ -213,18 +209,9 @@ class _Prenexifier:
 
     def walk(self, n: Hyper, context: frozenset[str], scope: frozenset[str]) \
             -> tuple[_Prefix, Hyper]:
-        if isinstance(n, (Atom, Top)):
-            return [], n
-        if isinstance(n, Not):
-            p, m = self.walk(n.sub, context, scope)
-            return [("forall" if k == "exists" else "exists", v) for k, v in p], Not(m)
-        if isinstance(n, Or):
-            p1, m1 = self.walk(n.left, context, scope)
-            p2, m2 = self.walk(n.right, context, scope)
-            return p1 + p2, Or(m1, m2)
-        if isinstance(n, Context):
-            p, m = self.walk(n.sub, n.vars, scope)
-            return p, Context(n.vars, m)
+        if isinstance(n, _BOOLEAN):
+            inner = n.vars if isinstance(n, Context) else context
+            return _hoisted(n, [self.walk(c, inner, scope) for c in children(n)])
         if isinstance(n, (Exists, Forall)):
             inner_scope = scope | {n.var}
             p, m = self.walk(n.sub, context, inner_scope)
@@ -244,10 +231,9 @@ class _Prenexifier:
             return [(kind, n.var)] + p, guarded
         if isinstance(n, (Next, Until, Yesterday, Since)):
             if not (context & scope):
-                # no bound coordinate moves: the step operators degenerate
-                if isinstance(n, (Next, Yesterday)):
-                    return self.walk(n.sub, context, scope)
-                return self.walk(n.right, context, scope)
+                # no bound coordinate moves: the step operators degenerate to
+                # their last operand
+                return self.walk(children(n)[-1], context, scope)
             return self._temporal(n, context, scope)
         raise TypeError(f"not a hyper formula node: {n!r}")
 
@@ -273,18 +259,16 @@ class _Prenexifier:
     def _temporal(self, n: Hyper, context: frozenset[str], scope: frozenset[str]) \
             -> tuple[_Prefix, Hyper]:
         make_body = self._future_body if isinstance(n, (Next, Until)) else self._past_body
+        walked = [self.walk(c, context, scope) for c in children(n)]
+        if not any(p for p, _ in walked):
+            return [], rebuild(n, [m for _, m in walked])
         if isinstance(n, (Next, Yesterday)):
-            p, m = self.walk(n.sub, context, scope)
-            if not p:
-                return [], type(n)(n.gamma, m)
+            [(p, m)] = walked
             xi = next(self.fresh)
             body = make_body(n.gamma, xi, self._wrap(context, scope, m), context, scope)
             return [("exists", xi)] + p, h_and(self.shape(xi, at_one=True), body)
 
-        lp, lm = self.walk(n.left, context, scope)
-        rp, rm = self.walk(n.right, context, scope)
-        if not lp and not rp:
-            return [], type(n)(n.gamma, lm, rm)
+        (lp, lm), (rp, rm) = walked
         xi = next(self.fresh)
         conjuncts = [self.shape(xi),
                      make_body(n.gamma, xi, self._wrap(context, scope, rm),

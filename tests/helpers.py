@@ -383,6 +383,33 @@ def gen_sentence(rng: random.Random, ap: Sequence[str], n_vars: int, depth: int,
     return out
 
 
+def gen_arith_term(rng: random.Random, nums: list[str], depth: int) -> str:
+    if depth == 0 or rng.random() < 0.4:
+        return rng.choice(nums + ["0", "1", "3"])
+    op = rng.choice("+*")
+    return f"({gen_arith_term(rng, nums, depth - 1)} {op} {gen_arith_term(rng, nums, depth - 1)})"
+
+
+def gen_arith(rng: random.Random, scope: list[str], depth: int) -> str:
+    """Text of a random arithmetic formula with nested terms, constants, sets
+    and <-> over the variables in scope; closed when scope is empty."""
+    nums = [v for v in scope if v.islower()]
+    sets = [v for v in scope if v.isupper()]
+    r = rng.random()
+    if nums and (depth == 0 or r < 0.2):
+        if sets and rng.random() < 0.3:
+            return f"{gen_arith_term(rng, nums, 2)} in {rng.choice(sets)}"
+        return f"{gen_arith_term(rng, nums, 2)} {rng.choice('<=')} {gen_arith_term(rng, nums, 2)}"
+    if nums and r < 0.3:
+        return f"!({gen_arith(rng, scope, depth - 1)})"
+    if nums and r < 0.55:
+        op = rng.choice(["|", "&", "->", "<->"])
+        return f"({gen_arith(rng, scope, depth - 1)} {op} {gen_arith(rng, scope, depth - 1)})"
+    v = f"{'A' if nums and rng.random() < 0.3 else 'a'}{len(scope)}"
+    q = rng.choice(["exists", "forall"])
+    return f"({q} {v}. {gen_arith(rng, scope + [v], max(depth - 1, 1))})"
+
+
 # -- curated corpus for the prenexification equivalence -----------------------
 #
 # Each sentence has exactly one quantifier under exactly one temporal operator.

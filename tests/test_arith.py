@@ -49,7 +49,7 @@ def test_parse_emits_connectives_over_comparison_leaves():
 def test_flatten_rewrites_each_occurrence():
     # <-> repeats its operands; each occurrence gets its own fresh variables
     f = flat("exists a. (a = 1 <-> a = 1)")
-    binders = [n.var for n in hy.postorder(f, arith._children) if isinstance(n, Exists)]
+    binders = [n.var for n in hy.postorder(f) if isinstance(n, Exists)]
     assert binders == ["t0", "t1", "t2", "t3", "a"]
 
 
@@ -74,7 +74,7 @@ def test_flatten_constant_equivalence():
 def test_flatten_constants_by_doubling():
     # a constant k takes O(log k) additions, not k - 1
     f = flat("exists a. a = 200000")
-    assert len(hy.postorder(f, arith._children)) <= 160
+    assert len(hy.postorder(f)) <= 160
     for k in range(21):
         assert arith_eval_bounded(flat(f"exists a. a = {k}"), k + 1), k
         assert not arith_eval_bounded(flat(f"exists a. (a = {k} & a < {k})"), k + 1), k
@@ -509,6 +509,9 @@ E2E_SENTENCES = [
     ("exists a. exists b. (a < b & a * b = b)", 3),
     ("exists a. exists b. (1 < a & 1 < b & a * b = a)", 3),
     ("exists a. exists B. (a in B & a < 2)", 3),
+    # compiled under fresh names (see test_cli), which the witnesses must share
+    ("exists a. exists a_x. a < a_x", 3),
+    ("exists a_x. forall b. (b < a_x | b = a_x)", 3),
 ]
 
 

@@ -295,19 +295,30 @@ def test_prenex_transforms_inner_quantifier(workdir, capsys):
 
 
 # atoms print as prop_var and read back at the longest proposition prefix, so
-# these outputs would mean other formulas: hy_a on x_a prints as hy_a_x_a,
-# read back as hy_a_x on a
-@pytest.mark.parametrize("text", [
-    "exists a. exists a_x. a < a_x",
-    "exists a. exists a_x_a. exists a_x_a_x_a. (a < a_x_a & a_x_a < a_x_a_x_a)",
-])
-def test_compile_refuses_text_that_reads_back_differently(workdir, capsys, text):
+# beside a_x the marker hy_a on x_a would print as hy_a_x_a and read back as
+# hy_a_x on a: a number whose name has a '_' is compiled under a fresh name
+UNDERSCORED_NAMES = [
+    ("exists a. exists a_x. a < a_x", {"a": "x_a", "a_x": "x_v0"}),
+    ("exists a. exists a_x_a. exists a_x_a_x_a. (a < a_x_a & a_x_a < a_x_a_x_a)",
+     {"a": "x_a", "a_x_a": "x_v0", "a_x_a_x_a": "x_v1"}),
+]
+
+
+@pytest.mark.parametrize("text,want", UNDERSCORED_NAMES, ids=[t for t, _ in UNDERSCORED_NAMES])
+def test_compile_underscored_names_read_back(workdir, capsys, text, want):
+    from ghyltl.arith import compile_stutter, flatten, parse_arith
     (workdir / "arith.txt").write_text(text, encoding="utf-8")
     out = workdir / "compiled"
-    code = main(["compile", "--encoding", "stutter", str(workdir / "arith.txt"), str(out)])
-    captured = capsys.readouterr()
-    assert code == 3 and captured.out == "" and len(captured.err.splitlines()) == 1
-    assert not out.exists()
+    code, _ = run(["compile", "--encoding", "stutter", workdir / "arith.txt", out], capsys)
+    assert code == 0
+    artifact = compile_stutter(flatten(parse_arith(text)))
+    _, formula = read_formula_file(str(out / "formula.ghyltl"))
+    assert formula == artifact.sentence
+    varmap = json.loads((out / "varmap.json").read_text(encoding="utf-8"))["varmap"]
+    assert varmap == artifact.var_map == want
+    code, report = run(["check", out / "system.json", out / "formula.ghyltl",
+                        "--max-prefix", "3", "--max-loop", "1"], capsys)
+    assert code == 0 and "verdict: holds" in report
 
 
 @pytest.mark.parametrize("to_file", [False, True])
