@@ -186,16 +186,19 @@ _SHAPES = ("exists", "exists", "forall", "mixed")
 def _facts(f: Hyper) -> tuple[dict, frozenset[str], frozenset, bool]:
     """(nodes, names, gammas, contexts) from one postorder fold: per node id
     its sorted free variables (its child's tuple when they are the same),
-    its past horizon h (the most Yesterday nodes on a path at or below it,
-    math.inf with a Since there; h > 0 when it looks back), and the kinds of
-    the quantifiers at or below it after negation polarity (0 for none); then
-    the variables of atoms, binders and context sets, the temporal index
-    members, and whether a context operator occurs.  No other walk answers
-    a structural query about a hyper formula, or the quantifier shape of an
-    arithmetic one (its atoms are leaves)."""
-    nodes: dict[int, tuple[tuple[str, ...], float, int]] = {}
+    its past horizon h (the heaviest path at or below it, a Yesterday
+    weighing 1 and a Since 2, see _config_key; h > 0 when it looks back), and
+    the kinds of the quantifiers at or below it after negation polarity (0
+    for none); then the variables of atoms, binders and context sets, the
+    temporal index members, and whether a context operator occurs.  No other
+    walk answers a structural query about a hyper formula, or the quantifier
+    shape of an arithmetic one (its atoms are leaves); PLTL atoms and
+    temporal nodes, gamma members only, raise TypeError."""
+    nodes: dict[int, tuple[tuple[str, ...], int, int]] = {}
     names, gammas, contexts = set(), set(), False
     for n in postorder(f):
+        if isinstance(n, (pl.Atom, pl.Next, pl.Until, pl.Yesterday, pl.Since)):
+            raise TypeError(f"not a hyper formula node: {n!r}")
         kids = children(n)
         free, h, kinds = nodes[id(kids[0])] if kids else ((), 0, 0)
         if len(kids) == 2:
@@ -217,7 +220,7 @@ def _facts(f: Hyper) -> tuple[dict, frozenset[str], frozenset, bool]:
             contexts = True
         elif isinstance(n, (Next, Until, Yesterday, Since)):
             gammas.update(n.gamma)
-            h = math.inf if isinstance(n, Since) else h + isinstance(n, Yesterday)
+            h += 2 if isinstance(n, Since) else isinstance(n, Yesterday)
         nodes[id(n)] = (free, h, kinds)
     return nodes, frozenset(names), frozenset(gammas), contexts
 
@@ -492,10 +495,6 @@ def _walk(move, gamma: Gamma, eff: tuple[str, ...], steps, left, right, bound, c
     return walk
 
 
-# the cycle-key margin, in periods, of an Until with a Since below it
-_SINCE_MARGIN = 3
-
-
 def _config_key(names: tuple[str, ...], gammas: tuple, margin: int, canon: dict, steps):
     """Until cycle keys: start(a) gives, per stepped coordinate (names) of a
     walk from a, its trace's key threshold base + margin * period and its
@@ -512,17 +511,19 @@ def _config_key(names: tuple[str, ...], gammas: tuple, margin: int, canon: dict,
     which also read i - 1, repeat from base + 1 on, with one of every gamma
     in every period (or at every position).  So a successor step from base
     on, and a predecessor step from base + 1 + period on, lands within a
-    period and commutes with whole-period shifts.  A body of past horizon h
-    (see _facts) takes at most h predecessor steps per coordinate on any
-    path; with margin = h + 1 each starts at or past base + 1 + period, so
-    from equal keys the body reads positions whole periods apart (equal
-    letters, equal steps), over joint contexts too.  The spare period keeps
-    the last of them off base, whose changepoint status reads base - 1; a
-    past-free body needs none, and counting flips (an even number per period
-    and member) would let margin h do, but neither is relied on.  A Since
-    below may walk back any distance and see the offsets between
-    coordinates: its margin is _SINCE_MARGIN, and the key is not known to be
-    sound.
+    period and commutes with whole-period shifts.  An Until's margin is
+    h + 1 for its body's past horizon h (see _facts).  A body of Yesterday
+    steps takes at most h predecessor steps per coordinate on any path, each
+    from base + 1 + period on, so from equal keys it reads positions whole
+    periods apart (equal letters, equal steps), over joint contexts too.  The
+    spare period keeps the last of them off base, whose changepoint status
+    reads base - 1; a past-free body needs none, and counting flips (an even
+    number per period and member) would let margin h do, but neither is
+    relied on.  A one-coordinate Since (others fixed) composes maps s -> r |
+    (l & s), idempotent in Kleene logic, so its value repeats from one period
+    past its operands' (pltl._since_profile), like a Yesterday's.  No margin
+    is known to make a joint one sound, as it stops where any coordinate
+    does; its second unit keeps its Until at 3 periods or more.
     """
     def start(a):
         out = []
@@ -667,9 +668,8 @@ class _Program:
             left = self.compile(n.left, c, dom)
             key = None
             if future and self.cfg.use_cycle_detection:
-                h = self.facts[id(n)][1]
-                margin = _SINCE_MARGIN if h == math.inf else h + 1
-                key = _config_key(eff, self.gammas, margin, self.canon, self.steps)
+                key = _config_key(eff, self.gammas, self.facts[id(n)][1] + 1, self.canon,
+                                  self.steps)
             bound = range(self.cfg.until_cutoff + 1) if future else itertools.repeat(None)
             return self._memo(n, c, dom, _walk(move, n.gamma, eff, self.steps, left, right,
                                                bound, key))

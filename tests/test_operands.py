@@ -64,17 +64,21 @@ def test_leaves_come_back_unchanged(n):
     assert rebuild(n, ()) is n
 
 
-# a PLTL Next is a gamma member, never a hyper node: the rewrites reject it
-# wherever it sits, also in a formula prenexify cannot return unchanged
+# a PLTL Next is a gamma member, never a hyper node: the rewrites and the
+# structural queries reject it wherever it sits, also in a prenex formula
+# that prenexify would return unchanged
 @pytest.mark.parametrize("place", [
     lambda x: Or(Exists("a", Atom("p", "a")), Exists("b", x)),
     lambda x: Not(Forall("a", Context(frozenset({"a"}), Or(Atom("p", "a"), x)))),
     lambda x: Exists("a", Until(frozenset(), x, Exists("b", Atom("q", "b")))),
     lambda x: Exists("a", Yesterday(frozenset(), Forall("b", hy.h_and(x, Atom("q", "b"))))),
-], ids=["or", "context", "until", "yesterday"])
-@pytest.mark.parametrize("rewrite", [alpha_unique, hoist_prenex,
-                                     lambda f: prenexify(f, ("p", "q"))],
-                         ids=["alpha_unique", "hoist_prenex", "prenexify"])
+    lambda x: Exists("a", Or(Atom("p", "a"), x)),
+], ids=["or", "context", "until", "yesterday", "prenex"])
+@pytest.mark.parametrize("rewrite", [
+    alpha_unique, hoist_prenex, lambda f: prenexify(f, ("p", "q")), hy.fragment_of,
+    hy.free_vars, hy.quantifier_shape, lambda f: hy.check_traceset([], f),
+], ids=["alpha_unique", "hoist_prenex", "prenexify", "fragment_of", "free_vars",
+        "quantifier_shape", "check_traceset"])
 def test_rewrites_reject_a_foreign_node(place, rewrite):
     with pytest.raises(TypeError, match="not a hyper formula node"):
         rewrite(place(pl.Next(pl.Atom("p"))))

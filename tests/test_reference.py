@@ -64,14 +64,18 @@ def test_reference_on_lemma1_sentences_as_written():
 Q_THEN_EMPTY = lasso(("q",), [{"q"}], [set()])
 EMPTY = lasso(("q",), [], [set()])
 
-# the three sentences on which Until cycle closing gave wrong verdicts
-# (ROADMAP item 1).  test_semantics checks the library on them: it agrees on
-# the first two, and the third, a Since below the Until, is a strict xfail.
+# sentences on which Until cycle closing gave wrong verdicts (ROADMAP item 1).
+# test_semantics checks the library on them: it agrees on the Yesterday
+# chains, alone and beside a Since, and the third, a Since over coordinates
+# the Until sets apart (family (a)), is a strict xfail.
 CYCLE_CLOSING_EXAMPLES = [
     ("exists x. F[] Y[] Y[] Y[] Y[] Y[] q_x", [Q_THEN_EMPTY], "holds"),
     ("forall x. G[] !(Y[] Y[] Y[] Y[] Y[] q_x)", [Q_THEN_EMPTY], "fails"),
     ("exists x. exists y. C{y} X[] X[] X[] X[] X[] (C{x} F[] (C{x,y} O[] q_y))",
      [EMPTY, Q_THEN_EMPTY], "holds"),
+    ("exists x. F[] (Y[] Y[] Y[] Y[] Y[] q_x & O[] q_x)", [Q_THEN_EMPTY], "holds"),
+    ("exists x. exists y. F[] (Y[] Y[] Y[] Y[] Y[] q_x & O[] (q_x & q_y))", [Q_THEN_EMPTY],
+     "holds"),
 ]
 
 
