@@ -24,7 +24,7 @@ from typing import Iterable
 
 from . import pltl as pl
 from . import semantics as hy
-from .pltl import Not, Or, ParseError, p_and, token_pattern, tokenize
+from .pltl import Not, Or, p_and, token_pattern, tokenize
 from .semantics import EMPTY_GAMMA, EvalConfig, Exists, Forall, evaluate
 from .traces import LassoTrace, PointedTrace, TransitionSystem, pointwise_union, spike_trace
 from .transform import fresh_names, pos_shape, purity
@@ -225,44 +225,35 @@ class RawAtom:
 
 
 _ARITH_TOKENS = token_pattern(("<->", "->", "!", "|", "&", "(", ")", ".", "<", "=", "+", "*"))
+_TERM_OPS = {"+": (0, False, TPlus), "*": (1, False, TTimes)}
+_TERM_FOLLOW = ("+", "*", "=", "<", "in")
 
 
 class _ArithParser(pl._Parser):
-    def formula(self):
+    binders = {"exists": Exists, "forall": Forall}
+
+    def __init__(self, toks: list[tuple[str, str, int, int]]):
+        super().__init__(toks)
+        # the token after the ')' that matches each matched '(', None at the end
+        self.follow, opens = {}, []
+        for i, (_, v, _, _) in enumerate(toks):
+            if v == "(":
+                opens.append(i)
+            elif v == ")" and opens:
+                self.follow[opens.pop()] = toks[i + 1][1] if i + 1 < len(toks) else None
+
+    def binder_var(self) -> str:
         nxt = self.peek()
-        if nxt is not None and nxt[0] == "id" and nxt[1] in ("forall", "exists"):
-            kind = self.take()
-            var_tok = self.peek()
-            if var_tok is None or var_tok[0] != "id" or var_tok[1][0].isdigit():
-                self.error("expected a variable name")
-            var = self.take()
-            self.take(".")
-            return (Exists if kind == "exists" else Forall)(var, self.formula())
-        return self.iff()
+        if nxt is None or nxt[0] != "id" or nxt[1][0].isdigit():
+            self.error("expected a variable name")
+        return self.take()
 
     def primary(self):
-        if self.peek() != ("sym", "("):
-            return self.comparison()
-        # either a parenthesized formula or a parenthesized term; when both
-        # fail, the error of the one that read further is the one to report
-        save = self.pos
-        formula_err = None
-        try:
-            self.take("(")
-            f = self.formula()
-            self.take(")")
-            if self.peek() is None or self.peek()[1] not in ("=", "<", "+", "*", "in"):
-                return f
-        except ParseError as exc:
-            formula_err, formula_end = exc, self.pos
-        self.pos = save
-        try:
-            return self.comparison()
-        except ParseError:
-            if formula_err is None or formula_end <= self.pos:
-                raise
-            self.pos = formula_end
-            raise formula_err from None
+        # a group whose matching ')' is followed by + * = < or in opens a term;
+        # any other group is a parenthesized formula
+        if self.peek() == ("sym", "(") and self.follow.get(self.pos) not in _TERM_FOLLOW:
+            return super().primary()
+        return self.comparison()
 
     def comparison(self):
         left = self.term()
@@ -283,18 +274,7 @@ class _ArithParser(pl._Parser):
         self.error("expected '=', '<' or 'in' after a term")
 
     def term(self):
-        f = self.factor()
-        while self.peek() == ("sym", "+"):
-            self.take()
-            f = TPlus(f, self.factor())
-        return f
-
-    def factor(self):
-        f = self.prim()
-        while self.peek() == ("sym", "*"):
-            self.take()
-            f = TTimes(f, self.prim())
-        return f
+        return self.infix(_TERM_OPS, self.prim)
 
     def prim(self):
         nxt = self.peek()

@@ -300,23 +300,34 @@ def tokenize(text: str, pattern: re.Pattern = _TOKENS) -> list[tuple[str, str, i
     return toks
 
 
+# Precedence, loosest first: binders, the infix connectives (symbol ->
+# (precedence, right-associative, constructor)), U/S, prefix operators.  The
+# parser and the printer both read the connectives from this one table.
+_PREC_QUANT, _PREC_UNTIL, _PREC_UNARY = 0, 5, 6
+_CONNECTIVES = {"<->": (1, False, p_iff), "->": (2, True, p_implies),
+                "|": (3, False, Or), "&": (4, False, p_and)}
+
+
 class _Parser:
     """Token cursor and grammar shared by the PLTL, hyper and arithmetic front
     ends.
 
-    The boolean ladder, loosest first, is ``<->`` (left-associative), ``->``
-    (right-associative), ``|``, ``&``, built from the shared ``Not``/``Or``
-    nodes by ``p_iff``, ``p_implies``, ``Or`` and ``p_and``.  Below ``&`` come the
-    right-associative ``U``/``S`` level and the prefix operators ``! X Y F G
-    O H``, then parentheses, ``true`` (``TRUE``), ``false`` (``!true``) and
-    ``leaf``.  A family supplies ``ops``, mapping each temporal operator name
-    to its node class or sugar constructor (index arguments first), ``index``
-    (the index arguments read after an operator name) and ``leaf``; it may
-    extend ``formula`` (the entry level, also used inside parentheses) and
-    ``unary``, or replace ``primary``.  An empty ``ops`` reads no temporal
-    operator.
+    A formula is a binder ``<binder> <var> . <formula>``, whose body reaches
+    as far right as it can, or the boolean connectives of ``_CONNECTIVES``
+    (``p_iff``, ``p_implies``, ``Or`` and ``p_and`` over the shared
+    ``Not``/``Or`` nodes), read by one precedence-climbing loop, ``infix``.
+    Below them come the right-associative ``U``/``S`` level and the prefix
+    operators ``! X Y F G O H``, then parentheses, ``true`` (``TRUE``),
+    ``false`` (``!true``) and ``leaf``.  A family supplies ``binders``,
+    mapping each binder word to its node class, ``ops``, mapping each
+    temporal operator name to its node class or sugar constructor (index
+    arguments first), ``index`` (the index arguments read after an operator
+    name) and ``leaf``; an empty table reads no binder or no temporal
+    operator.  It may replace ``binder_var`` (the bound variable, by default
+    any identifier) and ``primary``, or extend ``unary``.
     """
 
+    binders: dict[str, Callable] = {}
     ops: dict[str, Callable] = {}
 
     def __init__(self, toks: list[tuple[str, str, int, int]],
@@ -347,6 +358,13 @@ class _Parser:
         self.pos += 1
         return nxt[1]
 
+    def ident(self, what: str) -> str:
+        nxt = self.peek()
+        if nxt is None or nxt[0] != "id":
+            self.error(f"expected {what}")
+        self.take()
+        return nxt[1]
+
     def parse(self):
         f = self.formula()
         if self.peek() is not None:
@@ -354,34 +372,27 @@ class _Parser:
         return f
 
     def formula(self):
-        return self.iff()
+        if self.binders and self.pos < len(self.toks) and self.toks[self.pos][1] in self.binders:
+            make = self.binders[self.take()]
+            var = self.binder_var()
+            self.take(".")
+            return make(var, self.formula())
+        return self.infix(_CONNECTIVES, self.untils)
 
-    def iff(self):
-        f = self.implies()
-        while self.peek() == ("sym", "<->"):
-            self.take()
-            f = p_iff(f, self.implies())
-        return f
+    def binder_var(self) -> str:
+        return self.ident("quantified variable")
 
-    def implies(self):
-        f = self.disj()
-        if self.peek() == ("sym", "->"):
-            self.take()
-            return p_implies(f, self.implies())
-        return f
-
-    def disj(self):
-        f = self.conj()
-        while self.peek() == ("sym", "|"):
-            self.take()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self):
-        f = self.untils()
-        while self.peek() == ("sym", "&"):
-            self.take()
-            f = p_and(f, self.untils())
+    def infix(self, table: dict, operand: Callable, min_prec: int = 0):
+        """operand, then infix operators of table (symbol -> (precedence,
+        right-associative, constructor)) binding at least min_prec."""
+        f = operand()
+        while self.pos < len(self.toks):
+            op = table.get(self.toks[self.pos][1])
+            if op is None or op[0] < min_prec:
+                break
+            self.pos += 1
+            prec, right, make = op
+            f = make(f, self.infix(table, operand, prec if right else prec + 1))
         return f
 
     def untils(self):
@@ -467,8 +478,6 @@ def parse_pltl(text: str, ap: frozenset[str] | set[str]) -> Pltl:
 # Rendering with minimal parentheses, recognizing the canonical sugar
 # expansions.  One printer serves the PLTL and hyper families; the quantifier
 # level only occurs in hyper formulas.
-_PREC_QUANT, _PREC_IFF, _PREC_IMPL, _PREC_OR, _PREC_AND, _PREC_UNTIL, _PREC_UNARY = range(7)
-_LEVELS = {"|": _PREC_OR, "&": _PREC_AND, "->": _PREC_IMPL, "<->": _PREC_IFF}
 
 
 @dataclass(frozen=True)
@@ -539,15 +548,16 @@ def _resugar(f, fam: _Family):
 
 def _render(f, prec: int, fam: _Family) -> str:
     sug = _resugar(f, fam)
-    if sug is not None and sug[0] in _LEVELS:
+    if sug is not None and sug[0] in _CONNECTIVES:
         # a left-nested chain of &, | or <-> prints without parentheses; its
         # spine is walked by a loop, so a chain of any length prints
-        tag, lv, rights = sug[0], _LEVELS[sug[0]], []
-        lp, rp = (lv + 1, lv) if tag == "->" else (lv, lv + 1)
+        tag, rights = sug[0], []
+        lv, right, _ = _CONNECTIVES[tag]
+        lp, rp = (lv + 1, lv) if right else (lv, lv + 1)
         while sug is not None and sug[0] == tag:
             f, b = sug[2]
             rights.append(_render(b, rp, fam))
-            sug = None if tag == "->" else _resugar(f, fam)
+            sug = None if right else _resugar(f, fam)
         s = f" {tag} ".join([_render(f, lp, fam)] + rights[::-1])
         return f"({s})" if prec > lv else s
     if sug is not None:

@@ -840,25 +840,9 @@ def bounded_sat(f: Hyper, max_traces: int, max_prefix: int, max_loop: int,
 
 
 class _HyperParser(pl._Parser):
+    binders = {"exists": Exists, "forall": Forall}
     ops = {"X": Next, "Y": Yesterday, "F": ev, "G": alw,
            "O": once, "H": hist, "U": Until, "S": Since}
-
-    def formula(self) -> Hyper:
-        nxt = self.peek()
-        if nxt is not None and nxt[0] == "id" and nxt[1] in ("forall", "exists"):
-            kind = self.take()
-            var = self.ident("quantified variable")
-            self.take(".")
-            body = self.formula()
-            return (Forall if kind == "forall" else Exists)(var, body)
-        return self.iff()
-
-    def ident(self, what: str) -> str:
-        nxt = self.peek()
-        if nxt is None or nxt[0] != "id":
-            self.error(f"expected {what}")
-        self.take()
-        return nxt[1]
 
     def index(self) -> tuple[Gamma]:
         self.take("[")

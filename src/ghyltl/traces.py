@@ -302,8 +302,10 @@ def trace_set_from_obj(obj: dict) -> tuple[frozenset[str], list[LassoTrace]]:
     traces = []
     for i, e in enumerate(_list(obj, "", "traces")):
         path = f"traces[{i}]"
-        traces.append(LassoTrace(ap, _word(e, path, "prefix"), _word(e, path, "loop"),
-                                 e.get("name")))
+        prefix, loop, name = _word(e, path, "prefix"), _word(e, path, "loop"), e.get("name")
+        if name is not None and not _is_name(name):
+            raise ValueError(f"field {path}.name must be a string or null")
+        traces.append(LassoTrace(ap, prefix, loop, name))
     return ap, traces
 
 

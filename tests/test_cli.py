@@ -531,6 +531,8 @@ MALFORMED_JSON = [
                "edges": [[True, True], [1, 1]], "initial": [True]}, "vertices[0].id"),
     ("check", {**GOOD_SYSTEM, "vertices": [{"id": "a", "label": []}, {"id": 1, "label": []}],
                "edges": [["a", "a"], [1, 1]]}, "vertices[1].id"),
+    ("eval", {"ap": ["p"], "traces": [{"name": [1, 2], "prefix": [], "loop": [["p"]]}]},
+     "traces[0].name"),
 ]
 
 

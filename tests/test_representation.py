@@ -100,12 +100,18 @@ def test_representation_on_the_criterion_11_corpus():
 # not.  The xfails are strict, so the fix of item 1 turns them into
 # regression tests.
 
+# family (b), lockstep drift (test_semantics has more on it)
+DRIFT_UNIVERSE = [lasso(AP, [{"q"}], [set()]),
+                  lasso(AP, [{"p"}, {"p"}, set(), set()] * 5, [{"p"}, {"p"}, {"q"}, set()])]
+
 SINCE_ROWS = [
     ("exists x. exists y. C{y} X[] X[] X[] X[] X[] (C{x} F[] (C{x,y} O[] q_y))",
      [lasso(AP, [], [set()]), lasso(AP, [{"q"}], [set()])]),
     ("forall x. forall y. C{x} X[] C{x} X[] C{x} X[] C{x} X[] C{x} X[p] C{x} X[F q] "
      "C{x} X[] C{x} X[] C{x} X[] C{y} F[p] (C{x,y} O[p] q_x | F[] q_x)",
      [lasso(AP, [{"q"}], [set(), set()])]),
+    ("exists x. exists y. q_x & !p_x & p_y & F[p] O[] (q_x & q_y)", DRIFT_UNIVERSE),
+    ("forall x. forall y. (q_x & !p_x & p_y) -> G[p] !O[] (q_x & q_y)", DRIFT_UNIVERSE),
 ]
 
 _ITEM_1 = pytest.mark.xfail(strict=True, reason="an Until with a Since below closes cycles on "
@@ -113,7 +119,8 @@ _ITEM_1 = pytest.mark.xfail(strict=True, reason="an Until with a Since below clo
 
 
 @_ITEM_1
-@pytest.mark.parametrize("text,universe", SINCE_ROWS, ids=["example-3", "past-guard-row"])
+@pytest.mark.parametrize("text,universe", SINCE_ROWS,
+                         ids=["example-3", "past-guard-row", "drift-row", "drift-dual"])
 def test_representation_on_the_since_rows(text, universe):
     _gate([(parse_hyper(text, AP), universe)], random.Random(4), (unroller, reference))
 

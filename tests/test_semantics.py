@@ -22,7 +22,7 @@ from ghyltl.traces import LassoTrace, PointedTrace, TransitionSystem, enumerate_
     normalize, spike_trace
 
 from helpers import gen_matrix, gen_sentence, gen_trace, ref_hyperltl, ref_sentence
-from test_representation import _disagreement
+from test_representation import DRIFT_UNIVERSE, _disagreement
 
 AP = ("p", "q")
 
@@ -848,6 +848,78 @@ def test_since_below_an_until_over_desynchronized_coordinates():
                     ("q",))
     assert check_traceset(universe, f, cfg(use_cycle_detection=False)).is_holds
     assert check_traceset(universe, f).is_holds
+
+
+# Family (b) of ROADMAP item 1, lockstep drift: F[p] and G[p] step both
+# coordinates, y two positions per step and x one, so the offset that the
+# joint O[] reads grows by one per step, while the Until's key repeats every
+# two steps.
+_FAMILY_B = pytest.mark.xfail(strict=True, reason="an Until with a joint Since below closes "
+                                                  "cycles on keys that miss a growing offset "
+                                                  "(ROADMAP item 1(b), lockstep drift)")
+DRIFT_ROWS = [
+    ("exists x. exists y. q_x & !p_x & p_y & F[p] O[] (q_x & q_y)", "holds"),
+    ("forall x. forall y. (q_x & !p_x & p_y) -> G[p] !O[] (q_x & q_y)", "fails"),
+]
+
+
+@_FAMILY_B
+@pytest.mark.parametrize("text,status", DRIFT_ROWS, ids=["drift-row", "drift-dual"])
+def test_since_below_an_until_over_drifting_coordinates(text, status):
+    f = parse_hyper(text, AP)
+    assert check_traceset(DRIFT_UNIVERSE, f, cfg(until_cutoff=60,
+                                                  use_cycle_detection=False)).status == status
+    assert ref_sentence(DRIFT_UNIVERSE, f, 40) == status
+    assert check_traceset(DRIFT_UNIVERSE, f).status == status
+
+
+def _drift_case(rng):
+    """Q x. Q y. (!p_x & p_y) &/-> F|G[p] P, with & under exists and -> under
+    forall; P is O[] (q_x & q_y), H[] (!q_x | !q_y) or !q_v S[] (q_x & q_y),
+    sometimes negated.  x is a p-free lasso with 1-2 q marks; y is made of
+    blocks of b in {2, 3} letters with p and b without, a q-free prefix of
+    1-6 blocks and a loop of one block with 1-2 q marks."""
+    qx, qy = hy.Atom("q", "x"), hy.Atom("q", "y")
+    kind = rng.choice("OHS")
+    if kind == "O":
+        past = hy.once(frozenset(), hy.h_and(qx, qy))
+    elif kind == "H":
+        past = hy.hist(frozenset(), hy.Or(hy.Not(qx), hy.Not(qy)))
+    else:
+        past = hy.Since(frozenset(), hy.Not(hy.Atom("q", rng.choice("xy"))), hy.h_and(qx, qy))
+    if rng.random() < 0.3:
+        past = hy.Not(past)
+    walk = (hy.ev if rng.random() < 0.5 else hy.alw)(frozenset({pl.Atom("p")}), past)
+    guard = hy.h_and(hy.Not(hy.Atom("p", "x")), hy.Atom("p", "y"))
+    exists = rng.random() < 0.5
+    f = hy.h_and(guard, walk) if exists else hy.Or(hy.Not(guard), walk)
+    for v in "yx":
+        f = (hy.Exists if exists else hy.Forall)(v, f)
+
+    plen, llen = rng.randint(0, 3), rng.randint(1, 3)
+    x = [set() for _ in range(plen + llen)]
+    for _ in range(rng.randint(1, 2)):
+        x[rng.randrange(plen + llen)].add("q")
+    b = rng.choice((2, 3))
+    block = [{"p"}] * b + [set()] * b
+    loop = [set(s) for s in block]
+    for _ in range(rng.randint(1, 2)):
+        loop[rng.randrange(2 * b)].add("q")
+    return f, [lasso(AP, x[:plen], x[plen:]), lasso(AP, block * rng.randint(1, 6), loop)]
+
+
+@_FAMILY_B
+def test_drift_corpus_vs_unroller():
+    # seed 4: 8 of the 200 verdicts contradict the unroller before item 1(b)
+    rng = random.Random(4)
+    unroller = cfg(until_cutoff=60, use_cycle_detection=False)
+    wrong = []
+    for _ in range(200):
+        f, universe = _drift_case(rng)
+        got, want = check_traceset(universe, f), check_traceset(universe, f, unroller)
+        if not got.is_unknown and not want.is_unknown and got.status != want.status:
+            wrong.append((render_hyper(f), universe))
+    assert not wrong, (len(wrong), wrong[:3])
 
 
 def _y_chain_sentence(rng, scope, since=False):

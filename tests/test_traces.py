@@ -196,6 +196,18 @@ def test_trace_set_field_order_irrelevant():
     assert trace_set_to_obj(ap, ts)["traces"][0]["name"] == "t"
 
 
+@pytest.mark.parametrize("name", [[1, 2], 5, True, {"n": "t"}],
+                         ids=["list", "int", "bool", "object"])
+def test_trace_set_rejects_a_name_that_is_not_a_string(name):
+    good = {"prefix": [], "loop": [["p"]]}
+    obj = {"ap": ["p"], "traces": [good, {**good, "name": name}]}
+    with pytest.raises(ValueError, match=r"traces\[1\]\.name"):
+        trace_set_from_obj(obj)
+    # a string, null or no name at all is accepted
+    for ok in ({**good, "name": "t"}, {**good, "name": None}, good):
+        assert trace_set_from_obj({"ap": ["p"], "traces": [ok]})[1][0].name == ok.get("name")
+
+
 def test_transition_system_json_roundtrip():
     ts = _two_cycle()
     buf = io.StringIO()
