@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import astuple, dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import pltl as pl
 from . import semantics as hy
@@ -104,25 +104,20 @@ def _mentions(n) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return (), ()
 
 
-def first_order_vars(f: Arith) -> frozenset[str]:
-    return frozenset(v for n in hy.postorder(f) for v in _mentions(n)[0])
-
-
-def second_order_vars(f: Arith) -> frozenset[str]:
-    return frozenset(v for n in hy.postorder(f) for v in _mentions(n)[1])
-
-
-def free_arith_vars(f: Arith) -> frozenset[str]:
+def arith_vars(f: Arith) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+    """(first, second, free): the first- and second-order variables any node
+    of f reads or binds, and the variables f reads outside every binder of
+    theirs, from one fold over postorder."""
+    first: set[str] = set()
+    second: set[str] = set()
     free: dict[int, frozenset[str]] = {}
     for n in hy.postorder(f):
+        ones, twos = _mentions(n)
+        first.update(ones)
+        second.update(twos)
         out = frozenset().union(*(free[id(c)] for c in hy.children(n)))
-        if isinstance(n, (Exists, Forall)):
-            out -= {n.var}
-        else:
-            first, second = _mentions(n)
-            out |= {*first, *second}
-        free[id(n)] = out
-    return free[id(f)]
+        free[id(n)] = out - {n.var} if isinstance(n, (Exists, Forall)) else out | {*ones, *twos}
+    return frozenset(first), frozenset(second), free[id(f)]
 
 
 def _require_flat_sentence(f: Arith) -> None:
@@ -132,7 +127,7 @@ def _require_flat_sentence(f: Arith) -> None:
     nodes = hy.postorder(f)
     if not all(isinstance(n, (Add, Mul, Less, Member, Not, Or, Exists, Forall)) for n in nodes):
         raise TypeError("expected a flat arithmetic sentence; run flatten first")
-    free = free_arith_vars(f)
+    free = arith_vars(f)[2]
     if free:
         raise ValueError(f"sentence must be closed; free variables {sorted(free)}")
     for n in nodes:
@@ -376,7 +371,8 @@ def _map_leaves(f: Arith, leaf) -> Arith:
 def flatten(raw: Arith) -> Arith:
     """Rewrite a parsed tree so every atom is one of the four flat forms,
     introducing fresh existentially quantified first-order variables."""
-    fl = _Flattener(set(first_order_vars(raw)) | set(second_order_vars(raw)))
+    first, second, _ = arith_vars(raw)
+    fl = _Flattener({*first, *second})
     return _map_leaves(raw, fl.atom)
 
 
@@ -392,7 +388,8 @@ def dealias(f: Arith) -> Arith:
     Fresh variables pinned by order-based equality restore the precondition;
     comparison and membership atoms are alias-safe.
     """
-    fresh = fresh_names("u", set(first_order_vars(f)) | set(second_order_vars(f)))
+    first, second, _ = arith_vars(f)
+    fresh = fresh_names("u", {*first, *second})
 
     def split(node: Arith) -> Arith:
         ys = [node.y1, node.y2, node.y3]
@@ -433,26 +430,14 @@ class CompiledArtifact:
     var_map: dict[str, str]
 
 
-@dataclass(frozen=True)
-class PeriodicWitnessSpec:
-    """Blueprint of a multiplication witness trace: dollar blocks of the given
-    period, optionally unioned with a single marker."""
-
-    period: int
-    marker_pos: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.period < 1:
-            raise ValueError("period must be >= 1")
-
-    def build(self, dollar: str, marker_prop: str | None = None) -> LassoTrace:
-        base = LassoTrace(frozenset({dollar}), (),
-                          (frozenset({dollar}),) * self.period + (frozenset(),) * self.period)
-        if self.marker_pos is None:
-            return base
-        if marker_prop is None:
-            raise ValueError("marker_pos set but no marker_prop given")
-        return pointwise_union(base, spike_trace((), marker_prop, self.marker_pos))
+def dollar_blocks(period: int, dollar: str, marker: tuple[str, int] | None = None) -> LassoTrace:
+    """The trace (dollar^period empty^period)^omega of a multiplication
+    witness, with marker = (prop, pos) one prop added at pos."""
+    if period < 1:
+        raise ValueError("period must be >= 1")
+    blocks = LassoTrace(frozenset({dollar}), (),
+                        (frozenset({dollar}),) * period + (frozenset(),) * period)
+    return blocks if marker is None else pointwise_union(blocks, spike_trace((), *marker))
 
 
 def _full_shift_ts(components: list[tuple[str, frozenset[str]]]) -> TransitionSystem:
@@ -479,7 +464,8 @@ class _Compiler:
     """hyp(.): the one walk over flat arithmetic shared by both encodings.
 
     A number y is a trace carrying a single marker(y), a set a trace carrying
-    nothing but hash; a subclass fixes marker(y) and the gadgets for + and *.
+    nothing but hash; a subclass fixes marker(y), the gadgets for + and *,
+    and the traces those gadgets quantify over (witnesses).
     """
 
     def __init__(self, ap: frozenset[str]):
@@ -493,6 +479,16 @@ class _Compiler:
     def at(self, y: str) -> hy.Hyper:
         """The marker of number y on its trace variable."""
         return hy.Atom(self.marker(y), trace_var(y))
+
+    def number(self, y: str, n: int) -> LassoTrace:
+        """The trace of number y with value n: marker(y) at n alone."""
+        return spike_trace((), self.marker(y), n)
+
+    def witnesses(self, atom: Arith, xs: Sequence[int], ys: Sequence[int]) -> list[LassoTrace]:
+        """The auxiliary traces atom's gadget quantifies over, built at the
+        values xs (a + witness's y2 layer, a * witness's period) and ys (a
+        witness's y3 layer); none for an atom whose gadget quantifies none."""
+        return []
 
     def compile(self, f: Arith) -> hy.Hyper:
         if isinstance(f, (Exists, Forall)):
@@ -549,6 +545,24 @@ class _StutterCompiler(_Compiler):
 
     def marker(self, y: str) -> str:
         return num_prop(y)
+
+    def witnesses(self, atom: Arith, xs: Sequence[int], ys: Sequence[int]) -> list[LassoTrace]:
+        # + : a y2 marker at each x beside a y3 marker at each y, one layer
+        # when y2 and y3 coincide; * : for each period x, dollar blocks with
+        # a y3 marker at each y, then the primed blocks
+        if isinstance(atom, Add):
+            if atom.y2 == atom.y3:
+                return [self.number(atom.y2, x) for x in xs]
+            return [pointwise_union(self.number(atom.y2, x), self.number(atom.y3, y))
+                    for x in xs for y in ys]
+        if isinstance(atom, Mul):
+            out = []
+            for x in xs:
+                if x > 0:
+                    out += [dollar_blocks(x, DLR, (self.marker(atom.y3), y)) for y in ys]
+                    out.append(dollar_blocks(x, DLRP))
+            return out
+        return []
 
     def hyp_add(self, y1: str, y2: str, y3: str) -> hy.Hyper:
         a1, a2, a3 = self.at(y1), self.at(y2), self.at(y3)
@@ -618,6 +632,10 @@ class _ContextCompiler(_Compiler):
     def marker(self, y: str) -> str:
         return HASH
 
+    def witnesses(self, atom: Arith, xs: Sequence[int], ys: Sequence[int]) -> list[LassoTrace]:
+        # only * quantifies: the dollar blocks of each period x
+        return [dollar_blocks(x, DLR) for x in xs if x > 0] if isinstance(atom, Mul) else []
+
     def hyp_add(self, y1: str, y2: str, y3: str) -> hy.Hyper:
         x1, x2, x3 = trace_var(y1), trace_var(y2), trace_var(y3)
         inner = hy.Context(frozenset({x2, x3}), hy.ev(EMPTY_GAMMA, hy.h_and(
@@ -675,7 +693,8 @@ class _ContextCompiler(_Compiler):
 
 
 def _compiler(encoding: str, v1: Iterable[str], strict_fidelity: bool) -> _Compiler:
-    """The compiler of an encoding; v1 names the first-order variables."""
+    """The compiler of an encoding; v1 names the first-order variables.  The
+    stutter encoding has no conditional cases, so it ignores strict_fidelity."""
     if encoding == "stutter":
         return _StutterCompiler(v1)
     if encoding == "context":
@@ -698,16 +717,24 @@ def _encodable(f: Arith) -> tuple[Arith, dict[str, str]]:
     back at the longest proposition prefix, so beside a_x the marker hy_a on
     x_a would read back as hy_a_x on a."""
     f = dealias(f)
-    v1 = first_order_vars(f)
-    fresh = fresh_names("v", set(v1) | set(second_order_vars(f)))
-    names = {y: next(fresh) for y in sorted(v1) if "_" in y}
+    first, second, _ = arith_vars(f)
+    fresh = fresh_names("v", {*first, *second})
+    names = {y: next(fresh) for y in sorted(first) if "_" in y}
     return _renamed(f, names), names
 
 
-def _compile(f: Arith, encoding: str, strict_fidelity: bool) -> CompiledArtifact:
+def compile_arith(f: Arith, encoding: str, strict_fidelity: bool = False) -> CompiledArtifact:
+    """Compile a closed, flat sentence into the fragment of the named
+    encoding, "stutter" or "context", plus its witness transition system.
+
+    The context encoding emits its two conditional multiplication cases as
+    guard-conjunctions; strict_fidelity keeps them as bare implications,
+    which validates wrong products whenever a premise is vacuously false.
+    The stutter encoding ignores strict_fidelity.
+    """
     _require_flat_sentence(f)
     f, names = _encodable(f)
-    comp = _compiler(encoding, first_order_vars(f), strict_fidelity)
+    comp = _compiler(encoding, arith_vars(f)[0], strict_fidelity)
     sentence = comp.compile(f)
     original = {new: y for y, new in names.items()}
     var_map = {original.get(y, y): x for y, x in comp.var_map.items()}
@@ -715,20 +742,11 @@ def _compile(f: Arith, encoding: str, strict_fidelity: bool) -> CompiledArtifact
 
 
 def compile_stutter(f: Arith) -> CompiledArtifact:
-    """Compile a closed, flat sentence into the stuttering fragment plus its
-    witness transition system."""
-    return _compile(f, "stutter", False)
+    return compile_arith(f, "stutter")
 
 
 def compile_context(f: Arith, strict_fidelity: bool = False) -> CompiledArtifact:
-    """Compile a closed, flat sentence into the context fragment plus its
-    witness transition system.
-
-    By default the two conditional multiplication cases are emitted as
-    guard-conjunctions; strict_fidelity keeps them as bare implications,
-    which validates wrong products whenever a premise is vacuously false.
-    """
-    return _compile(f, "context", strict_fidelity)
+    return compile_arith(f, "context", strict_fidelity)
 
 
 # -- gadget verification ------------------------------------------------------
@@ -739,50 +757,49 @@ class GadgetBoundError(ValueError):
 
 
 _GADGET_VARS = ("y1", "y2", "y3")
+_RELATIONS = {"add": Add, "mul": Mul}
+
+
+def _gadget(relation: str, encoding: str, strict_fidelity: bool = False) -> tuple[Arith, _Compiler]:
+    """The atom y1 (+|*) y2 = y3 a relation name stands for, and the compiler
+    of an encoding name; ValueError on an unknown name."""
+    if relation not in _RELATIONS:
+        raise ValueError(f"unknown relation {relation!r}")
+    return _RELATIONS[relation](*_GADGET_VARS), _compiler(encoding, _GADGET_VARS, strict_fidelity)
 
 
 def gadget_formula(relation: str, encoding: str, strict_fidelity: bool = False) -> hy.Hyper:
     """The compiled atom formula for y1 (+|*) y2 = y3, with free trace
     variables x_y1, x_y2, x_y3."""
-    comp = _compiler(encoding, _GADGET_VARS, strict_fidelity)
-    return comp.hyp_add(*_GADGET_VARS) if relation == "add" else comp.hyp_mul(*_GADGET_VARS)
+    atom, comp = _gadget(relation, encoding, strict_fidelity)
+    return comp.compile(atom)
 
 
 def gadget_assignment(encoding: str, n1: int, n2: int, n3: int) -> dict[str, PointedTrace]:
     comp = _compiler(encoding, _GADGET_VARS, False)
-    return {trace_var(y): PointedTrace(spike_trace((), comp.marker(y), n), 0)
+    return {trace_var(y): PointedTrace(comp.number(y, n), 0)
             for y, n in zip(_GADGET_VARS, (n1, n2, n3))}
 
 
 def gadget_universe(relation: str, encoding: str, n1: int, n2: int, n3: int) -> list[LassoTrace]:
-    """Constructed witness traces plus a small enumerated family of decoys."""
-    traces: list[LassoTrace] = []
-    if encoding == "stutter":
-        if relation == "add":
-            traces.append(pointwise_union(spike_trace((), num_prop("y2"), n2),
-                                          spike_trace((), num_prop("y3"), n3)))
-            if n1 + n2 != n3:
-                traces.append(pointwise_union(spike_trace((), num_prop("y2"), n2),
-                                              spike_trace((), num_prop("y3"), n1 + n2)))
-        else:
-            for period in {n1, n2} - {0}:
-                traces.append(PeriodicWitnessSpec(period, n3).build(DLR, num_prop("y3")))
-                traces.append(PeriodicWitnessSpec(period).build(DLRP))
-                if n1 * n2 != n3:
-                    traces.append(PeriodicWitnessSpec(period, n1 * n2).build(DLR, num_prop("y3")))
+    """The gadget's witness traces at the values its quantifiers need, plus
+    a small family of decoys."""
+    atom, comp = _gadget(relation, encoding)
+    if encoding == "context":
+        xs, ys = sorted({n1, n1 - 1, n2, n2 - 1}), []
+    elif isinstance(atom, Add):
+        xs, ys = [n2], [n3, n1 + n2]
     else:
-        periods = {n1, n1 - 1, n2, n2 - 1} - {0, -1}
-        for period in sorted(periods):
-            traces.append(PeriodicWitnessSpec(period).build(DLR))
+        xs, ys = sorted({n1, n2}), [n3, n1 * n2]
     dollar = frozenset({DLR})
-    traces.append(LassoTrace(dollar, (), (frozenset(),)))
-    traces.append(LassoTrace(dollar, (), (dollar,)))
-    traces.append(LassoTrace(dollar, (), (dollar, frozenset())))
+    traces = comp.witnesses(atom, xs, ys) + [
+        LassoTrace(dollar, (), (frozenset(),)),
+        LassoTrace(dollar, (), (dollar,)),
+        LassoTrace(dollar, (), (dollar, frozenset())),
+        comp.number("y3", 0),
+    ]
     if encoding == "stutter":
-        traces.append(spike_trace((), num_prop("y3"), 0))
-        traces.append(PeriodicWitnessSpec(1).build(DLRP))
-    else:
-        traces.append(spike_trace((), HASH, 0))
+        traces.append(dollar_blocks(1, DLRP))
     # deduplicate by value, preserving order
     return list(dict.fromkeys(traces))
 
@@ -792,8 +809,7 @@ def verify_gadget(relation: str, n1: int, n2: int, n3: int, encoding: str,
                   strict_fidelity: bool = False) -> bool:
     """Evaluate the compiled addition/multiplication gadget on directly
     constructed witness traces; True iff the gadget accepts (n1, n2, n3)."""
-    if relation not in ("add", "mul"):
-        raise ValueError(f"unknown relation {relation!r}")
+    _gadget(relation, encoding)  # an unknown name raises first
     if min(n1, n2, n3) < 0:
         raise ValueError("gadget arguments must be nonnegative")
     formula = gadget_formula(relation, encoding, strict_fidelity)
@@ -808,49 +824,21 @@ def verify_gadget(relation: str, n1: int, n2: int, n3: int, encoding: str,
     return verdict.is_holds
 
 
-def witness_universe(f: Arith, encoding: str, value_bound: int,
-                     set_cap: int = 8) -> list[LassoTrace]:
+def witness_universe(f: Arith, encoding: str, value_bound: int) -> list[LassoTrace]:
     """A quantifier universe rich enough for sentences whose first-order
-    values stay at or below value_bound."""
+    values stay at or below value_bound: every number at every value, each
+    atom's witnesses over those values, and the sets within 0..min(value_bound, 8)."""
     f = _encodable(f)[0]
-    atoms = [n for n in hy.postorder(f) if isinstance(n, (Add, Mul, Less, Member))]
-    traces: list[LassoTrace] = []
-    if encoding == "stutter":
-        for y in sorted(first_order_vars(f)):
-            for n in range(value_bound + 1):
-                traces.append(spike_trace((), num_prop(y), n))
-        for atom in atoms:
-            if isinstance(atom, Add):
-                if atom.y2 == atom.y3:
-                    # both marker layers coincide, so plain spikes serve as x
-                    for b in range(value_bound + 1):
-                        traces.append(spike_trace((), num_prop(atom.y2), b))
-                    continue
-                for b in range(value_bound + 1):
-                    for c in range(value_bound + 1):
-                        traces.append(pointwise_union(
-                            spike_trace((), num_prop(atom.y2), b),
-                            spike_trace((), num_prop(atom.y3), c)))
-            elif isinstance(atom, Mul):
-                for p in range(1, value_bound + 1):
-                    for c in range(value_bound + 1):
-                        traces.append(PeriodicWitnessSpec(p, c).build(DLR, num_prop(atom.y3)))
-                    traces.append(PeriodicWitnessSpec(p).build(DLRP))
-    else:
-        for n in range(value_bound + 1):
-            traces.append(spike_trace((), HASH, n))
-        if any(isinstance(a, Mul) for a in atoms):
-            for p in range(1, value_bound + 1):
-                traces.append(PeriodicWitnessSpec(p).build(DLR))
-    if second_order_vars(f):
-        cap = min(value_bound, set_cap)
-        for mask in range(1 << (cap + 1)):
-            members = [i for i in range(cap + 1) if mask >> i & 1]
-            if not members:
-                traces.append(LassoTrace(frozenset({HASH}), (), (frozenset(),)))
-                continue
+    first, second, _ = arith_vars(f)
+    comp = _compiler(encoding, first, False)
+    values = range(value_bound + 1)
+    traces = [comp.number(y, n) for y in sorted(first) for n in values]
+    for n in hy.postorder(f):
+        traces += comp.witnesses(n, values, values)
+    if second:
+        for members in _subsets(min(value_bound, 8)):
             prefix = tuple(frozenset({HASH}) if i in members else frozenset()
-                           for i in range(max(members) + 1))
+                           for i in range(max(members, default=-1) + 1))
             traces.append(LassoTrace(frozenset({HASH}), prefix, (frozenset(),)))
     return list(dict.fromkeys(traces))
 

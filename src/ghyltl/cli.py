@@ -129,13 +129,17 @@ def cmd_check(args) -> RunReport:
         verdict.status, verdict.reason)
 
 
+def _encoding(args) -> str:
+    """args.encoding; --strict-fidelity where it changes nothing is a usage error."""
+    if args.strict_fidelity and args.encoding != "context":
+        raise ValueError("--strict-fidelity applies to --encoding context only")
+    return args.encoding
+
+
 def cmd_compile(args) -> RunReport:
+    encoding = _encoding(args)
     raw = arith.parse_arith(Path(args.arith).read_text(encoding="utf-8"))
-    flat = arith.flatten(raw)
-    if args.encoding == "stutter":
-        artifact = arith.compile_stutter(flat)
-    else:
-        artifact = arith.compile_context(flat, strict_fidelity=args.strict_fidelity)
+    artifact = arith.compile_arith(arith.flatten(raw), encoding, args.strict_fidelity)
     rendered = formula_text(artifact.system.ap, artifact.sentence)
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
@@ -155,8 +159,9 @@ def cmd_compile(args) -> RunReport:
 
 
 def cmd_gadget(args) -> RunReport:
+    encoding = _encoding(args)
     try:
-        ok = arith.verify_gadget(args.op, args.n1, args.n2, args.n3, args.encoding,
+        ok = arith.verify_gadget(args.op, args.n1, args.n2, args.n3, encoding,
                                  cfg=_cfg(args), strict_fidelity=args.strict_fidelity)
     except arith.GadgetBoundError as exc:
         verdict, reason = "unknown", str(exc)

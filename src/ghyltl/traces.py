@@ -85,6 +85,8 @@ def lasso(ap: Iterable[str], prefix: Iterable[Iterable[str]], loop: Iterable[Ite
 
 def spike_trace(ap: Iterable[str], mark: str, pos: int, name: str | None = None) -> LassoTrace:
     """The trace empty^pos {mark} empty^omega (a single marked position)."""
+    if pos < 0:
+        raise ValueError("position must be nonnegative")
     ap = frozenset(ap) | {mark}
     prefix = tuple(frozenset() for _ in range(pos)) + (frozenset({mark}),)
     return LassoTrace(ap, prefix, (frozenset(),), name)

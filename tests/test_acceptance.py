@@ -15,7 +15,7 @@ from ghyltl.semantics import (EvalConfig, bounded_sat, check_traceset, evaluate,
 from ghyltl.stutter import StepTables
 from ghyltl.traces import PointedTrace, lasso
 from ghyltl.transform import prenexify
-from ghyltl.arith import PeriodicWitnessSpec
+from ghyltl.arith import dollar_blocks
 
 from helpers import (LEMMA1_AP, LEMMA1_SENTENCES, brute_pltl_horizon,
                      brute_pltl_table, gen_pltl, gen_sentence, gen_trace,
@@ -86,24 +86,24 @@ def test_criterion_03_figure3_addition():
 def test_criterion_04_figures45_periodicity():
     bad = 0
     for period in range(1, 7):
-        same_c = PeriodicWitnessSpec(period).build("dlr")
+        same_c = dollar_blocks(period, "dlr")
         ctx = {"x", "xp"}
         a = {"x": PointedTrace(same_c, 0), "xp": PointedTrace(same_c, 0)}
         if not evaluate([], a, ctx, alpha_per_context("x", "xp")).is_holds:
             bad += 1
-        st_x = PeriodicWitnessSpec(period).build("dlr")
-        st_xp = PeriodicWitnessSpec(period).build("dlrp")
+        st_x = dollar_blocks(period, "dlr")
+        st_xp = dollar_blocks(period, "dlrp")
         a = {"x": PointedTrace(st_x, 0), "xp": PointedTrace(st_xp, 0)}
         if not evaluate([], a, ctx, alpha_per_stutter("x", "xp")).is_holds:
             bad += 1
     for period in range(1, 6):
-        off_c = PeriodicWitnessSpec(period + 1).build("dlr")
-        base_c = PeriodicWitnessSpec(period).build("dlr")
+        off_c = dollar_blocks(period + 1, "dlr")
+        base_c = dollar_blocks(period, "dlr")
         a = {"x": PointedTrace(base_c, 0), "xp": PointedTrace(off_c, 0)}
         if not evaluate([], a, {"x", "xp"}, alpha_per_context("x", "xp")).is_fails:
             bad += 1
-        st_x = PeriodicWitnessSpec(period).build("dlr")
-        st_xp = PeriodicWitnessSpec(period + 1).build("dlrp")
+        st_x = dollar_blocks(period, "dlr")
+        st_xp = dollar_blocks(period + 1, "dlrp")
         a = {"x": PointedTrace(st_x, 0), "xp": PointedTrace(st_xp, 0)}
         if not evaluate([], a, {"x", "xp"}, alpha_per_stutter("x", "xp")).is_fails:
             bad += 1

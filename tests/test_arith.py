@@ -8,10 +8,10 @@ from ghyltl import arith, stutter
 from ghyltl import pltl as pl
 from ghyltl import semantics as hy
 from ghyltl.arith import (Add, GadgetBoundError,
-                          Less, Member, Not, Or, PeriodicWitnessSpec, RawAtom, TConst,
+                          Less, Member, Not, Or, RawAtom, TConst,
                           TPlus, TVar,
                           alpha_per_context, alpha_per_stutter,
-                          arith_eval_bounded, compile_context, compile_stutter,
+                          arith_eval_bounded, compile_context, compile_stutter, dollar_blocks,
                           flatten, gadget_assignment, gadget_formula,
                           minimal_block_ratio, parse_arith,
                           verify_gadget, witness_universe)
@@ -39,9 +39,8 @@ def test_parse_emits_connectives_over_comparison_leaves():
     assert raw == Exists("a", Forall("B", Or(
         Not(RawAtom("in", TVar("a"), "B")),
         RawAtom("<", TVar("a"), TPlus(TVar("a"), TConst(1))))))
-    assert arith.first_order_vars(raw) == {"a"}
-    assert arith.second_order_vars(raw) == {"B"}
-    assert arith.free_arith_vars(raw.sub) == {"a"}
+    assert arith.arith_vars(raw)[:2] == ({"a"}, {"B"})
+    assert arith.arith_vars(raw.sub)[2] == {"a"}
     with pytest.raises(TypeError, match="run flatten first"):
         compile_stutter(raw)
 
@@ -58,7 +57,7 @@ def test_flatten_nested_product():
     # one auxiliary: exists t. (a+b=t & t*c=d)
     inner = f.sub.sub.sub.sub
     assert isinstance(inner, Exists)
-    assert arith.free_arith_vars(f) == frozenset()
+    assert arith.arith_vars(f)[2] == frozenset()
 
 
 def test_flatten_constant_equivalence():
@@ -120,7 +119,7 @@ def test_families_share_connectives_and_binders():
     assert pl.Or is hy.Or is arith.Or
     f = flat("exists A. forall a. a in A")
     assert f == hy.Exists("A", hy.Forall("a", Member("a", "A")))
-    assert arith.second_order_vars(f) == {"A"} and arith.first_order_vars(f) == {"a"}
+    assert arith.arith_vars(f)[:2] == ({"a"}, {"A"})
 
 
 def _ref_shape(f) -> str:
@@ -386,6 +385,27 @@ def test_strict_fidelity_exposes_vacuous_cases():
     assert not verify_gadget("mul", 0, 0, 5, "context")
 
 
+@pytest.mark.parametrize("call", [
+    lambda: gadget_formula("sub", "stutter"),
+    lambda: arith.gadget_universe("mul", "bogus", 3, 7, 21),
+    lambda: arith.gadget_universe("bogus", "stutter", 3, 7, 21),
+    lambda: witness_universe(flat("exists a. a < a"), "stuter", 2),
+    lambda: verify_gadget("mul", 3, 7, 21, "bogus"),
+    lambda: arith.compile_arith(flat("exists a. a < a"), "bogus"),
+], ids=["formula-relation", "universe-encoding", "universe-relation", "witness-encoding",
+        "verify-encoding", "compile-encoding"])
+def test_unknown_names_raise(call):
+    with pytest.raises(ValueError, match="unknown"):
+        call()
+
+
+def test_gadget_assignment_rejects_a_negative_value():
+    # -3 would otherwise be encoded as the spike at 0
+    for encoding in ("stutter", "context"):
+        with pytest.raises(ValueError, match="nonnegative"):
+            gadget_assignment(encoding, -3, 1, 1)
+
+
 def test_strict_fidelity_changes_ast_shape():
     guarded = gadget_formula("mul", "context")
     literal = gadget_formula("mul", "context", strict_fidelity=True)
@@ -432,22 +452,22 @@ def test_gadget_full_sweep_mul_stutter():
 
 
 def test_periodic_witness_spec():
-    t = PeriodicWitnessSpec(3).build("dlr")
+    t = dollar_blocks(3, "dlr")
     assert [("dlr" in t.letter(i)) for i in range(8)] == \
         [True, True, True, False, False, False, True, True]
-    u = PeriodicWitnessSpec(2, 5).build("dlr", "hy_y3")
+    u = dollar_blocks(2, "dlr", ("hy_y3", 5))
     assert "hy_y3" in u.letter(5) and all("hy_y3" not in u.letter(i) for i in range(5))
     with pytest.raises(ValueError):
-        PeriodicWitnessSpec(0)
+        dollar_blocks(0, "dlr")
 
 
 def test_alpha_per_equal_periods():
     for p in (1, 2, 3):
-        x = PeriodicWitnessSpec(p).build("dlr")
+        x = dollar_blocks(p, "dlr")
         a = {"x": PointedTrace(x, 0), "xp": PointedTrace(x, 0)}
         assert evaluate([], a, {"x", "xp"}, alpha_per_context("x", "xp")).is_holds
-        xs = PeriodicWitnessSpec(p).build("dlr")
-        xps = PeriodicWitnessSpec(p).build("dlrp")
+        xs = dollar_blocks(p, "dlr")
+        xps = dollar_blocks(p, "dlrp")
         a2 = {"x": PointedTrace(xs, 0), "xp": PointedTrace(xps, 0)}
         assert evaluate([], a2, {"x", "xp"}, alpha_per_stutter("x", "xp")).is_holds
 
@@ -525,3 +545,30 @@ def test_e2e_bounded_equivalence(text, bound):
         got = check_traceset(universe, art.sentence)
         assert not got.is_unknown
         assert got.is_holds == want, (text, encoding)
+
+
+UNIVERSE_SHA256 = "d0b6e8f923967a7b9122278ad310b213d516bb4637f32f7d5a0544b1fdadd3ca"
+
+
+def test_universes_are_pinned():
+    # each trace as repr(t) plus its alphabet, which repr omits.  The
+    # multiplication/stutter universe is pinned as a set: only its order may
+    # move.  Addition/context is left out: its gadget quantifies over
+    # nothing, so no verdict reads its universe; the sweeps pin its verdicts.
+    h = hashlib.sha256()
+
+    def add(universe, order=list):
+        for line in order(f"{t!r} {sorted(t.ap)}" for t in universe):
+            h.update(line.encode() + b"\n")
+        h.update(b"--\n")
+
+    for text, bound in E2E_SENTENCES:
+        for encoding in ("stutter", "context"):
+            add(witness_universe(flat(text), encoding, bound))
+    for relation, encoding, order in (("mul", "context", list), ("add", "stutter", list),
+                                      ("mul", "stutter", sorted)):
+        for n1 in range(6):
+            for n2 in range(6):
+                for n3 in range(26):
+                    add(arith.gadget_universe(relation, encoding, n1, n2, n3), order)
+    assert h.hexdigest() == UNIVERSE_SHA256

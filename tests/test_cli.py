@@ -259,6 +259,23 @@ def test_compile_writes_artifacts(workdir, capsys):
     assert varmap["varmap"] == {"y": "x_y", "Y": "x_Y"}
 
 
+@pytest.mark.parametrize("command", ["compile", "gadget"])
+def test_strict_fidelity_under_stutter_is_a_usage_error(workdir, capsys, command):
+    # the stutter encoding has no conditional cases, so the flag would do nothing
+    (workdir / "arith.txt").write_text("exists a. exists b. exists c. a * b = c",
+                                       encoding="utf-8")
+    args = {"compile": ["compile", workdir / "arith.txt", workdir / "out"],
+            "gadget": ["gadget", "--op", "mul", "--n1", "0", "--n2", "0", "--n3", "5"]}[command]
+    code = main([str(a) for a in args] + ["--encoding", "stutter", "--strict-fidelity"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: --strict-fidelity applies to --encoding context only"]
+    assert not (workdir / "out").exists()
+    code, _ = run(args + ["--encoding", "context", "--strict-fidelity"], capsys)
+    assert code == 0
+
+
 def test_compile_context_fragment(workdir, capsys):
     (workdir / "arith.txt").write_text(
         "exists a. exists b. exists c. a + b = c", encoding="utf-8")

@@ -113,8 +113,6 @@ def test_arith_vars_match_a_term_walk():
     for tree in trees:
         for f in hy.postorder(tree):
             first, second, free = _ref_vars(f)
-            assert arith.first_order_vars(f) == first, f
-            assert arith.second_order_vars(f) == second, f
-            assert arith.free_arith_vars(f) == free, f
+            assert arith.arith_vars(f) == (first, second, free), f
             checked += bool(free)
     assert checked > 500

@@ -79,6 +79,12 @@ def test_pointwise_union():
     assert len(u.loop) == math.lcm(len(spike.loop), len(dollars.loop))
 
 
+def test_spike_trace_rejects_a_negative_position():
+    assert spike_trace((), "p", 0).prefix == (frozenset({"p"}),)
+    with pytest.raises(ValueError, match="nonnegative"):
+        spike_trace((), "p", -1)
+
+
 def test_pointwise_union_loop_lcm():
     a = lasso({"a"}, [], [{"a"}, set()])
     b = lasso({"b"}, [], [set(), {"b"}, {"b"}])
