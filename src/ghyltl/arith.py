@@ -547,12 +547,10 @@ class _StutterCompiler(_Compiler):
         return num_prop(y)
 
     def witnesses(self, atom: Arith, xs: Sequence[int], ys: Sequence[int]) -> list[LassoTrace]:
-        # + : a y2 marker at each x beside a y3 marker at each y, one layer
-        # when y2 and y3 coincide; * : for each period x, dollar blocks with
-        # a y3 marker at each y, then the primed blocks
+        # + : a y2 marker at each x beside a y3 marker at each y; * : for
+        # each period x, dollar blocks with a y3 marker at each y, then the
+        # primed blocks
         if isinstance(atom, Add):
-            if atom.y2 == atom.y3:
-                return [self.number(atom.y2, x) for x in xs]
             return [pointwise_union(self.number(atom.y2, x), self.number(atom.y3, y))
                     for x in xs for y in ys]
         if isinstance(atom, Mul):

@@ -13,6 +13,7 @@ the caller creates the owner and keeps it for as long as the maps should live.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import Iterable, Mapping
@@ -65,15 +66,18 @@ class StepTables:
     points id(point) names a (trace, position) as (id(trace), pos) does.
 
     Per gamma object the owner keeps one successor and one predecessor map,
-    keyed by id(point) of owner points only.  The first step of a (trace,
-    gamma) fills both maps for every position below limit = threshold +
-    2 * period from the bits of one changepoint_profile.  From the threshold
-    on the bits repeat with the period, and a period with no flip is all
-    changepoints, so every such period holds at least one; past limit -
-    period both steps thus commute with a shift by whole periods: a later
-    position is shifted into the last filled period, and its interned result
-    is stored.  The fill is eager because scanning the bits on each miss
-    makes a walk across a long gap between changepoints quadratic.
+    keyed by id(point) of owner points only; an entry is made when its step
+    is first asked.  A miss reads one entry of the (trace, gamma)'s position
+    table, built once from one changepoint_profile: the successor and the
+    predecessor position of each position below limit = threshold + 2 *
+    period.  From the threshold on the bits repeat with the period, and a
+    period with no flip is all changepoints, so every run of period
+    positions from the threshold on holds a changepoint.  A successor step
+    thus commutes with whole-period shifts from the threshold on, and a
+    predecessor step, which moves back at most a period there, from
+    threshold + period on; so shifting a position past the table into its
+    last period, [limit - period, limit), and the entry read there back, is
+    sound for both.
 
     Invariant: the owner holds every object whose id it or a memo keyed on
     its points uses (traces, points, gammas), so no id is reused while a key
@@ -89,8 +93,9 @@ class StepTables:
         self._traces: dict[int, tuple[LassoTrace, dict[int, PointedTrace], dict]] = {}
         # id(gamma) -> (successor map, predecessor map, gamma)
         self._maps: dict[int, tuple[dict, dict, Gamma]] = {}
-        # (id(trace), id(gamma)) -> (limit, period) once filled
-        self._filled: dict[tuple[int, int], tuple[int, int]] = {}
+        # (id(trace), id(gamma)) -> (successor positions, predecessor
+        # positions, limit, period)
+        self._tables: dict[tuple[int, int], tuple[list, list, int, int]] = {}
 
     def _entry(self, trace: LassoTrace) -> tuple:
         hit = self._traces.get(id(trace))
@@ -119,28 +124,21 @@ class StepTables:
             hit = self._maps[id(gamma)] = ({}, {}, gamma)
         return hit
 
-    def _fill(self, trace: LassoTrace, gamma: Gamma) -> tuple[int, int]:
+    def _table(self, trace: LassoTrace, gamma: Gamma) -> tuple[list, list, int, int]:
         key = (id(trace), id(gamma))
-        hit = self._filled.get(key)
+        hit = self._tables.get(key)
         if hit is None:
             prof = changepoint_profile(trace, gamma, self.profile_memo(trace))
             limit, period = prof.threshold + 2 * prof.period, prof.period
-            succ, pred, _ = self.maps(gamma)
-            known = self._entry(trace)[1]
             # one more period past the limit holds the successor of limit - 1
-            pts = [known.get(i) or known.setdefault(i, PointedTrace(trace, i))
-                   for i in range(limit + period)]
             cps = [i for i, cp in enumerate(unrolled(prof, limit + period)) if cp]
             # between changepoints a < b, the positions a..b-1 step forward
             # to b and a+1..b step back to a; position 0 is a changepoint
             after, before = [], [None]
             for a, b in zip(cps, cps[1:]):
-                after += [pts[b]] * (b - a)
-                before += [pts[a]] * (b - a)
-            ids = list(map(id, pts[:limit]))
-            succ.update(zip(ids, after))
-            pred.update(zip(ids, before))
-            hit = self._filled[key] = (limit, period)
+                after += [b] * (b - a)
+                before += [a] * (b - a)
+            hit = self._tables[key] = (after[:limit], before[:limit], limit, period)
         return hit
 
     def _step(self, pt: PointedTrace, gamma: Gamma, which: int) -> PointedTrace | None:
@@ -148,13 +146,11 @@ class StepTables:
         m = self.maps(gamma)[which]
         out = m.get(id(pt), _MISS)
         if out is _MISS:
-            limit, period = self._fill(pt.trace, gamma)
-            out = m.get(id(pt), _MISS)
-            if out is _MISS:
-                # past the filled positions: shift into their last period
-                k = (pt.pos - limit) // period + 1
-                near = m[id(self.point(pt.trace, pt.pos - k * period))]
-                out = m[id(pt)] = self.point(pt.trace, near.pos + k * period)
+            table = self._table(pt.trace, gamma)
+            limit, period = table[2:]
+            k = max(0, (pt.pos - limit) // period + 1)  # whole periods to shift by
+            j = table[which][pt.pos - k * period]
+            out = m[id(pt)] = None if j is None else self.point(pt.trace, j + k * period)
         return out
 
     def succ(self, pt: PointedTrace, gamma: Gamma) -> PointedTrace:
@@ -167,13 +163,32 @@ class StepTables:
 Assignment = Mapping[str, PointedTrace]
 
 
-def _coordinates(c) -> None:
-    """c must be nonempty; a coordinate missing from the assignment raises
-    KeyError at its lookup (compiled closures fix theirs at compile time)."""
-    if not c:
-        raise ValueError("coordinate set must be nonempty")
+def _moves(which: int):
+    """The one step loop of direction which (0 successor, 1 predecessor),
+    under the name, signature and docstring of the stub it decorates."""
+    def make(stub):
+        def assign(a, gamma, c, steps=None):
+            # a coordinate missing from a raises KeyError at its lookup
+            # (compiled closures fix theirs at compile time)
+            if not c:
+                raise ValueError("coordinate set must be nonempty")
+            steps = steps or StepTables()
+            m = steps.maps(gamma)[which]
+            out = dict(a)
+            for x in c:
+                pt = a[x]
+                moved = m.get(id(pt), _MISS)
+                if moved is _MISS:
+                    moved = steps._step(pt, gamma, which)
+                if moved is None:
+                    return None
+                out[x] = moved
+            return out
+        return functools.update_wrapper(assign, stub)
+    return make
 
 
+@_moves(0)
 def assign_succ(a: Assignment, gamma: Gamma, c: Iterable[str],
                 steps: StepTables | None = None) -> dict[str, PointedTrace]:
     """Advance exactly the coordinates in c to their gamma-successors.
@@ -181,16 +196,9 @@ def assign_succ(a: Assignment, gamma: Gamma, c: Iterable[str],
     steps owns the step maps; without it a throwaway owner is built.  The
     moved coordinates get the owner's points.
     """
-    _coordinates(c)
-    steps = steps or StepTables()
-    m = steps.maps(gamma)[0]
-    out = dict(a)
-    for x in c:
-        pt = a[x]
-        out[x] = m.get(id(pt)) or steps.succ(pt, gamma)
-    return out
 
 
+@_moves(1)
 def assign_pred(a: Assignment, gamma: Gamma, c: Iterable[str],
                 steps: StepTables | None = None) -> dict[str, PointedTrace] | None:
     """Move exactly the coordinates in c to their gamma-predecessors.
@@ -199,16 +207,3 @@ def assign_pred(a: Assignment, gamma: Gamma, c: Iterable[str],
     not matter); returns None otherwise, after the first coordinate, in the
     order of c, that has none.
     """
-    _coordinates(c)
-    steps = steps or StepTables()
-    m = steps.maps(gamma)[1]
-    out = dict(a)
-    for x in c:
-        pt = a[x]
-        prev = m.get(id(pt), _MISS)
-        if prev is _MISS:
-            prev = steps.pred(pt, gamma)
-        if prev is None:
-            return None
-        out[x] = prev
-    return out

@@ -34,7 +34,7 @@ from .pltl import TRUE, Not, Or, Top
 from .semantics import (
     EMPTY_GAMMA, Atom, Context, Exists, Forall, Gamma, Hyper, Next, Since,
     Until, Yesterday, _facts, all_vars, alw, children, ev, h_all, h_and, h_implies,
-    is_prenex, once, postorder, rebuild, strip_prefix,
+    once, postorder, rebuild, strip_prefix,
 )
 from .traces import LassoTrace, spike_trace
 
@@ -117,7 +117,13 @@ def alpha_unique(f: Hyper) -> Hyper:
     rebinds it.  A context with no temporal operator inside moves nothing,
     and a name that no binder binds is never captured.
     """
-    used: set[str] = set(all_vars(f))
+    return _alpha_unique(f, all_vars(f))[0]
+
+
+def _alpha_unique(f: Hyper, names: Iterable[str]) -> tuple[Hyper, set[str]]:
+    """alpha_unique(f) given names = all_vars(f), and all_vars of the result:
+    names plus the fresh names drawn."""
+    used = set(names)
     binders = {n.var for n in postorder(f) if isinstance(n, (Exists, Forall))}
     taken: set[str] = set()
 
@@ -145,7 +151,7 @@ def alpha_unique(f: Hyper) -> Hyper:
             return rebuild(n, [walk(c, ren) for c in children(n)])
         raise TypeError(f"not a hyper formula node: {n!r}")
 
-    return walk(f, {})
+    return walk(f, {}), used
 
 
 _Prefix = list[tuple[str, str]]
@@ -291,7 +297,7 @@ def prenexify(f: Hyper, ap: Iterable[str]) -> Hyper:
     Non-prenex input is rewritten over ap + {hash}; its evaluation needs the
     position traces added to the model (see pos_traces).
     """
-    nodes = _facts(f)[0]
+    nodes, names = _facts(f)[:2]
     if nodes[id(f)][0]:
         raise ValueError(f"not a sentence; free variables {list(nodes[id(f)][0])}")
     if not nodes[id(strip_prefix(f)[1])][2]:
@@ -299,13 +305,12 @@ def prenexify(f: Hyper, ap: Iterable[str]) -> Hyper:
     props = frozenset(ap)
     if MARK in props:
         raise ValueError(f"input must not use the reserved proposition {MARK!r}")
-    f = alpha_unique(f)
-    top_context = all_vars(f)
+    f, used = _alpha_unique(f, names)
+    top_context = frozenset(used)
     taken = set(top_context) | {MARK}
     state = _Prenexifier(props, fresh_names("pv", taken))
     prefix, matrix = state.walk(f, top_context, frozenset())
     bound = {v for _, v in prefix}
     assert taken - top_context - {MARK} <= bound, "fresh position variables must be bound"
-    out = _fold_prefix(prefix, matrix)
-    assert is_prenex(out)
-    return out
+    assert not any(isinstance(n, (Exists, Forall)) for n in postorder(matrix))
+    return _fold_prefix(prefix, matrix)

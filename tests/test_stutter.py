@@ -178,8 +178,9 @@ def test_step_tables_match_a_brute_changepoint_scan():
         # convention holds when the last loop below horizon has no proper one
         kinds.add(any(is_proper_changepoint(t, g, i)
                       for i in range(horizon - len(t.loop), horizon)))
-        # one owner walked upward grows its tables a period at a time; a
-        # fresh owner asked from the top first shifts without growing
+        # one owner walked upward reads its position table below the limit
+        # and shifts past it; a fresh owner asked from the top builds the
+        # table on its first, shifted step
         for steps, order in ((StepTables(), range(last + 1)),
                              (StepTables(), range(last, -1, -1))):
             for i in order:
@@ -213,6 +214,21 @@ def test_owner_hands_out_one_point_per_position():
         # an equal trace of another identity gets points of its own
         twin = lasso(t.ap, t.prefix, t.loop)
         assert steps.point(twin, 500) is not fresh and steps.point(twin, 500) == fresh
+
+
+def test_a_step_builds_only_the_points_it_returns():
+    # changepoints 0, 30, 31, then two in each loop of three; the position table
+    # covers positions below 38, so 95 is shifted into it
+    t = lasso({"p"}, [set()] * 30 + [{"p"}], [set(), set(), {"p"}])
+    g = frozenset({pl.Atom("p")})
+    steps = StepTables()
+    assert steps.succ(PointedTrace(t, 0), g).pos == 30
+    assert steps.pred(PointedTrace(t, 95), g).pos == 94
+    # the owner holds the two asked points, adopted, and the two returned
+    held = [i for i in range(120) if (pt := PointedTrace(t, i)) is not steps.intern(pt)]
+    assert held == [0, 30, 94, 95]
+    succ, pred, _ = steps.maps(g)
+    assert len(succ) + len(pred) == 2
 
 
 def test_foreign_points_step_to_the_documented_positions():

@@ -223,6 +223,21 @@ def test_prenexify_preserves_verdicts_with_contexts():
         assert check_traceset(L, f) == check_traceset(L + positions, fp), text
 
 
+def test_prenexify_steps_a_renamed_binder():
+    # the inner a is renamed a0, which the top context must step as it
+    # stepped the inner a
+    rng = random.Random(7)
+    positions = list(pos_traces(8).traces)
+    for _ in range(60):
+        q1, q2 = (rng.choice(["exists", "forall"]) for _ in range(2))
+        t1, t2 = (rng.choice(_TEMPORAL) for _ in range(2))
+        text = f"{q1} a. {t1} ({q2} a. {t2} ({rng.choice('pq')}_a))"
+        f = parse_hyper(text, LEMMA1_AP)
+        fp = prenexify(f, LEMMA1_AP)
+        L = [gen_trace(rng, LEMMA1_AP, 2, 2) for _ in range(rng.randint(1, 2))]
+        assert check_traceset(L, f) == check_traceset(L + positions, fp), text
+
+
 @pytest.mark.parametrize("text", CONTEXT_CAPTURE_SENTENCES)
 def test_transforms_refuse_a_context_outside_its_binder(text):
     f = parse_hyper(text, LEMMA1_AP)
