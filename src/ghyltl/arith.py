@@ -465,16 +465,16 @@ class _Compiler:
 
     A number y is a trace carrying a single marker(y), a set a trace carrying
     nothing but hash; a subclass fixes marker(y), the gadgets for + and *,
-    and the traces those gadgets quantify over (witnesses).
+    and the traces those gadgets quantify over: witnesses(atom, xs, ys) are
+    the auxiliary traces of atom's gadget, built at the values xs (a +
+    witness's y2 layer, a * witness's period) and ys (a witness's y3 layer),
+    none for an atom whose gadget quantifies none.
     """
 
     def __init__(self, ap: frozenset[str]):
         self.ap = ap
         self.fresh = fresh_names("w", set())
         self.var_map: dict[str, str] = {}
-
-    def marker(self, y: str) -> str:
-        raise NotImplementedError
 
     def at(self, y: str) -> hy.Hyper:
         """The marker of number y on its trace variable."""
@@ -483,12 +483,6 @@ class _Compiler:
     def number(self, y: str, n: int) -> LassoTrace:
         """The trace of number y with value n: marker(y) at n alone."""
         return spike_trace((), self.marker(y), n)
-
-    def witnesses(self, atom: Arith, xs: Sequence[int], ys: Sequence[int]) -> list[LassoTrace]:
-        """The auxiliary traces atom's gadget quantifies over, built at the
-        values xs (a + witness's y2 layer, a * witness's period) and ys (a
-        witness's y3 layer); none for an atom whose gadget quantifies none."""
-        return []
 
     def compile(self, f: Arith) -> hy.Hyper:
         if isinstance(f, (Exists, Forall)):
@@ -739,14 +733,6 @@ def compile_arith(f: Arith, encoding: str, strict_fidelity: bool = False) -> Com
     return CompiledArtifact(comp.system(), sentence, encoding, var_map)
 
 
-def compile_stutter(f: Arith) -> CompiledArtifact:
-    return compile_arith(f, "stutter")
-
-
-def compile_context(f: Arith, strict_fidelity: bool = False) -> CompiledArtifact:
-    return compile_arith(f, "context", strict_fidelity)
-
-
 # -- gadget verification ------------------------------------------------------
 
 
@@ -849,15 +835,3 @@ def alpha_per_context(x: str, xp: str) -> hy.Hyper:
 def alpha_per_stutter(x: str, xp: str, y3: str = "y3") -> hy.Hyper:
     """The stuttering-encoding periodicity conjunction for the pair (x, xp)."""
     return _StutterCompiler(_GADGET_VARS).alpha_periodic(x, xp, y3)
-
-
-def minimal_block_ratio(n1: int, n2: int) -> int:
-    """Least z >= 1 with z*(n2-1) = zp*n2 - n1 for some zp >= 1; the crux of
-    the context multiplication gadget."""
-    if not (1 <= n1 <= n2 and n2 >= 2):
-        raise ValueError("requires 1 <= n1 <= n2 and n2 >= 2")
-    z = 1
-    while True:
-        if (z * (n2 - 1) + n1) % n2 == 0 and (z * (n2 - 1) + n1) // n2 >= 1:
-            return z
-        z += 1

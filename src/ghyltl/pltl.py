@@ -117,14 +117,6 @@ def is_past_free(f: Pltl) -> bool:
     return is_past_free(f.left) and is_past_free(f.right)
 
 
-def depth(f: Pltl) -> int:
-    if isinstance(f, (Top, Atom)):
-        return 0
-    if isinstance(f, (Not, Next, Yesterday)):
-        return 1 + depth(f.sub)
-    return 1 + max(depth(f.left), depth(f.right))
-
-
 # -- valuation profiles -------------------------------------------------------
 
 

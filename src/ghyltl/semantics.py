@@ -333,13 +333,14 @@ Assignment = Mapping[str, PointedTrace]
 # reference counting.  Coordinates step through ``stutter.assign_succ`` or
 # ``assign_pred`` with the owner (``stutter.StepTables``) of the program's
 # EvalCache: it hands out one pointed trace per (trace, position), keeps one
-# successor and one predecessor map per gamma and the valuation-profile memos
-# of every trace, for the life of the cache.  The program reads the move
-# function off the module once and the closure keeps it, so a wrapper patched
-# over ``stutter.assign_succ`` or ``assign_pred`` (a test's counter, a tracer)
-# sees the steps of exactly the programs built after it was put in place.  A
-# step names its coordinates in sorted order, so the maps a predecessor step
-# fills before it stops do not depend on set order, that is, on the hash seed.
+# successor and one predecessor map per gamma, one changepoint-position table
+# per (trace, gamma) and the valuation-profile memos of every trace, for the
+# life of the cache.  The program reads the move function off the module
+# once and the closure keeps it, so a wrapper patched over
+# ``stutter.assign_succ`` or ``assign_pred`` (a test's counter, a tracer) sees
+# the steps of exactly the programs built after it was put in place.  A step
+# names its coordinates in sorted order, so the maps a predecessor step fills
+# before it stops do not depend on set order, that is, on the hash seed.
 #
 # Memos are keyed on id(point), or a tuple of those, and only ever see the
 # owner's points: a run interns its assignment and takes its quantifier
@@ -349,10 +350,10 @@ Assignment = Mapping[str, PointedTrace]
 # reused while a key can name it.  A caller's point with an equal twin in the
 # owner is replaced by the twin; one of an equal trace of another identity
 # gets points and memo entries of its own, which costs misses, never a wrong
-# answer.  A memo outlives a run when no quantifier
-# sits at or below its node: such a value depends on the assignment only,
-# not on the universe.  The memos of nodes with a quantifier below are
-# cleared on each run.
+# answer.  Each memoized closure owns one memo.  A memo outlives a run when
+# no quantifier sits at or below its node: such a value depends on the
+# assignment only, not on the universe.  The memos of nodes with a
+# quantifier below are cleared when each run ends.
 
 _NOT = (1, 0, 2)
 _VERDICTS = (FAILS, HOLDS, Verdict.unknown("until-cutoff"))
@@ -374,38 +375,28 @@ def _not(sub):
     return neg
 
 
-def _any(subs: tuple):
-    # an Or chain: left to right, stopping at the first operand that holds
-    def disj(a):
-        out = 0
+def _chain(subs: tuple, win: int):
+    # an Or chain (win 1) or an h_and chain, !(!a | !b) (win 0): left to
+    # right, stopping at the first operand that gives win; otherwise 2
+    # sticks and the rest give 1 - win
+    lose = 1 - win
+
+    def chain(a):
+        out = lose
         for sub in subs:
             v = sub(a)
-            if v == 1:
-                return 1
-            out |= v
-        return out
-    return disj
-
-
-def _all(subs: tuple):
-    # an h_and chain, !(!a | !b): left to right, stopping at the first
-    # operand that fails
-    def conj(a):
-        out = 1
-        for sub in subs:
-            v = sub(a)
-            if v == 0:
-                return 0
+            if v == win:
+                return win
             if v == 2:
                 out = 2
         return out
-    return conj
+    return chain
 
 
-def _quant(var: str, sub, starts: list, existential: bool):
+def _quant(var: str, sub, starts: list, win: int):
     # starts holds the owner's point at 0 of each universe trace of the
-    # current run
-    win, lose = (1, 0) if existential else (0, 1)
+    # current run; win is 1 for an existential, 0 for a universal
+    lose = 1 - win
 
     def quant(a):
         out = lose
@@ -587,16 +578,16 @@ class _Program:
     Memoized nodes are quantifiers and temporal steps; plain boolean nodes are
     cheaper than their memo keys.  A node with Yesterday or Since below it is
     keyed on the whole assignment, since predecessor definedness can depend on
-    any stepped coordinate; any other node is keyed on its free variables only
-    and shares one memo per context across assignment domains.
+    any stepped coordinate; any other node is keyed on its free variables
+    only.  Each compiled closure owns its memo.
 
     A run interns its assignment with the step-table owner and takes its
     quantifier starts from it, so the compiled closures only ever see owner
     points and memo keys by id(point) are sound (see the comment above
     _NOT).  A run clears the memos of nodes with a quantifier below and the
-    start list before and after evaluating.  The other memos and the canon
-    table (keyed on id(trace)) are kept across runs; the owner holds every
-    trace and point whose id they use.
+    start list when it ends, also when it raises.  The other memos and the
+    canon table (keyed on id(trace)) are kept across runs; the owner holds
+    every trace and point whose id they use.
     """
 
     def __init__(self, f: Hyper, cfg: EvalConfig, context: frozenset[str],
@@ -607,7 +598,6 @@ class _Program:
         self.canon: dict[int, tuple[int, int]] = {}
         self.starts: list[PointedTrace] = []
         self.built: dict[tuple, object] = {}
-        self.memos: dict[tuple, dict] = {}
         self.per_run: list[dict] = []  # memos of nodes with a quantifier below
         missing = set(self.facts[id(f)][0]) - domain
         if missing:
@@ -621,18 +611,15 @@ class _Program:
             hit = self.built[key] = self._build(n, c, dom)
         return hit
 
-    def _memo(self, n: Hyper, c: frozenset[str], dom: frozenset[str], raw):
+    def _memo(self, n: Hyper, dom: frozenset[str], raw):
+        # compile builds each closure once, so this runs once per closure;
+        # free variables are always in dom (checked at the root, and every
+        # binder adds its own)
         free, past, kinds = self.facts[id(n)]
-        if past:
-            names, share = tuple(sorted(dom)), (id(n), c, dom)
-        else:
-            names, share = tuple(x for x in free if x in dom), (id(n), c)
-        memo = self.memos.get(share)
-        if memo is None:
-            memo = self.memos[share] = {}
-            if kinds:
-                self.per_run.append(memo)
-        return _memoized(raw, names, memo)
+        memo: dict = {}
+        if kinds:
+            self.per_run.append(memo)
+        return _memoized(raw, tuple(sorted(dom)) if past else free, memo)
 
     def _build(self, n: Hyper, c: frozenset[str], dom: frozenset[str]):
         if isinstance(n, Atom):
@@ -641,17 +628,17 @@ class _Program:
             return _holds
         if isinstance(n, Not):
             if is_and(n):
-                return _all(tuple(self.compile(x, c, dom) for x in _operands(n)))
+                return _chain(tuple(self.compile(x, c, dom) for x in _operands(n)), 0)
             if isinstance(n.sub, Not):
                 return self.compile(n.sub.sub, c, dom)
             return _not(self.compile(n.sub, c, dom))
         if isinstance(n, Or):
-            return _any(tuple(self.compile(x, c, dom) for x in _operands(n)))
+            return _chain(tuple(self.compile(x, c, dom) for x in _operands(n)), 1)
         if isinstance(n, Context):
             return self.compile(n.sub, n.vars, dom)
         if isinstance(n, (Exists, Forall)):
             sub = self.compile(n.sub, c, dom | {n.var})
-            return self._memo(n, c, dom, _quant(n.var, sub, self.starts, isinstance(n, Exists)))
+            return self._memo(n, dom, _quant(n.var, sub, self.starts, int(isinstance(n, Exists))))
         eff = tuple(sorted(c & dom))
         future = isinstance(n, (Next, Until))
         move = stutter.assign_succ if future else stutter.assign_pred
@@ -659,7 +646,7 @@ class _Program:
             sub = self.compile(n.sub, c, dom)
             if not eff:
                 return sub
-            return self._memo(n, c, dom, _step(move, n.gamma, eff, self.steps, sub))
+            return self._memo(n, dom, _step(move, n.gamma, eff, self.steps, sub))
         if isinstance(n, (Until, Since)):
             right = self.compile(n.right, c, dom)
             if not eff:
@@ -671,24 +658,20 @@ class _Program:
                 key = _config_key(eff, self.gammas, self.facts[id(n)][1] + 1, self.canon,
                                   self.steps)
             bound = range(self.cfg.until_cutoff + 1) if future else itertools.repeat(None)
-            return self._memo(n, c, dom, _walk(move, n.gamma, eff, self.steps, left, right,
-                                               bound, key))
+            return self._memo(n, dom, _walk(move, n.gamma, eff, self.steps, left, right,
+                                            bound, key))
         raise TypeError(f"not a hyper formula node: {n!r}")
 
-    def _reset(self) -> None:
-        for m in self.per_run:
-            m.clear()
-        self.starts.clear()
-
     def run(self, universe: Iterable[LassoTrace], a: dict[str, PointedTrace]) -> Verdict:
-        self._reset()
         steps = self.steps
-        self.starts.extend(steps.point(t, 0) for t in universe)
-        a = {x: steps.intern(pt) for x, pt in a.items()}
         try:
+            self.starts.extend(steps.point(t, 0) for t in universe)
+            a = {x: steps.intern(pt) for x, pt in a.items()}
             return _VERDICTS[self._root(a)]
         finally:
-            self._reset()
+            for m in self.per_run:
+                m.clear()
+            self.starts.clear()
 
 
 class EvalCache:

@@ -18,19 +18,12 @@ import math
 import operator
 from typing import Iterable, Mapping
 
-from .pltl import ValuationProfile, pltl_eval, unrolled, valuation_profile
+from .pltl import ValuationProfile, unrolled, valuation_profile
 from .traces import LassoTrace, PointedTrace
 
 Gamma = frozenset  # of Pltl formulas
 
 _MISS = object()  # a map lookup that found no entry; None means no predecessor
-
-
-def is_proper_changepoint(trace: LassoTrace, gamma: Gamma, i: int) -> bool:
-    """Origin, or some member of gamma flips truth value between i-1 and i."""
-    if i == 0:
-        return True
-    return any(pltl_eval(trace, i, th) != pltl_eval(trace, i - 1, th) for th in gamma)
 
 
 def changepoint_profile(trace: LassoTrace, gamma: Gamma,

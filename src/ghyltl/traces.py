@@ -230,18 +230,6 @@ def enumerate_ts_traces(ts: TransitionSystem, max_prefix: int, max_loop: int) ->
     return out
 
 
-def replay_run(ts: TransitionSystem, prefix_vs: Iterable[str], cycle_vs: Iterable[str]) -> bool:
-    """Check that the given lasso run respects edges and the initial set."""
-    prefix_vs, cycle_vs = list(prefix_vs), list(cycle_vs)
-    run = prefix_vs + cycle_vs
-    if not run or run[0] not in ts.initial:
-        return False
-    for s, d in zip(run, run[1:]):
-        if (s, d) not in ts.edges:
-            return False
-    return (cycle_vs[-1], cycle_vs[0]) in ts.edges
-
-
 # -- JSON interchange ---------------------------------------------------------
 #
 # Trace sets:  {"ap": [...], "traces": [{"name":..., "prefix": [[...]], "loop": [[...]]}]}

@@ -16,7 +16,40 @@ from typing import Sequence
 
 from ghyltl import pltl as pl
 from ghyltl import semantics as hy
-from ghyltl.traces import LassoTrace, PointedTrace, lasso
+from ghyltl.traces import LassoTrace, PointedTrace, TransitionSystem, lasso
+
+
+def depth(f: pl.Pltl) -> int:
+    """Nesting depth of the connectives and operators of a PLTL formula."""
+    if isinstance(f, (pl.Top, pl.Atom)):
+        return 0
+    if isinstance(f, (pl.Not, pl.Next, pl.Yesterday)):
+        return 1 + depth(f.sub)
+    return 1 + max(depth(f.left), depth(f.right))
+
+
+def replay_run(ts: TransitionSystem, prefix_vs: Sequence[str], cycle_vs: Sequence[str]) -> bool:
+    """Check that the given lasso run respects edges and the initial set."""
+    prefix_vs, cycle_vs = list(prefix_vs), list(cycle_vs)
+    run = prefix_vs + cycle_vs
+    if not run or run[0] not in ts.initial:
+        return False
+    for s, d in zip(run, run[1:]):
+        if (s, d) not in ts.edges:
+            return False
+    return (cycle_vs[-1], cycle_vs[0]) in ts.edges
+
+
+def minimal_block_ratio(n1: int, n2: int) -> int:
+    """Least z >= 1 with z*(n2-1) = zp*n2 - n1 for some zp >= 1; the crux of
+    the context multiplication gadget."""
+    if not (1 <= n1 <= n2 and n2 >= 2):
+        raise ValueError("requires 1 <= n1 <= n2 and n2 >= 2")
+    z = 1
+    while True:
+        if (z * (n2 - 1) + n1) % n2 == 0 and (z * (n2 - 1) + n1) // n2 >= 1:
+            return z
+        z += 1
 
 
 # -- brute-force PLTL on an unrolled lasso ------------------------------------
@@ -27,7 +60,7 @@ def brute_pltl_table(trace: LassoTrace, f: pl.Pltl) -> list[bool]:
     computed by table fixpoints with the successor of the last position wrapped
     back one loop."""
     lam = len(trace.loop)
-    n = len(trace.prefix) + (pl.depth(f) + 2) * lam
+    n = len(trace.prefix) + (depth(f) + 2) * lam
 
     def succ(i: int) -> int:
         return i + 1 if i + 1 < n else n - lam
@@ -73,17 +106,16 @@ def brute_pltl_table(trace: LassoTrace, f: pl.Pltl) -> list[bool]:
 
 def brute_pltl_horizon(trace: LassoTrace, f: pl.Pltl) -> int:
     """Positions with reliable table values: everything before the wrap point."""
-    return len(trace.prefix) + (pl.depth(f) + 1) * len(trace.loop)
+    return len(trace.prefix) + (depth(f) + 1) * len(trace.loop)
 
 
-def brute_changepoints(trace: LassoTrace, gamma, horizon: int) -> list[bool]:
-    """Changepoint flags at 0..horizon-1 from the unrolled tables above.
+def brute_proper_changepoints(trace: LassoTrace, gamma, horizon: int) -> list[bool]:
+    """Proper changepoint flags at 0..horizon-1 from the unrolled tables
+    above: the origin, or a position where some member of gamma flips.
 
     A formula of depth d repeats with the loop from prefix + d * loop, the
     start of the last loop of its reliable horizon, so each table is extended
-    by that loop.  The proper changepoints repeat the same way, so when none
-    lies in the last loop of the horizon there are finitely many, and every
-    position after the last one is a changepoint too.
+    by that loop.
     """
     lam = len(trace.loop)
     values = []
@@ -91,7 +123,19 @@ def brute_changepoints(trace: LassoTrace, gamma, horizon: int) -> list[bool]:
         table, h = brute_pltl_table(trace, th), brute_pltl_horizon(trace, th)
         values.append([table[i] if i < h else table[h - lam + (i - h) % lam]
                        for i in range(horizon)])
-    proper = [i == 0 or any(v[i] != v[i - 1] for v in values) for i in range(horizon)]
+    return [i == 0 or any(v[i] != v[i - 1] for v in values) for i in range(horizon)]
+
+
+def brute_changepoints(trace: LassoTrace, gamma, horizon: int) -> list[bool]:
+    """Changepoint flags at 0..horizon-1: the proper ones, and the convention.
+
+    The proper changepoints repeat with the loop from the largest start of a
+    member's last loop on, so when none lies in the last loop of the horizon
+    there are finitely many, and every position after the last one is a
+    changepoint too.
+    """
+    lam = len(trace.loop)
+    proper = brute_proper_changepoints(trace, gamma, horizon)
     if any(proper[horizon - lam:]):
         return proper
     tail = max(i for i in range(horizon) if proper[i]) + 1

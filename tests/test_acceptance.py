@@ -7,8 +7,7 @@ lines alongside the pytest verdicts.
 import random
 import time
 
-from ghyltl.arith import (alpha_per_context, alpha_per_stutter, gadget_assignment,
-                          minimal_block_ratio, verify_gadget)
+from ghyltl.arith import alpha_per_context, alpha_per_stutter, gadget_assignment, verify_gadget
 from ghyltl.pltl import pltl_eval
 from ghyltl.semantics import (EvalConfig, bounded_sat, check_traceset, evaluate,
                               parse_hyper)
@@ -19,7 +18,8 @@ from ghyltl.arith import dollar_blocks
 
 from helpers import (LEMMA1_AP, LEMMA1_SENTENCES, brute_pltl_horizon,
                      brute_pltl_table, gen_pltl, gen_sentence, gen_trace,
-                     lemma1_models, ref_hyperltl, stable_pos_verdict)
+                     lemma1_models, minimal_block_ratio, ref_hyperltl,
+                     stable_pos_verdict)
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:

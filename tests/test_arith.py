@@ -11,15 +11,16 @@ from ghyltl.arith import (Add, GadgetBoundError,
                           Less, Member, Not, Or, RawAtom, TConst,
                           TPlus, TVar,
                           alpha_per_context, alpha_per_stutter,
-                          arith_eval_bounded, compile_context, compile_stutter, dollar_blocks,
-                          flatten, gadget_assignment, gadget_formula,
-                          minimal_block_ratio, parse_arith,
+                          arith_eval_bounded, compile_arith, dollar_blocks,
+                          flatten, gadget_assignment, gadget_formula, parse_arith,
                           verify_gadget, witness_universe)
 from ghyltl.semantics import (EvalConfig, Exists, Forall, check_traceset, evaluate,
                               fragment_of, parse_hyper)
 from ghyltl.traces import PointedTrace, enumerate_lassos, enumerate_ts_traces, \
     lasso, normalize, spike_trace
 from ghyltl.transform import hoist_prenex
+
+from helpers import minimal_block_ratio
 
 
 def flat(text: str):
@@ -42,7 +43,7 @@ def test_parse_emits_connectives_over_comparison_leaves():
     assert arith.arith_vars(raw)[:2] == ({"a"}, {"B"})
     assert arith.arith_vars(raw.sub)[2] == {"a"}
     with pytest.raises(TypeError, match="run flatten first"):
-        compile_stutter(raw)
+        compile_arith(raw, "stutter")
 
 
 def test_flatten_rewrites_each_occurrence():
@@ -185,8 +186,10 @@ def test_quantifier_shape_of_arithmetic_from_the_fold():
 # where a number goes, or a number where a set goes
 @pytest.mark.parametrize("f", [hy.Exists("A", Less("A", "A")), hy.Exists("a", Member("a", "a"))],
                          ids=["set-as-number", "number-as-set"])
-@pytest.mark.parametrize("run", [lambda f: arith_eval_bounded(f, 3), compile_stutter,
-                                 compile_context], ids=["oracle", "stutter", "context"])
+@pytest.mark.parametrize("run", [lambda f: arith_eval_bounded(f, 3),
+                                 lambda f: compile_arith(f, "stutter"),
+                                 lambda f: compile_arith(f, "context")],
+                         ids=["oracle", "stutter", "context"])
 def test_wrong_case_variable_is_rejected(f, run):
     with pytest.raises(ValueError, match="upper-case variable 'A' stands for a number|"
                                          "lower-case variable 'a' stands for a set"):
@@ -197,28 +200,28 @@ def test_wrong_case_variable_is_rejected(f, run):
 
 
 def test_member_clause_stutter():
-    art = compile_stutter(flat("exists y. exists Y. y in Y"))
+    art = compile_arith(flat("exists y. exists Y. y in Y"), "stutter")
     text = hy.render_hyper(art.sentence)
     assert "F[] (hy_y_x_y & hash_x_Y)" in text
     assert art.var_map == {"y": "x_y", "Y": "x_Y"}
 
 
 def test_member_clause_context():
-    art = compile_context(flat("exists y. exists Y. y in Y"))
+    art = compile_arith(flat("exists y. exists Y. y in Y"), "context")
     text = hy.render_hyper(art.sentence)
     assert "F[] (hash_x_y & hash_x_Y)" in text
 
 
 def test_fragment_conformance():
     sentence = "exists a. exists b. exists c. (a + b = c & a * b = c)"
-    stut = compile_stutter(flat(sentence))
-    ctx = compile_context(flat(sentence))
+    stut = compile_arith(flat(sentence), "stutter")
+    ctx = compile_arith(flat(sentence), "context")
     assert fragment_of(hoist_prenex(stut.sentence)) == "HyperLTL_S"
     assert fragment_of(hoist_prenex(ctx.sentence)) == "HyperLTL_C"
 
 
 def test_compiled_formula_roundtrip():
-    art = compile_stutter(flat("exists a. exists b. exists c. a * b = c"))
+    art = compile_arith(flat("exists a. exists b. exists c. a * b = c"), "stutter")
     text = hy.render_hyper(art.sentence)
     assert parse_hyper(text, art.system.ap) == art.sentence
 
@@ -290,9 +293,7 @@ GADGET_FORMULA_SHA256 = {
 
 
 def _compile(text, encoding, strict):
-    if encoding == "stutter":
-        return compile_stutter(flat(text))
-    return compile_context(flat(text), strict_fidelity=strict)
+    return compile_arith(flat(text), encoding, strict)
 
 
 @pytest.mark.parametrize("text,encoding,strict,rendered", COMPILE_GOLDEN,
@@ -311,7 +312,7 @@ def test_gadget_formula_golden(key):
 def test_witness_system_traces():
     # the context-encoding system generates every hash-only and every
     # dollar-only lasso within bounds, and no mixed trace
-    art = compile_context(flat("exists a. exists b. exists c. a * b = c"))
+    art = compile_arith(flat("exists a. exists b. exists c. a * b = c"), "context")
     got = {(t.prefix, t.loop) for t in enumerate_ts_traces(art.system, 2, 2)}
     want = set()
     for alphabet in ({"hash"}, {"dlr"}):
@@ -322,7 +323,7 @@ def test_witness_system_traces():
 
 
 def test_stutter_system_components():
-    art = compile_stutter(flat("exists a. exists b. exists c. a + b = c"))
+    art = compile_arith(flat("exists a. exists b. exists c. a + b = c"), "stutter")
     assert art.system.ap == {"hash", "hy_a", "hy_b", "hy_c", "dlr", "dlrp"}
     labels = {frozenset(l) for l in art.system.labels.values()}
     assert frozenset({"hy_a", "dlr"}) in labels
@@ -419,7 +420,7 @@ def test_strict_fidelity_changes_ast_shape():
 def test_lemma_witness_system_existential_check():
     # the stutter witness system contains a trace carrying nothing but hash
     from ghyltl.semantics import check_ts
-    art = compile_stutter(flat("exists a. exists b. exists c. a + b = c"))
+    art = compile_arith(flat("exists a. exists b. exists c. a + b = c"), "stutter")
     banned = sorted(art.system.ap - {"hash"})
     body = hy.alw(hy.EMPTY_GAMMA, hy.h_all([hy.Not(hy.Atom(p, "x")) for p in banned]))
     f = hy.Exists("x", body)
@@ -540,7 +541,7 @@ def test_e2e_bounded_equivalence(text, bound):
     f = flat(text)
     want = arith_eval_bounded(f, 12)
     for encoding in ("stutter", "context"):
-        art = compile_stutter(f) if encoding == "stutter" else compile_context(f)
+        art = compile_arith(f, encoding)
         universe = witness_universe(f, encoding, bound)
         got = check_traceset(universe, art.sentence)
         assert not got.is_unknown

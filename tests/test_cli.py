@@ -71,6 +71,15 @@ def test_reserved_or_unreadable_proposition_exit_three(workdir, capsys, header, 
     assert f"(line 1, column {column})" in lines[0]
 
 
+def test_formula_file_without_header_exit_three(workdir, capsys):
+    (workdir / "f.ghyltl").write_text("exists x. F[] p_x\n", encoding="utf-8")
+    code = main(["eval", str(workdir / "traces.json"), str(workdir / "f.ghyltl")])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "'ap:' header" in lines[0]
+
+
 def test_body_errors_count_lines_from_the_header(workdir, capsys):
     (workdir / "bad.ghyltl").write_text("ap: p\nexists x.\n F[] p_ &\n", encoding="utf-8")
     code = main(["eval", str(workdir / "traces.json"), str(workdir / "bad.ghyltl")])
@@ -323,12 +332,12 @@ UNDERSCORED_NAMES = [
 
 @pytest.mark.parametrize("text,want", UNDERSCORED_NAMES, ids=[t for t, _ in UNDERSCORED_NAMES])
 def test_compile_underscored_names_read_back(workdir, capsys, text, want):
-    from ghyltl.arith import compile_stutter, flatten, parse_arith
+    from ghyltl.arith import compile_arith, flatten, parse_arith
     (workdir / "arith.txt").write_text(text, encoding="utf-8")
     out = workdir / "compiled"
     code, _ = run(["compile", "--encoding", "stutter", workdir / "arith.txt", out], capsys)
     assert code == 0
-    artifact = compile_stutter(flatten(parse_arith(text)))
+    artifact = compile_arith(flatten(parse_arith(text)), "stutter")
     _, formula = read_formula_file(str(out / "formula.ghyltl"))
     assert formula == artifact.sentence
     varmap = json.loads((out / "varmap.json").read_text(encoding="utf-8"))["varmap"]

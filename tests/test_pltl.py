@@ -7,7 +7,7 @@ from ghyltl.pltl import (ParseError, parse_pltl, pltl_eval, render_pltl,
                          valuation_profile)
 from ghyltl.traces import lasso, spike_trace
 
-from helpers import brute_pltl_horizon, brute_pltl_table, gen_pltl, gen_trace
+from helpers import brute_pltl_horizon, brute_pltl_table, depth, gen_pltl, gen_trace
 
 AP = ("a", "b")
 
@@ -122,7 +122,7 @@ def test_profile_of_true():
     t = lasso({"p"}, [{"p"}, set()], [{"p"}, set(), set()])
     prof = valuation_profile(t, pl.TRUE)
     assert (prof.threshold, prof.period, prof.bits) == (0, 1, (True,))
-    assert pl.depth(pl.TRUE) == 0 and pl.is_past_free(pl.TRUE)
+    assert depth(pl.TRUE) == 0 and pl.is_past_free(pl.TRUE)
 
 
 def test_sugar_is_built_over_true():

@@ -64,7 +64,7 @@ def _arith_lines() -> list[str]:
     for text in texts:
         flat = arith.flatten(arith.parse_arith(text))
         out += [text, repr(flat), repr(arith.dealias(flat))]
-        for art in (arith.compile_stutter(flat), arith.compile_context(flat)):
+        for art in (arith.compile_arith(flat, "stutter"), arith.compile_arith(flat, "context")):
             out += [hy.render_hyper(art.sentence), repr(sorted(art.var_map.items()))]
     return out
 

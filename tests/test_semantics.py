@@ -1,3 +1,4 @@
+import copy
 import gc
 import itertools
 import math
@@ -474,6 +475,14 @@ def test_check_ts_alternation_unknown():
     assert v.is_unknown and "bound" in v.reason
 
 
+def test_check_ts_passes_an_until_cutoff_through():
+    # an unknown from the bounded universe is returned as it is, not wrapped
+    # as a universe bound
+    f = parse_hyper("exists x. F[] p_x", AP)
+    v = check_ts(_self_loop(), f, 0, 1, cfg(until_cutoff=3, use_cycle_detection=False))
+    assert v == hy.Verdict.unknown("until-cutoff")
+
+
 # -- fragments ----------------------------------------------------------------
 
 
@@ -487,6 +496,9 @@ def test_fragment_of():
     assert fragment_of(parse_hyper("forall x. Y[] p_x", AP)) == "GHyLTL_S+C"
     assert fragment_of(parse_hyper("forall x. F[] (exists y. p_y)", AP)) \
         == "GHyLTL_S+C"
+    # is_past_free through a Not, a Next and a binary operator
+    assert fragment_of(parse_hyper("forall x. F[X p, !q] p_x", AP)) == "HyperLTL_S"
+    assert fragment_of(parse_hyper("forall x. F[p U Y q] p_x", AP)) == "GHyLTL_S+C"
 
 
 # -- bounded satisfiability ---------------------------------------------------
@@ -1073,3 +1085,116 @@ def test_interned_assignments_vs_fresh_cache():
             del a
             calls += 1
     assert calls >= 2000
+
+
+# -- one memo per compiled closure --------------------------------------------
+
+
+def _shared_node_cases(rng):
+    """(sentence with one subformula object g at two places, the same sentence
+    with a copy of g at the second): g under two assignment domains, or under
+    two contexts over one domain."""
+    p_y, q_x, q_y = hy.Atom("p", "y"), hy.Atom("q", "x"), hy.Atom("q", "y")
+    xy = frozenset({"x", "y"})
+
+    def two_domains(g, second, ctx=xy, outer=hy.Forall, inner=hy.Exists):
+        return outer("x", hy.h_and(g, inner("y", hy.Context(ctx, hy.Or(second, p_y)))))
+
+    def two_contexts(g, second, ctxs=(frozenset({"x"}), xy)):
+        return hy.Exists("x", hy.Exists("y", hy.h_and(
+            hy.Context(ctxs[0], g), hy.Not(hy.Context(ctxs[1], second)))))
+
+    fixed = [hy.ev(E, q_x), hy.once(E, q_x), hy.Yesterday(E, q_x),
+             hy.ev(E, hy.once(E, q_x))]
+    for g in fixed:
+        yield two_domains, g, {}
+    both = hy.ev(E, hy.h_and(hy.Atom("p", "x"), q_y))
+    yield two_contexts, both, {}
+    yield two_contexts, hy.once(E, hy.Or(q_y, hy.Atom("p", "x"))), {}
+    contexts = [frozenset({"x"}), frozenset({"y"}), xy]
+    for _ in range(40):
+        g = gen_matrix(rng, AP, ["x"], rng.randint(1, 3), stutter=True, contexts=True, past=True)
+        yield two_domains, g, {"ctx": rng.choice(contexts),
+                               "outer": rng.choice((hy.Exists, hy.Forall)),
+                               "inner": rng.choice((hy.Exists, hy.Forall))}
+        g = gen_matrix(rng, AP, ["x", "y"], rng.randint(1, 3), stutter=True, past=True)
+        yield two_contexts, g, {"ctxs": rng.sample(contexts, 2)}
+
+
+def test_a_node_shared_under_two_domains_or_contexts():
+    # compile builds one closure per (node, context, domain), and each owns
+    # its memo; a copy of the shared node gives the same verdicts
+    rng = random.Random(2600)
+    unroll = cfg(until_cutoff=40, use_cycle_detection=False)
+    # x's p at 2 and y's q at 0 only: F[] (p_x & q_y) holds stepping x alone
+    # and fails stepping both
+    universes = [[lasso(AP, [set(), set(), {"p"}], [set()]), lasso(AP, [{"q"}], [set()])]]
+    universes += [[gen_trace(rng, AP, 3, 3) for _ in range(rng.randint(1, 3))]
+                  for _ in range(6)]
+    for make, g, kw in _shared_node_cases(rng):
+        shared_f = make(g, g, **kw)
+        unshared = make(g, copy.deepcopy(g), **kw)
+        cache = hy.EvalCache()
+        for universe in universes:
+            got = check_traceset(universe, shared_f, cache=cache)
+            assert got == check_traceset(universe, unshared) == \
+                check_traceset(universe, shared_f), (render_hyper(shared_f), universe)
+            unrolled = check_traceset(universe, unshared, unroll)
+            assert unrolled.is_unknown or unrolled == got, (render_hyper(shared_f), universe)
+
+
+class _LetterAtZeroOnly:
+    """Not a trace: it has a letter at position 0 and none after it."""
+
+    def letter(self, pos):
+        if pos:
+            raise LookupError(pos)
+        return frozenset()
+
+
+@pytest.mark.parametrize("bad", ["not a trace", _LetterAtZeroOnly()],
+                         ids=["raises-on-its-start", "raises-on-its-first-step"])
+def test_a_run_that_raises_leaves_no_state(bad):
+    # the raising run quantifies over only_p first: a start of it left behind
+    # would make exists y. p_y hold over only_q, and so would a memo of that
+    # quantifier, filled before bad raises
+    f = parse_hyper("exists x. ((exists y. p_y) & F[] q_x)", AP)
+    only_p, only_q = lasso(AP, [], [{"p"}]), lasso(AP, [], [{"q"}])
+    cache = hy.EvalCache()
+    with pytest.raises((AttributeError, LookupError)):
+        check_traceset([only_p, bad], f, cache=cache)
+    for _ in range(2):
+        assert check_traceset([only_q], f, cache=cache) == check_traceset([only_q], f) \
+            == hy.FAILS
+    assert check_traceset([only_p, only_q], f, cache=cache).is_holds
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: hy.Context(frozenset(), pl.TRUE), "context sets must be nonempty"),
+    (lambda: hy.h_all([]), "empty conjunction"),
+    (lambda: hy.h_any([]), "empty disjunction"),
+    (lambda: EvalConfig(until_cutoff=0), "until_cutoff must be >= 1"),
+    (lambda: bounded_sat(parse_hyper("exists x. p_x", AP), 0, 1, 1, AP),
+     "max_traces must be >= 1"),
+    (lambda: check_traceset([lasso(AP, [], [set()])], parse_hyper("true", AP)),
+     "mentions no trace variables"),
+    (lambda: evaluate([], {}, {"x"}, parse_hyper("F[] p_x", AP)),
+     r"free variables without bindings: \['x'\]"),
+    (lambda: ghyltl.verify_gadget("add", 1, -1, 0, "stutter"), "must be nonnegative"),
+    (lambda: ghyltl.pos_traces(-1), "bound must be nonnegative"),
+    (lambda: PointedTrace(lasso(AP, [], [set()]), -1), "position must be nonnegative"),
+    (lambda: TransitionSystem(frozenset(AP), (), frozenset(), frozenset(), {}),
+     "needs at least one vertex"),
+    (lambda: TransitionSystem(frozenset(AP), ("v",), {("v", "w")}, {"v"}, {"v": set()}),
+     r"edge \(v,w\) mentions unknown vertex"),
+    (lambda: TransitionSystem(frozenset(AP), ("v",), {("v", "v")}, {"w"}, {"v": set()}),
+     "initial vertices must be vertices"),
+    (lambda: TransitionSystem(frozenset(AP), ("v",), {("v", "v")}, {"v"}, {"v": {"r"}}),
+     "label of v outside ap"),
+], ids=["empty-context", "empty-h_all", "empty-h_any", "zero-cutoff", "zero-max-traces",
+        "no-variables", "unbound-variable", "negative-gadget-argument", "negative-pos-bound",
+        "negative-position", "no-vertex", "unknown-edge-end", "initial-not-a-vertex",
+        "label-outside-ap"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

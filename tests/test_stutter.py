@@ -3,11 +3,10 @@ import random
 import pytest
 
 from ghyltl import pltl as pl
-from ghyltl.stutter import (StepTables, assign_pred, assign_succ, changepoint_profile,
-                            is_proper_changepoint)
+from ghyltl.stutter import StepTables, assign_pred, assign_succ, changepoint_profile
 from ghyltl.traces import PointedTrace, lasso, pointwise_union, spike_trace
 
-from helpers import brute_changepoints, gen_pltl, gen_trace
+from helpers import brute_changepoints, brute_proper_changepoints, gen_pltl, gen_trace
 
 SPIKE = spike_trace((), "hash", 3)
 MARK = frozenset({pl.Atom("hash")})
@@ -18,24 +17,23 @@ def test_zero_always_proper():
     for _ in range(20):
         t = gen_trace(rng, ("a", "b"), 3, 3)
         g = frozenset({gen_pltl(rng, ("a", "b"), 2)})
-        assert is_proper_changepoint(t, g, 0)
+        assert brute_proper_changepoints(t, g, 1)[0] and changepoint_profile(t, g).value(0)
 
 
 def test_proper_changepoints_of_spike():
-    assert is_proper_changepoint(SPIKE, MARK, 3)
-    assert is_proper_changepoint(SPIKE, MARK, 4)
-    assert not is_proper_changepoint(SPIKE, MARK, 2)
+    proper = brute_proper_changepoints(SPIKE, MARK, 5)
+    assert proper[3] and proper[4] and not proper[2]
 
 
 def test_empty_gamma_never_flips():
     rng = random.Random(2)
     for _ in range(20):
         t = gen_trace(rng, ("a",), 3, 3)
-        assert not is_proper_changepoint(t, frozenset(), 1)
+        assert not brute_proper_changepoints(t, frozenset(), 2)[1]
 
 
 def _proper(trace, gamma, horizon):
-    return [i for i in range(horizon) if is_proper_changepoint(trace, gamma, i)]
+    return [i for i, p in enumerate(brute_proper_changepoints(trace, gamma, horizon)) if p]
 
 
 def test_profile_empty_gamma():
@@ -176,8 +174,7 @@ def test_step_tables_match_a_brute_changepoint_scan():
         assert prof.threshold + 2 * prof.period < last
         # changepoints repeat with the loop from the threshold on, so the
         # convention holds when the last loop below horizon has no proper one
-        kinds.add(any(is_proper_changepoint(t, g, i)
-                      for i in range(horizon - len(t.loop), horizon)))
+        kinds.add(any(brute_proper_changepoints(t, g, horizon)[horizon - len(t.loop):]))
         # one owner walked upward reads its position table below the limit
         # and shifts past it; a fresh owner asked from the top builds the
         # table on its first, shifted step

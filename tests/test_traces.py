@@ -8,10 +8,10 @@ import pytest
 from ghyltl.traces import (LassoTrace, TransitionSystem, enumerate_lassos,
                            enumerate_ts_traces, lasso, load_trace_set,
                            load_transition_system, normalize, pointwise_union,
-                           replay_run, save_trace_set, save_transition_system,
+                           save_trace_set, save_transition_system,
                            spike_trace, trace_set_from_obj, trace_set_to_obj)
 
-from helpers import gen_trace
+from helpers import gen_trace, replay_run
 
 
 def test_letter_prefix_and_loop():

@@ -7,8 +7,8 @@ from ghyltl.pltl import parse_pltl
 from ghyltl.semantics import check_traceset, evaluate, parse_hyper
 from ghyltl.stutter import assign_pred
 from ghyltl.traces import PointedTrace, lasso
-from ghyltl.transform import (AT_ORIGIN, MARK, alpha_unique, hoist_prenex, pos_traces,
-                              prenexify)
+from ghyltl.transform import (AT_ORIGIN, MARK, alpha_unique, hoist_prenex, pos_shape,
+                              pos_traces, prenexify, purity)
 
 from helpers import (CONTEXT_CAPTURE_SENTENCES, LEMMA1_AP, LEMMA1_SENTENCES, gen_sentence,
                      gen_trace, lemma1_models, stable_pos_verdict)
@@ -29,6 +29,15 @@ def test_pos_traces_satisfy_singleton_shape():
     shape = parse_pltl("(!hash) U (hash & X G !hash)", {MARK})
     for t in pos_traces(4).traces:
         assert pltl_eval(t, 0, shape)
+
+
+def test_pos_shape_over_the_marker_alone():
+    # with ap = {mark} there is nothing for the purity conjunct to exclude
+    f = hy.Forall("x", pos_shape("x", MARK, {MARK}))
+    assert hy.h_and(purity("x", MARK, {MARK, "p"}), f.sub) == pos_shape("x", MARK, {MARK, "p"})
+    assert check_traceset(list(pos_traces(3).traces), f).is_holds
+    twice = lasso({MARK}, [{MARK}, set()], [{MARK}])
+    assert check_traceset([twice], f).is_fails
 
 
 def test_origin_marker():
