@@ -832,6 +832,6 @@ def alpha_per_context(x: str, xp: str) -> hy.Hyper:
     return _ContextCompiler().alpha_per(x, xp)
 
 
-def alpha_per_stutter(x: str, xp: str, y3: str = "y3") -> hy.Hyper:
+def alpha_per_stutter(x: str, xp: str) -> hy.Hyper:
     """The stuttering-encoding periodicity conjunction for the pair (x, xp)."""
-    return _StutterCompiler(_GADGET_VARS).alpha_periodic(x, xp, y3)
+    return _StutterCompiler(_GADGET_VARS).alpha_periodic(x, xp, "y3")

@@ -220,10 +220,7 @@ def cmd_oracle(args) -> RunReport:
     raw = arith.parse_arith(Path(args.arith).read_text(encoding="utf-8"))
     flat = arith.flatten(raw)
     value = arith.arith_eval_bounded(flat, args.bound, args.bit_cap)
-    # the rule of semantics.check_ts: a bounded witness certifies a purely
-    # existential sentence, a bounded counterexample a purely universal one
-    shape = semantics.quantifier_shape(flat)
-    if shape == ("exists" if value else "forall"):
+    if semantics.bounded_answer_sound(flat, value):
         verdict, reason, detail = ("holds" if value else "fails"), None, {}
     else:
         verdict, reason, detail = "unknown", \

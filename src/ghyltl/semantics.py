@@ -251,13 +251,22 @@ def is_prenex(f: Hyper) -> bool:
 def quantifier_shape(f) -> str:
     """'exists' when every quantifier occurrence of a hyper or arithmetic
     formula is existential after negation polarity, 'forall' dually, else
-    'mixed'.
-
-    Purely existential sentences are monotone in the trace universe (an
-    arithmetic one in its bounded domain) and purely universal ones
-    antitone, which is what makes bounded verdicts sound.
-    """
+    'mixed'."""
     return _SHAPES[_facts(f)[0][id(f)][2]]
+
+
+def bounded_answer_sound(f, holds: bool) -> bool:
+    """Whether a sentence's answer over a bounded universe (a hyper one's
+    trace set, an arithmetic one's domain) is its answer over every larger
+    one: holds for a purely existential sentence, fails for a purely
+    universal one.
+
+    A purely existential sentence is monotone in the universe: a witness
+    found in it is still a witness in any superset.  A purely universal one
+    is antitone: a counterexample found in it stays one.  Any other answer
+    may flip once the universe grows.
+    """
+    return quantifier_shape(f) == ("exists" if holds else "forall")
 
 
 def fragment_of(f: Hyper) -> str:
@@ -664,6 +673,9 @@ class _Program:
 
     def run(self, universe: Iterable[LassoTrace], a: dict[str, PointedTrace]) -> Verdict:
         steps = self.steps
+        for x, pt in a.items():
+            if not isinstance(pt, PointedTrace):
+                raise TypeError(f"assignment value of {x!r} is not a pointed trace: {pt!r}")
         try:
             self.starts.extend(steps.point(t, 0) for t in universe)
             a = {x: steps.intern(pt) for x, pt in a.items()}
@@ -769,20 +781,14 @@ def check_ts(ts: TransitionSystem, f: Hyper, max_prefix: int, max_loop: int,
     """Bounded transition-system checking over enumerated lasso traces.
 
     The bounded universe under-approximates Tr(T), so the verdict is wrapped
-    as unknown unless the quantifier shape (or an exact universe) makes it
-    sound: existential prefixes certify holds, universal prefixes certify
-    fails.
+    as unknown unless an exact universe or bounded_answer_sound makes it
+    sound.
     """
     universe = enumerate_ts_traces(ts, max_prefix, max_loop)
     verdict = check_traceset(universe, f, cfg)
     if verdict.is_unknown:
         return verdict
-    if _exact_ts_universe(ts, max_prefix, max_loop):
-        return verdict
-    shape = quantifier_shape(f)
-    if shape == "exists" and verdict.is_holds:
-        return verdict
-    if shape == "forall" and verdict.is_fails:
+    if _exact_ts_universe(ts, max_prefix, max_loop) or bounded_answer_sound(f, verdict.is_holds):
         return verdict
     return Verdict.unknown(
         f"ts-universe-bound(max_prefix={max_prefix},max_loop={max_loop});"

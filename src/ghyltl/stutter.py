@@ -93,6 +93,9 @@ class StepTables:
     def _entry(self, trace: LassoTrace) -> tuple:
         hit = self._traces.get(id(trace))
         if hit is None:
+            # first sight of this object: refuse it before the owner holds it
+            if not isinstance(trace, LassoTrace):
+                raise TypeError(f"not a lasso trace: {trace!r}")
             hit = self._traces[id(trace)] = (trace, {}, {})
         return hit
 

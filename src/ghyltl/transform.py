@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 
 from .pltl import TRUE, Not, Or, Top
 from .semantics import (
-    EMPTY_GAMMA, Atom, Context, Exists, Forall, Gamma, Hyper, Next, Since,
+    EMPTY_GAMMA, Atom, Context, Exists, Forall, Hyper, Next, Since,
     Until, Yesterday, _facts, all_vars, alw, children, ev, h_all, h_and, h_implies,
     once, postorder, rebuild, strip_prefix,
 )
@@ -202,94 +202,6 @@ def hoist_prenex(f: Hyper) -> Hyper:
     return _fold_prefix(prefix, matrix)
 
 
-class _Prenexifier:
-    def __init__(self, ap: frozenset[str], fresh: Iterator[str]):
-        self.ap = ap
-        self.fresh = fresh
-
-    def shape(self, x: str, at_one: bool = False) -> Hyper:
-        body = pos_shape(x, MARK, self.ap)
-        if at_one:
-            body = h_and(body, _mark_at_one(x))
-        return Context(frozenset({x}), body)
-
-    def walk(self, n: Hyper, context: frozenset[str], scope: frozenset[str]) \
-            -> tuple[_Prefix, Hyper]:
-        if isinstance(n, _BOOLEAN):
-            inner = n.vars if isinstance(n, Context) else context
-            return _hoisted(n, [self.walk(c, inner, scope) for c in children(n)])
-        if isinstance(n, (Exists, Forall)):
-            inner_scope = scope | {n.var}
-            p, m = self.walk(n.sub, context, inner_scope)
-            # temporal operators below this binder originally stepped the
-            # variables bound so far; clamp the ambient context accordingly
-            # (deeper binders insert their own, tighter clamps)
-            cw = context & inner_scope
-            if cw:
-                m = Context(cw, m)
-            kind = "exists" if isinstance(n, Exists) else "forall"
-            # quantification now ranges over the model plus marker traces;
-            # keep the original meaning by guarding against marked traces
-            if kind == "exists":
-                guarded = h_and(Not(_has_mark(n.var)), m)
-            else:
-                guarded = h_implies(Not(_has_mark(n.var)), m)
-            return [(kind, n.var)] + p, guarded
-        if isinstance(n, (Next, Until, Yesterday, Since)):
-            if not (context & scope):
-                # no bound coordinate moves: the step operators degenerate to
-                # their last operand
-                return self.walk(children(n)[-1], context, scope)
-            return self._temporal(n, context, scope)
-        raise TypeError(f"not a hyper formula node: {n!r}")
-
-    def _future_body(self, gamma: Gamma, x: str, inner: Hyper,
-                     context: frozenset[str], scope: frozenset[str]) -> Hyper:
-        walkctx = (context & scope) | {x}
-        return Context(walkctx, ev(gamma, h_and(mark_atom(x), inner)))
-
-    def _past_body(self, gamma: Gamma, x: str, inner: Hyper,
-                   context: frozenset[str], scope: frozenset[str]) -> Hyper:
-        walkctx = (context & scope) | {x}
-        stop = Context(frozenset({x}), AT_ORIGIN)
-        back = Context(walkctx, once(gamma, h_and(stop, inner)))
-        return Context(frozenset({x}), ev(EMPTY_GAMMA, h_and(mark_atom(x), back)))
-
-    def _wrap(self, context: frozenset[str], scope: frozenset[str],
-              m: Hyper) -> Hyper:
-        # the operand matrix evaluates at the walk's stop point under the
-        # context its original position had; binder clamps inside m handle
-        # the regions below hoisted quantifiers
-        return Context(context & scope, m)
-
-    def _temporal(self, n: Hyper, context: frozenset[str], scope: frozenset[str]) \
-            -> tuple[_Prefix, Hyper]:
-        make_body = self._future_body if isinstance(n, (Next, Until)) else self._past_body
-        walked = [self.walk(c, context, scope) for c in children(n)]
-        if not any(p for p, _ in walked):
-            return [], rebuild(n, [m for _, m in walked])
-        if isinstance(n, (Next, Yesterday)):
-            [(p, m)] = walked
-            xi = next(self.fresh)
-            body = make_body(n.gamma, xi, self._wrap(context, scope, m), context, scope)
-            return [("exists", xi)] + p, h_and(self.shape(xi, at_one=True), body)
-
-        (lp, lm), (rp, rm) = walked
-        xi = next(self.fresh)
-        conjuncts = [self.shape(xi),
-                     make_body(n.gamma, xi, self._wrap(context, scope, rm),
-                               context, scope)]
-        prefix: _Prefix = [("exists", xi)] + rp
-        if not isinstance(lm, Top):  # a left operand true (the F/O sugar) needs no walk
-            xj = next(self.fresh)
-            guard_j = h_and(self.shape(xj), _mark_before(xj, xi))
-            body_l = make_body(n.gamma, xj, self._wrap(context, scope, lm),
-                               context, scope)
-            conjuncts.append(h_implies(guard_j, body_l))
-            prefix = prefix + [("forall", xj)] + lp
-        return prefix, h_all(conjuncts)
-
-
 def prenexify(f: Hyper, ap: Iterable[str]) -> Hyper:
     """Hoist every quantifier to the front; already-prenex input is returned
     unchanged.
@@ -308,8 +220,77 @@ def prenexify(f: Hyper, ap: Iterable[str]) -> Hyper:
     f, used = _alpha_unique(f, names)
     top_context = frozenset(used)
     taken = set(top_context) | {MARK}
-    state = _Prenexifier(props, fresh_names("pv", taken))
-    prefix, matrix = state.walk(f, top_context, frozenset())
+    fresh = fresh_names("pv", taken)
+
+    def shape(x: str) -> Hyper:
+        return Context(frozenset({x}), pos_shape(x, MARK, props))
+
+    def walk(n: Hyper, context: frozenset[str], scope: frozenset[str]) \
+            -> tuple[_Prefix, Hyper]:
+        if isinstance(n, _BOOLEAN):
+            inner = n.vars if isinstance(n, Context) else context
+            return _hoisted(n, [walk(c, inner, scope) for c in children(n)])
+        if isinstance(n, (Exists, Forall)):
+            inner_scope = scope | {n.var}
+            p, m = walk(n.sub, context, inner_scope)
+            # temporal operators below this binder originally stepped the
+            # variables bound so far; clamp the ambient context accordingly
+            # (deeper binders insert their own, tighter clamps)
+            cw = context & inner_scope
+            if cw:
+                m = Context(cw, m)
+            kind = "exists" if isinstance(n, Exists) else "forall"
+            # quantification now ranges over the model plus marker traces;
+            # keep the original meaning by guarding against marked traces
+            if kind == "exists":
+                guarded = h_and(Not(_has_mark(n.var)), m)
+            else:
+                guarded = h_implies(Not(_has_mark(n.var)), m)
+            return [(kind, n.var)] + p, guarded
+        if isinstance(n, (Next, Until, Yesterday, Since)):
+            moved = context & scope
+            if not moved:
+                # no bound coordinate moves: the step operators degenerate to
+                # their last operand
+                return walk(children(n)[-1], context, scope)
+            return temporal(n, moved, [walk(c, context, scope) for c in children(n)])
+        raise TypeError(f"not a hyper formula node: {n!r}")
+
+    def temporal(n: Hyper, moved: frozenset[str], walked: list[tuple[_Prefix, Hyper]]) \
+            -> tuple[_Prefix, Hyper]:
+        if not any(p for p, _ in walked):
+            return [], rebuild(n, [m for _, m in walked])
+
+        def body(x: str, m: Hyper) -> Hyper:
+            # the operand matrix evaluates at the walk's stop point under the
+            # context its original position had, so its temporal operators do
+            # not step x; binder clamps inside m handle the regions below
+            # hoisted quantifiers
+            at = Context(moved, m)
+            if isinstance(n, (Next, Until)):
+                return Context(moved | {x}, ev(n.gamma, h_and(mark_atom(x), at)))
+            stop = Context(frozenset({x}), AT_ORIGIN)
+            back = Context(moved | {x}, once(n.gamma, h_and(stop, at)))
+            return Context(frozenset({x}), ev(EMPTY_GAMMA, h_and(mark_atom(x), back)))
+
+        if isinstance(n, (Next, Yesterday)):
+            [(p, m)] = walked
+            xi = next(fresh)
+            pinned = Context(frozenset({xi}), h_and(pos_shape(xi, MARK, props), _mark_at_one(xi)))
+            return [("exists", xi)] + p, h_and(pinned, body(xi, m))
+
+        (lp, lm), (rp, rm) = walked
+        xi = next(fresh)
+        conjuncts = [shape(xi), body(xi, rm)]
+        prefix: _Prefix = [("exists", xi)] + rp
+        if not isinstance(lm, Top):  # a left operand true (the F/O sugar) needs no walk
+            xj = next(fresh)
+            guard_j = h_and(shape(xj), _mark_before(xj, xi))
+            conjuncts.append(h_implies(guard_j, body(xj, lm)))
+            prefix = prefix + [("forall", xj)] + lp
+        return prefix, h_all(conjuncts)
+
+    prefix, matrix = walk(f, top_context, frozenset())
     bound = {v for _, v in prefix}
     assert taken - top_context - {MARK} <= bound, "fresh position variables must be bound"
     assert not any(isinstance(n, (Exists, Forall)) for n in postorder(matrix))

@@ -1143,8 +1143,8 @@ def test_a_node_shared_under_two_domains_or_contexts():
             assert unrolled.is_unknown or unrolled == got, (render_hyper(shared_f), universe)
 
 
-class _LetterAtZeroOnly:
-    """Not a trace: it has a letter at position 0 and none after it."""
+class _LetterAtZeroOnly(LassoTrace):
+    """A lasso trace with a letter at position 0 and none after it."""
 
     def letter(self, pos):
         if pos:
@@ -1152,7 +1152,7 @@ class _LetterAtZeroOnly:
         return frozenset()
 
 
-@pytest.mark.parametrize("bad", ["not a trace", _LetterAtZeroOnly()],
+@pytest.mark.parametrize("bad", ["not a trace", _LetterAtZeroOnly(frozenset(AP), (), ((),))],
                          ids=["raises-on-its-start", "raises-on-its-first-step"])
 def test_a_run_that_raises_leaves_no_state(bad):
     # the raising run quantifies over only_p first: a start of it left behind
@@ -1161,7 +1161,7 @@ def test_a_run_that_raises_leaves_no_state(bad):
     f = parse_hyper("exists x. ((exists y. p_y) & F[] q_x)", AP)
     only_p, only_q = lasso(AP, [], [{"p"}]), lasso(AP, [], [{"q"}])
     cache = hy.EvalCache()
-    with pytest.raises((AttributeError, LookupError)):
+    with pytest.raises((TypeError, LookupError)):
         check_traceset([only_p, bad], f, cache=cache)
     for _ in range(2):
         assert check_traceset([only_q], f, cache=cache) == check_traceset([only_q], f) \
@@ -1198,3 +1198,29 @@ def test_a_run_that_raises_leaves_no_state(bad):
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+class _Junk:
+    """Not a trace, and nothing of one."""
+
+
+def test_a_non_trace_is_refused_and_not_held():
+    # the universe member is refused on first sight, before the step-table
+    # owner holds it; an assignment value before the run starts
+    f = parse_hyper("exists x. ((exists y. p_y) & F[] q_x)", AP)
+    t = lasso(AP, [], [{"q"}])
+    cache = hy.EvalCache()
+    junk = _Junk()
+    gone = weakref.ref(junk)
+    try:
+        check_traceset([t, junk], f, cache=cache)
+    except TypeError as e:
+        assert str(e).startswith("not a lasso trace: <")
+    else:
+        pytest.fail("a non-trace universe member was accepted")
+    del junk
+    gc.collect()
+    assert gone() is None
+    assert check_traceset([t], f, cache=cache) == check_traceset([t], f) == hy.FAILS
+    with pytest.raises(TypeError, match="^assignment value of 'x' is not a pointed trace: 'junk'$"):
+        evaluate([t], {"x": "junk"}, {"x"}, parse_hyper("F[] q_x", AP))

@@ -253,3 +253,49 @@ def test_transforms_refuse_a_context_outside_its_binder(text):
     for transform in (alpha_unique, hoist_prenex, lambda g: prenexify(g, LEMMA1_AP)):
         with pytest.raises(ValueError, match="^context set names bound variable"):
             transform(f)
+
+
+# Rows where the operand matrix must be read under C{ctx & scope}: read
+# under the walk's own context, its past operators step the position
+# variable too, and each row flips from holds to fails.
+_MATRIX_CONTEXT_ROWS = [
+    ("exists a. H[] F[] Y[] (Y[] Y[] p_a & (exists b. (p_b | q_a)))",
+     [([{"p"}, set()], [{"q"}, {"q"}]), ([set()], [{"p", "q"}])]),
+    ("forall a. F[] Y[q] (Y[] Y[] p_a & (forall b. p_b))",
+     [([{"p", "q"}, {"q"}, {"q"}], [{"q"}, {"q"}])]),
+    ("exists a. X[p] O[] (Y[] q_a & (forall b. q_b))",
+     [([{"p", "q"}, {"q"}, {"p", "q"}], [{"p"}, set()]), ([{"q"}], [{"p", "q"}, {"q"}])]),
+]
+
+
+@pytest.mark.parametrize("text,words", _MATRIX_CONTEXT_ROWS, ids=["H-F-Y", "F-Yq", "Xp-O"])
+def test_prenexify_reads_the_matrix_in_its_original_context(text, words):
+    f = parse_hyper(text, LEMMA1_AP)
+    L = [lasso(LEMMA1_AP, prefix, loop) for prefix, loop in words]
+    assert check_traceset(L, f).is_holds
+    assert check_traceset(L, f, hy.EvalConfig(use_cycle_detection=False)).is_holds
+    assert check_traceset(L + list(pos_traces(8).traces), prenexify(f, LEMMA1_AP)).is_holds
+
+
+def _past_over_a(rng):
+    atom = f"{rng.choice('pq')}_a"
+    return rng.choice([f"Y[] {atom}", f"Y[] Y[] {atom}", f"O[] {atom}", f"H[] {atom}",
+                       f"({rng.choice('pq')}_a S[] {atom})"])
+
+
+def test_prenexify_matrix_context_random():
+    # q1 a. [C{a}] T ... T (PAST & (q2 b. M)): the past conjunct and M's
+    # temporal operators are read where the last T put them
+    rng = random.Random(5)
+    positions = list(pos_traces(8).traces)
+    for _ in range(400):
+        q1, q2 = (rng.choice(["exists", "forall"]) for _ in range(2))
+        ops = " ".join(f"{rng.choice('XYFGOH')}[{rng.choice(['', 'p', 'q'])}]"
+                       for _ in range(rng.randint(1, 3)))
+        m = rng.choice(["p_b", "q_b", "(p_b | q_a)", "F[] (p_b & q_a)"])
+        ctx = rng.choice(["", "C{a} "])
+        text = f"{q1} a. {ctx}{ops} ({_past_over_a(rng)} & ({q2} b. {m}))"
+        f = parse_hyper(text, LEMMA1_AP)
+        L = [gen_trace(rng, LEMMA1_AP, 3, 2) for _ in range(rng.randint(1, 2))]
+        assert check_traceset(L, f) == check_traceset(L + positions, prenexify(f, LEMMA1_AP)), \
+            (text, L)
