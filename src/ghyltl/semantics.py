@@ -333,6 +333,8 @@ Assignment = Mapping[str, PointedTrace]
 # one closure per (node, context, domain): the context and the effective
 # coordinates ``c & a.keys()`` of each node are fixed by the root context and
 # the quantifiers above it, so they are resolved here and not on every visit.
+# A past-free node (no Yesterday or Since below) steps only the effective
+# coordinates that it reads, its free variables; see _Program.
 # A closure takes an assignment dict and returns 0 (fails), 1 (holds) or 2
 # (unknown); the Verdict object is built only at the top.  An Until hitting its
 # cutoff is the only bound evaluation has, so 2 always means "until-cutoff".
@@ -511,19 +513,24 @@ def _config_key(names: tuple[str, ...], gammas: tuple, margin: int, canon: dict,
     which also read i - 1, repeat from base + 1 on, with one of every gamma
     in every period (or at every position).  So a successor step from base
     on, and a predecessor step from base + 1 + period on, lands within a
-    period and commutes with whole-period shifts.  An Until's margin is
-    h + 1 for its body's past horizon h (see _facts).  A body of Yesterday
-    steps takes at most h predecessor steps per coordinate on any path, each
-    from base + 1 + period on, so from equal keys it reads positions whole
-    periods apart (equal letters, equal steps), over joint contexts too.  The
-    spare period keeps the last of them off base, whose changepoint status
-    reads base - 1; a past-free body needs none, and counting flips (an even
-    number per period and member) would let margin h do, but neither is
-    relied on.  A one-coordinate Since (others fixed) composes maps s -> r |
-    (l & s), idempotent in Kleene logic, so its value repeats from one period
-    past its operands' (pltl._since_profile), like a Yesterday's.  No margin
-    is known to make a joint one sound, as it stops where any coordinate
-    does; its second unit keeps its Until at 3 periods or more.
+    period and commutes with whole-period shifts.  An Until's margin is 0
+    for a past-free body and h + 1 for a body of past horizon h > 0 (see
+    _facts).  A past-free body reads letters at its positions and takes only
+    successor steps from them; from equal keys of margin 0 every coordinate
+    sits at or past base, whole periods from its twin, so the two read equal
+    letters, step to changepoints past base (where they repeat) and stay
+    whole periods apart on every path.  A body of Yesterday steps takes at
+    most h predecessor steps per coordinate on any path, each from base + 1
+    + period on, so from equal keys it reads positions whole periods apart
+    (equal letters, equal steps), over joint contexts too.  The spare period
+    keeps the last of them off base, whose changepoint status reads base - 1;
+    counting flips (an even number per period and member) would let margin h
+    do, but that is not relied on.  A one-coordinate Since (others fixed)
+    composes maps s -> r | (l & s), idempotent in Kleene logic, so its value
+    repeats from one period past its operands' (pltl._since_profile), like a
+    Yesterday's.  No margin is known to make a joint one sound, as it stops
+    where any coordinate does; its second unit keeps its Until at 3 periods
+    or more.
     """
     def start(a):
         out = []
@@ -587,8 +594,13 @@ class _Program:
     Memoized nodes are quantifiers and temporal steps; plain boolean nodes are
     cheaper than their memo keys.  A node with Yesterday or Since below it is
     keyed on the whole assignment, since predecessor definedness can depend on
-    any stepped coordinate; any other node is keyed on its free variables
-    only.  Each compiled closure owns its memo.
+    any stepped coordinate, and its Next, Until, Yesterday or Since steps every
+    coordinate of c & dom.  Any other node is past-free: its value depends on
+    the positions of its free variables only, so it is keyed on them, and its
+    Next or Until steps only those in c & dom.  Successor steps are always
+    defined and move each coordinate on its own, so that walk is the full
+    walk restricted to the coordinates read; its keys are sub-tuples of the
+    full ones and repeat no later.  Each compiled closure owns its memo.
 
     A run interns its assignment with the step-table owner and takes its
     quantifier starts from it, so the compiled closures only ever see owner
@@ -648,7 +660,9 @@ class _Program:
         if isinstance(n, (Exists, Forall)):
             sub = self.compile(n.sub, c, dom | {n.var})
             return self._memo(n, dom, _quant(n.var, sub, self.starts, int(isinstance(n, Exists))))
-        eff = tuple(sorted(c & dom))
+        # a past-free node steps only the coordinates it reads (see _Program)
+        free, h, _ = self.facts[id(n)]
+        eff = tuple(sorted(c & dom if h else c & dom & set(free)))
         future = isinstance(n, (Next, Until))
         move = stutter.assign_succ if future else stutter.assign_pred
         if isinstance(n, (Next, Yesterday)):
@@ -664,8 +678,7 @@ class _Program:
             left = self.compile(n.left, c, dom)
             key = None
             if future and self.cfg.use_cycle_detection:
-                key = _config_key(eff, self.gammas, self.facts[id(n)][1] + 1, self.canon,
-                                  self.steps)
+                key = _config_key(eff, self.gammas, h + 1 if h else 0, self.canon, self.steps)
             bound = range(self.cfg.until_cutoff + 1) if future else itertools.repeat(None)
             return self._memo(n, dom, _walk(move, n.gamma, eff, self.steps, left, right,
                                             bound, key))

@@ -22,7 +22,7 @@ from ghyltl.semantics import (EvalConfig, bounded_sat, check_traceset,
 from ghyltl.traces import LassoTrace, PointedTrace, TransitionSystem, enumerate_lassos, lasso, \
     normalize, spike_trace
 
-from helpers import gen_matrix, gen_sentence, gen_trace, ref_hyperltl, ref_sentence
+from helpers import gen_matrix, gen_sentence, gen_trace, ref_ghyltl, ref_hyperltl, ref_sentence
 from test_representation import DRIFT_UNIVERSE, _disagreement
 
 AP = ("p", "q")
@@ -785,6 +785,208 @@ def test_cycle_key_shortcut_vs_unroller(k):
             decided += 1
             assert evaluate(traces, a, set(a), f) == unrolled
     assert decided >= 10
+
+
+# -- Past-free nodes step only the coordinates they read ---------------------
+#
+# A Next or Until with no Yesterday or Since below steps the coordinates of
+# c & dom that it reads, not all of them, and keys its Until cycles from base
+# (margin 0).  The cases below name coordinates in contexts that the body
+# never reads, nest Untils whose inner operands read coordinates that the
+# outer ones do not, and start coordinates at and around base on traces whose
+# changepoints sit at base.
+
+
+def test_an_unread_coordinate_is_not_stepped(monkeypatch):
+    # long prefixes and coprime loops (3 and 5): p turns up on x's lasso at 8
+    tx = lasso(AP, [set()] * 7, [set(), {"p"}, set()])
+    ty = lasso(AP, [{"q"}, set()] * 4, [{"p"}, set(), {"q"}, set(), set()])
+    calls = []
+    real = ghyltl.stutter.assign_succ
+
+    def recording(a, gamma, c, owner=None):
+        calls.append(tuple(c))
+        return real(a, gamma, c, owner)
+
+    monkeypatch.setattr(ghyltl.stutter, "assign_succ", recording)
+    sentence = parse_hyper("exists x. exists y. C{x,y} F[] p_x", AP)
+    assert check_traceset([tx, ty], sentence).is_holds
+    assert calls and set(calls) == {("x",)}
+    # y bound to a trace that x never ranges over: the owner never steps it
+    calls.clear()
+    cache = hy.EvalCache()
+    a = {"x": PointedTrace(tx, 0), "y": PointedTrace(ty, 0)}
+    assert evaluate([tx], a, {"x", "y"}, sentence.sub.sub, cache=cache).is_holds
+    assert calls and set(calls) == {("x",)}
+    points = cache.steps._traces[id(ty)][1]
+    assert set(points) == {0}
+    for succ, _, _ in cache.steps._maps.values():
+        assert id(points[0]) not in succ
+
+
+def _wide_build(real):
+    """_Program._build under the rule before the narrowing: a past-free Next
+    or Until steps all of c & dom and keys its Until cycles one period past
+    base.  Every other node builds as real does."""
+    def build(self, n, c, dom):
+        if not isinstance(n, (hy.Next, hy.Until)) or self.facts[id(n)][1]:
+            return real(self, n, c, dom)
+        eff, move = tuple(sorted(c & dom)), ghyltl.stutter.assign_succ
+        if isinstance(n, hy.Next):
+            sub = self.compile(n.sub, c, dom)
+            return self._memo(n, dom, hy._step(move, n.gamma, eff, self.steps, sub)) \
+                if eff else sub
+        right = self.compile(n.right, c, dom)
+        if not eff:
+            return right
+        left = self.compile(n.left, c, dom)
+        key = hy._config_key(eff, self.gammas, 1, self.canon, self.steps) \
+            if self.cfg.use_cycle_detection else None
+        return self._memo(n, dom, hy._walk(move, n.gamma, eff, self.steps, left, right,
+                                           range(self.cfg.until_cutoff + 1), key))
+    return build
+
+
+# one gamma per case, so that base is known: members that flip where the
+# letters do, one that turns periodic a position late, and one that jumps
+BASE_GAMMAS = [frozenset(), frozenset({pl.Atom("p")}), frozenset({pl.Yesterday(pl.Atom("p"))}),
+               frozenset({pl.Atom("q"), pl.Next(pl.Next(pl.Atom("p")))})]
+
+
+def _base(trace, gamma):
+    return max([len(trace.prefix)] + [pl.valuation_profile(trace, th).threshold for th in gamma])
+
+
+def _narrow_case(rng, past):
+    """An X, U, F or G (or Y, with past) under a context of 2-4 coordinates
+    whose body reads a strict subset of them; inside it, operands read
+    subsets of their own, under contexts that may name any coordinate, with
+    chains of up to three Y (no S) when past.  Each coordinate has its own
+    lasso, whose first loop letter often flips p against the last prefix
+    letter, and starts at 0, near base or anywhere; with past, unread
+    coordinates start at 0 more often."""
+    k = rng.randint(2, 4)
+    scope = [f"v{i}" for i in range(k)]
+    gamma = rng.choice(BASE_GAMMAS)
+
+    def letter():
+        return {x for x in AP if rng.random() < 0.4}
+
+    def trace():
+        prefix = [letter() for _ in range(rng.randint(0, 6))]
+        loop = [letter() for _ in range(rng.randint(1, 5))]
+        if prefix and rng.random() < 0.7 and ("p" in prefix[-1]) == ("p" in loop[0]):
+            loop[0] ^= {"p"}
+        return lasso(AP, prefix, loop)
+
+    def body(vs, d):
+        kinds = ["atom", "not", "or", "and", "next", "until", "ev", "alw", "ctx"]
+        kind = rng.choice(kinds + ["yesterday"] * past) if d > 0 else "atom"
+
+        def sub():
+            return body(rng.sample(vs, rng.randint(1, len(vs))), d - 1)
+
+        if kind == "atom":
+            return hy.Atom(rng.choice(AP), rng.choice(vs))
+        if kind == "not":
+            return hy.Not(sub())
+        if kind in ("or", "and"):
+            return (hy.Or if kind == "or" else hy.h_and)(sub(), sub())
+        if kind == "next":
+            return hy.Next(gamma, sub())
+        if kind == "until":
+            return hy.Until(gamma, sub(), sub())
+        if kind in ("ev", "alw"):
+            return (hy.ev if kind == "ev" else hy.alw)(gamma, sub())
+        if kind == "ctx":
+            return hy.Context(frozenset(rng.sample(scope, rng.randint(1, k))), sub())
+        f = sub()
+        for _ in range(rng.randint(1, 3)):
+            f = hy.Yesterday(gamma, f)
+        return f
+
+    traces = [trace() for _ in scope]
+    read = rng.sample(scope, rng.randint(1, k - 1))
+    a = {}
+    for x, t in zip(scope, traces):
+        b = _base(t, gamma)
+        # with past, an unread coordinate at 0 ends every Y step over it
+        start = 0 if past and x not in read and rng.random() < 0.4 else \
+            rng.choice([0, max(b - 1, 0), b, b + 1, rng.randint(0, 9)])
+        a[x] = PointedTrace(t, start)
+
+    def inner():
+        return body(rng.sample(read, rng.randint(1, len(read))), rng.randint(0, 3))
+
+    kind = rng.choice("XUFGY" if past else "XUFG")
+    f = hy.Until(gamma, inner(), inner()) if kind == "U" else \
+        hy.ev(gamma, inner()) if kind == "F" else hy.alw(gamma, inner()) if kind == "G" else \
+        (hy.Next if kind == "X" else hy.Yesterday)(gamma, inner())
+    f = hy.Context(frozenset(scope), f)
+    return traces, a, hy.Not(f) if rng.random() < 0.3 else f, gamma
+
+
+def _narrow_corpus(monkeypatch, seed, past):
+    rng = random.Random(seed)
+    unroller = cfg(until_cutoff=60, use_cycle_detection=False)
+    counts = Counter()
+    for _ in range(400):
+        traces, a, f, gamma = _narrow_case(rng, past)
+        config = cfg(until_cutoff=rng.choice([3, 8, 40, 200]))
+        got = evaluate(traces, a, set(a), f, config)
+        with monkeypatch.context() as m:
+            m.setattr(hy._Program, "_build", _wide_build(hy._Program._build))
+            wide = evaluate(traces, a, set(a), f, config)
+        case = (render_hyper(f), traces, a, config)
+        if not wide.is_unknown:
+            assert got == wide, case
+        counts["gained"] += wide.is_unknown and not got.is_unknown
+        if not got.is_unknown:
+            unrolled = evaluate(traces, a, set(a), f, unroller)
+            if not unrolled.is_unknown:
+                counts["unroller"] += 1
+                assert got == unrolled, case
+            ref = ref_ghyltl(traces, a, set(a), f, 12)
+            if ref is not None:
+                counts["reference"] += 1
+                assert got.is_holds == ref, case
+        # a coordinate that starts at base, where a changepoint sits
+        counts["at base"] += any(pt.pos == _base(pt.trace, gamma) and pl.unrolled(
+            ghyltl.stutter.changepoint_profile(pt.trace, gamma), pt.pos + 1)[pt.pos]
+            for pt in a.values())
+    return counts
+
+
+@pytest.mark.parametrize("seed,past", [(5100, False), (5101, True)])
+def test_narrowed_walks_vs_the_wide_rule_the_unroller_and_the_reference(monkeypatch, seed,
+                                                                        past):
+    # every definite verdict of the wide rule is kept, and the narrowed walks
+    # reach their cycles within cutoffs where the wide ones do not
+    counts = _narrow_corpus(monkeypatch, seed, past)
+    assert counts["unroller"] >= 250 and counts["reference"] >= 150, counts
+    assert counts["gained"] >= 5 and counts["at base"] >= 50, counts
+
+
+X_THEN_Q = lasso(AP, [set(), set()], [{"q"}, set()])
+
+
+@pytest.mark.parametrize("text,a,status", [
+    # a Y steps every coordinate of its context: y at 0 has no predecessor
+    ("C{x,y} Y[] p_x", {"x": (lasso(AP, [{"p"}], [set()]), 1), "y": (X_THEN_Q, 0)}, "fails"),
+    # an Until steps the coordinates of both operands: y leaves its p
+    ("C{x,y} p_y U[] q_x", {"x": (X_THEN_Q, 0), "y": (lasso(AP, [{"p"}], [set()]), 0)},
+     "fails"),
+    # Y q holds at 3, 5, ... and not at base 1, where it reads the prefix: a
+    # key from base would close the walk at 3 on base's value
+    ("F[] Y[] q_x", {"x": (lasso(AP, [set()], [set(), {"q"}]), 1)}, "holds"),
+])
+def test_the_narrowing_and_margin_rules_on_rows(text, a, status):
+    a = {x: PointedTrace(t, pos) for x, (t, pos) in a.items()}
+    f = parse_hyper(text, AP)
+    traces = [pt.trace for pt in a.values()]
+    assert ref_ghyltl(traces, a, set(a), f, 12) == (status == "holds")
+    assert evaluate(traces, a, set(a), f, cfg(use_cycle_detection=False)).status == status
+    assert evaluate(traces, a, set(a), f).status == status
 
 
 # -- Until cycle keys over bodies that look back -----------------------------
