@@ -365,6 +365,19 @@ Assignment = Mapping[str, PointedTrace]
 # no quantifier sits at or below its node: such a value depends on the
 # assignment only, not on the universe.  The memos of nodes with a
 # quantifier below are cleared when each run ends.
+#
+# Binders are compiled one block at a time, each binder scoped to the
+# operands of the block's matrix that read it (see _Program).  A scoped
+# quantifier closure has no node of its own: it is keyed on the sorted free
+# variables of its operands minus its own, variables bound outside the block
+# included, or on the whole domain at its place when an operand with past
+# below sits under it, and its memo is cleared when each run ends.  A block
+# whose operands moved first answers as its kind does over no traces (0 for
+# exists, 1 for forall), before it evaluates anything, so that over an
+# empty universe it gives what its outermost binder would.  Kleene & and |
+# are min and max in the order 0 < 2 < 1 and a quantifier is the max or min
+# of its body over the universe, a distributive lattice, so a scoped block
+# returns the value of the unscoped one, 2 included.
 
 _NOT = (1, 0, 2)
 _VERDICTS = (FAILS, HOLDS, Verdict.unknown("until-cutoff"))
@@ -386,13 +399,17 @@ def _not(sub):
     return neg
 
 
-def _chain(subs: tuple, win: int):
+def _chain(subs: tuple, win: int, starts=(None,), empty: int = 0):
     # an Or chain (win 1) or an h_and chain, !(!a | !b) (win 0): left to
     # right, stopping at the first operand that gives win; otherwise 2
-    # sticks and the rest give 1 - win
+    # sticks and the rest give 1 - win.  A scoped binder block's chain
+    # gives empty while the run's starts list is empty (see _Program); the
+    # default starts is never empty
     lose = 1 - win
 
     def chain(a):
+        if not starts:
+            return empty
         out = lose
         for sub in subs:
             v = sub(a)
@@ -549,22 +566,31 @@ def _config_key(names: tuple[str, ...], gammas: tuple, margin: int, canon: dict,
     return start
 
 
-def _operands(n: Hyper) -> list[Hyper]:
-    """Operands, left to right, of the h_and chain (n a Not) or the Or chain
-    rooted at n, with Not(Not(.)) stripped along the chain.  Iterative, so a
-    chain of any length compiles to one n-ary closure."""
-    conj, out, stack = isinstance(n, Not), [], [n]
+_CHAIN_ROOTS = (Not, Or, Context)
+
+
+def _operands(n: Hyper, c: frozenset[str]) -> tuple[int, list[tuple[Hyper, frozenset[str]]]]:
+    """(win, operands): the operands, left to right, of the h_and chain (win
+    0) or the Or chain (win 1) rooted at n, each with the context it is read
+    under, seen through Context nodes and Not(Not(.)) at the root and along
+    the chain.  A root of neither shape is its own one operand (win 1).
+    Iterative, so a chain of any length compiles to one n-ary closure."""
+    if type(n) not in _CHAIN_ROOTS:
+        return 1, [(n, c)]
+    out, stack, conj = [], [(n, c)], None
     while stack:
-        m = stack.pop()
-        while isinstance(m, Not) and isinstance(m.sub, Not):
-            m = m.sub.sub
+        m, c = stack.pop()
+        while type(m) is Context or type(m) is Not and type(m.sub) is Not:
+            m, c = (m.sub, m.vars) if type(m) is Context else (m.sub.sub, c)
+        if conj is None:
+            conj = is_and(m)
         if conj and is_and(m):
-            stack += (m.sub.right.sub, m.sub.left.sub)
+            stack += ((m.sub.right.sub, c), (m.sub.left.sub, c))
         elif not conj and isinstance(m, Or):
-            stack += (m.right, m.left)
+            stack += ((m.right, c), (m.left, c))
         else:
-            out.append(m)
-    return out
+            out.append((m, c))
+    return int(not conj), out
 
 
 def _memoized(raw, names: tuple[str, ...], memo: dict):
@@ -602,6 +628,41 @@ class _Program:
     walk restricted to the coordinates read; its keys are sub-tuples of the
     full ones and repeat no later.  Each compiled closure owns its memo.
 
+    Binders are compiled a block at a time (_block): the maximal run of one
+    kind of binder, exists ... exists or forall ... forall, over the
+    operands of its matrix's top h_and or Or chain, read through Context
+    nodes (each operand keeps its context) and Not(Not(.)) by _operands.
+    The block is built innermost binder first.  At binder v the operands
+    that do not depend on v move out, ahead of it and in their order, and
+    one quantifier closure over v takes the operands that do; a binder
+    that no operand reads disappears.  A past-free operand depends on its
+    free variables.  One with past below depends on every variable of the
+    block as well, since the definedness of a Yesterday or Since step reads
+    every stepped coordinate of c & dom, so it never leaves a binder of its
+    block.  A scoped quantifier closure depends on the free variables of
+    its operands minus v, or on every variable if a past operand sits under
+    it, and has its own per-run memo, keyed on those free variables
+    (variables bound outside the block included) or on the whole domain at
+    its place.  A block in which nothing moves is built as each binder over
+    its whole body, the closures of the unscoped rule.
+
+    Scoping is classical miniscoping (Nonnengart and Weidenbach, "Computing
+    Small Clause Normal Forms", 2001), and it holds in the three-valued
+    logic.  Every compiled closure's value is a function of the assignment;
+    a past-free node's depends only on its free variables' positions, the
+    premise its memo key already rests on.  Kleene & and | are min and max
+    in the order 0 < 2 < 1, and _quant is the max (exists) or min (forall)
+    of its body over the universe; these form a distributive lattice.  So
+    exists v. (A & B) = A & exists v. B when A does not read v, and the same
+    holds for exists over |, forall over & and forall over |, and for a
+    binder over a body that does not read it, over a nonempty universe.
+    Over no traces exists v. (A | B) is 0 and A | exists v. B is A, so a
+    block in which anything moved first returns its kind's value over no
+    traces, 0 for exists and 1 for forall, before it evaluates an operand
+    (a block that moved nothing starts with a quantifier, which does so
+    itself).  Hence every closure returns the unscoped rule's value,
+    unknown included, and no verdict changes.
+
     A run interns its assignment with the step-table owner and takes its
     quantifier starts from it, so the compiled closures only ever see owner
     points and memo keys by id(point) are sound (see the comment above
@@ -626,6 +687,8 @@ class _Program:
         self._root = self.compile(f, context, domain)
 
     def compile(self, n: Hyper, c: frozenset[str], dom: frozenset[str]):
+        if type(n) is Atom:  # cheaper to build than to look up
+            return _atom(n.prop, n.var)
         key = (id(n), c, dom)
         hit = self.built.get(key)
         if hit is None:
@@ -642,35 +705,94 @@ class _Program:
             self.per_run.append(memo)
         return _memoized(raw, tuple(sorted(dom)) if past else free, memo)
 
+    def _block(self, n: Exists | Forall, c: frozenset[str], dom: frozenset[str]):
+        """The maximal run of n's kind of binder from n, each scoped to the
+        operands of its matrix that read it (see _Program)."""
+        kind, win, binders, doms = type(n), int(type(n) is Exists), [], [dom]
+        while type(n) is kind:
+            binders.append(n)
+            doms.append(doms[-1] | {n.var})
+            n = n.sub
+        chain, ops = _operands(n, c)
+        facts, v = self.facts, binders[-1].var
+        # nothing moves when every operand has past below or reads the
+        # innermost binder, and the body of each outer binder reads it
+        for x, _ in ops:
+            free, h, _ = facts[id(x)]
+            if not h and v not in free:
+                break
+        else:
+            for b in binders[:-1]:
+                free, h, _ = facts[id(b.sub)]
+                if not h and b.var not in free:
+                    break
+            else:
+                if len(ops) == 1:  # directly: one frame less per nesting level
+                    body = self.compile(*ops[0], doms[-1])
+                else:
+                    body = _chain(tuple([self.compile(x, cx, doms[-1]) for x, cx in ops]), chain)
+                for j in range(len(binders) - 1, -1, -1):
+                    body = self._memo(binders[j], doms[j],
+                                      _quant(binders[j].var, body, self.starts, win))
+                return body
+        # (free, past, node, context) per operand, past being its horizon h,
+        # and (free, past, closure, None) per scoped quantifier
+        entries = [(*facts[id(x)][:2], x, cx) for x, cx in ops]
+        for j in range(len(binders) - 1, -1, -1):
+            v, inner, outer, reads, past = binders[j].var, [], [], set(), 0
+            for e in entries:
+                if e[1] or v in e[0]:
+                    inner.append(e)
+                    reads.update(e[0])
+                    past |= e[1]
+                else:
+                    outer.append(e)
+            if not inner:
+                continue  # no operand reads v
+            reads.discard(v)
+            free = tuple(sorted(reads))
+            subs = self._compiled(inner, doms[j + 1])
+            body = subs[0] if len(subs) == 1 else _chain(subs, chain)
+            memo: dict = {}
+            self.per_run.append(memo)
+            quant = _memoized(_quant(v, body, self.starts, win),
+                              tuple(sorted(doms[j])) if past else free, memo)
+            entries = outer + [(free, past, quant, None)]
+        subs = self._compiled(entries, dom)
+        if len(entries) == 1 and entries[0][3] is None:
+            return subs[0]  # a quantifier, which answers an empty universe itself
+        return _chain(subs, chain, self.starts, 1 - win)
+
+    def _compiled(self, entries: list, dom: frozenset[str]) -> tuple:
+        return tuple([x if cx is None else self.compile(x, cx, dom) for _, _, x, cx in entries])
+
     def _build(self, n: Hyper, c: frozenset[str], dom: frozenset[str]):
-        if isinstance(n, Atom):
-            return _atom(n.prop, n.var)
-        if isinstance(n, Top):
+        # dispatch on the exact class: no node class has a subclass
+        t = type(n)
+        if t is Top:
             return _holds
-        if isinstance(n, Not):
-            if is_and(n):
-                return _chain(tuple(self.compile(x, c, dom) for x in _operands(n)), 0)
-            if isinstance(n.sub, Not):
+        if t is Not and not is_and(n):
+            if type(n.sub) is Not:
                 return self.compile(n.sub.sub, c, dom)
             return _not(self.compile(n.sub, c, dom))
-        if isinstance(n, Or):
-            return _chain(tuple(self.compile(x, c, dom) for x in _operands(n)), 1)
-        if isinstance(n, Context):
+        if t is Not or t is Or:
+            win, ops = _operands(n, c)
+            return _chain(tuple([self.compile(x, cx, dom) for x, cx in ops]), win)
+        if t is Context:
             return self.compile(n.sub, n.vars, dom)
-        if isinstance(n, (Exists, Forall)):
-            sub = self.compile(n.sub, c, dom | {n.var})
-            return self._memo(n, dom, _quant(n.var, sub, self.starts, int(isinstance(n, Exists))))
+        if t is Exists or t is Forall:
+            return self._block(n, c, dom)
         # a past-free node steps only the coordinates it reads (see _Program)
         free, h, _ = self.facts[id(n)]
         eff = tuple(sorted(c & dom if h else c & dom & set(free)))
-        future = isinstance(n, (Next, Until))
+        future = t is Next or t is Until
         move = stutter.assign_succ if future else stutter.assign_pred
-        if isinstance(n, (Next, Yesterday)):
+        if t is Next or t is Yesterday:
             sub = self.compile(n.sub, c, dom)
             if not eff:
                 return sub
             return self._memo(n, dom, _step(move, n.gamma, eff, self.steps, sub))
-        if isinstance(n, (Until, Since)):
+        if t is Until or t is Since:
             right = self.compile(n.right, c, dom)
             if not eff:
                 # no coordinate moves, so position 0 decides

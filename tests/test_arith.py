@@ -351,7 +351,7 @@ def test_gadget_mul_examples():
     assert not verify_gadget("mul", 2, 2, 5, "context")
 
 
-@pytest.mark.parametrize("n3,holds,steps", [(21, True, 1283), (20, False, 1356)])
+@pytest.mark.parametrize("n3,holds,steps", [(21, True, 870), (20, False, 610)])
 def test_gadget_step_count_is_pinned(monkeypatch, n3, holds, steps):
     # the number of successor steps of one evaluation; an evaluator change
     # that walks further shows up here, not as timing noise
