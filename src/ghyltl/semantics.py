@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 from . import stutter
@@ -134,11 +135,25 @@ def hist(gamma: Gamma, f: Hyper) -> Hyper:
 # -- structural helpers -------------------------------------------------------
 
 
+_SUB, _PAIR = ("sub",), ("left", "right")
+
+# The operand fields of every node class with operands, for every family
+# (PLTL's Not and Or are the hyper and arithmetic ones too); a node of any
+# other class is a leaf.  No node class has a subclass, so lookups go by the
+# exact class.  The other fields of a class (gamma, vars, var) come before
+# its operands in its constructor, and rebuild keeps them.
+_OPERANDS = {Not: _SUB, Context: _SUB, Next: _SUB, Yesterday: _SUB, Exists: _SUB,
+             Forall: _SUB, Or: _PAIR, Until: _PAIR, Since: _PAIR}
+_KEPT = {cls: tuple(fd.name for fd in fields(cls) if fd.name not in ops)
+         for cls, ops in _OPERANDS.items()}
+
+
 def children(f) -> tuple:
     """Operands of any family's connectives, binders and operators; any other node is a leaf."""
-    if isinstance(f, (Not, Context, Next, Yesterday, Exists, Forall)):
+    ops = _OPERANDS.get(type(f))
+    if ops is _SUB:
         return (f.sub,)
-    if isinstance(f, (Or, Until, Since)):
+    if ops is _PAIR:
         return (f.left, f.right)
     return ()
 
@@ -146,34 +161,40 @@ def children(f) -> tuple:
 def rebuild(f, operands: Sequence):
     """The inverse of children: a new node of f's class over operands that
     keeps f's other fields (gamma, vars, var); a leaf is returned as is."""
-    if isinstance(f, (Not, Or)):
-        return type(f)(*operands)
-    if isinstance(f, (Next, Until, Yesterday, Since)):
-        return type(f)(f.gamma, *operands)
-    if isinstance(f, Context):
-        return Context(f.vars, *operands)
-    if isinstance(f, (Exists, Forall)):
-        return type(f)(f.var, *operands)
-    return f
+    kept = _KEPT.get(type(f))
+    if kept is None:
+        return f
+    return type(f)(*[getattr(f, k) for k in kept], *operands)
 
 
 def postorder(f) -> list:
     """Subformulas in postorder: children first, left to right, each shared
     node once, at its first occurrence.  The walk keeps its own stack, so
-    formula depth is not bounded by the interpreter's recursion limit."""
-    seen = {id(f)}
-    out = []
-    stack = [(f, iter(children(f)))]
+    formula depth is not bounded by the interpreter's recursion limit: a
+    node is expanded when first popped, and None below its children marks
+    where it is emitted."""
+    operands = _OPERANDS.get
+    seen, out, stack = set(), [], [f]
+    pop, push = stack.pop, stack.append
     while stack:
-        node, it = stack[-1]
-        for c in it:
-            if id(c) not in seen:
-                seen.add(id(c))
-                stack.append((c, iter(children(c))))
-                break
+        n = pop()
+        if n is None:
+            out.append(pop())
+            continue
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        ops = operands(type(n))
+        if ops is None:
+            out.append(n)
+            continue
+        push(n)
+        push(None)
+        if ops is _PAIR:
+            push(n.right)
+            push(n.left)
         else:
-            stack.pop()
-            out.append(node)
+            push(n.sub)
     return out
 
 
@@ -183,7 +204,11 @@ _FLIP = (0, 2, 1, 3)
 _SHAPES = ("exists", "exists", "forall", "mixed")
 
 
-def _facts(f: Hyper) -> tuple[dict, frozenset[str], frozenset, bool]:
+_LEAF = ((), 0, 0)
+_PLTL_ONLY = (pl.Atom, pl.Next, pl.Until, pl.Yesterday, pl.Since)
+
+
+def _facts(f: Hyper, leaves: bool = True) -> tuple[dict, frozenset[str], frozenset, bool]:
     """(nodes, names, gammas, contexts) from one postorder fold: per node id
     its sorted free variables (its child's tuple when they are the same),
     its past horizon h (the heaviest path at or below it, a Yesterday
@@ -193,35 +218,54 @@ def _facts(f: Hyper) -> tuple[dict, frozenset[str], frozenset, bool]:
     temporal index members, and whether a context operator occurs.  No other
     walk answers a structural query about a hyper formula, or the quantifier
     shape of an arithmetic one (its atoms are leaves); PLTL atoms and
-    temporal nodes, gamma members only, raise TypeError."""
+    temporal nodes, gamma members only, raise TypeError, and so does a node
+    of any class outside the hyper family when leaves is false (the
+    evaluator's fold, see EvalCache).  The fold dispatches on the exact
+    class and reads each node's operand fields itself (see _OPERANDS)."""
     nodes: dict[int, tuple[tuple[str, ...], int, int]] = {}
     names, gammas, contexts = set(), set(), False
     for n in postorder(f):
-        if isinstance(n, (pl.Atom, pl.Next, pl.Until, pl.Yesterday, pl.Since)):
-            raise TypeError(f"not a hyper formula node: {n!r}")
-        kids = children(n)
-        free, h, kinds = nodes[id(kids[0])] if kids else ((), 0, 0)
-        if len(kids) == 2:
-            rfree, rh, rkinds = nodes[id(kids[1])]
-            if rfree != free and not set(rfree) <= set(free):
-                free = tuple(sorted({*free, *rfree}))
-            h, kinds = max(h, rh), kinds | rkinds
-        if isinstance(n, Not):
-            kinds = _FLIP[kinds]
-        elif isinstance(n, Atom):
+        t = type(n)
+        if t is Not:
+            fact = nodes[id(n.sub)]
+            if fact[2] == 1 or fact[2] == 2:
+                fact = (fact[0], fact[1], _FLIP[fact[2]])
+        elif t is Or or t is Until or t is Since:
+            fact, right = nodes[id(n.left)], nodes[id(n.right)]
+            if right != fact:
+                (free, h, kinds), (rfree, rh, rkinds) = fact, right
+                if rfree != free and not set(rfree) <= set(free):
+                    free = tuple(sorted({*free, *rfree}))
+                fact = (free, max(h, rh), kinds | rkinds)
+            if t is not Or:
+                gammas.update(n.gamma)
+                if t is Since:
+                    fact = (fact[0], fact[1] + 2, fact[2])
+        elif t is Atom:
             names.add(n.var)
-            free = (n.var,)
-        elif isinstance(n, (Exists, Forall)):
-            names.add(n.var)
-            free = tuple(x for x in free if x != n.var)
-            kinds |= 1 if isinstance(n, Exists) else 2
-        elif isinstance(n, Context):
+            fact = ((n.var,), 0, 0)
+        elif t is Next or t is Yesterday:
+            gammas.update(n.gamma)
+            fact = nodes[id(n.sub)]
+            if t is Yesterday:
+                fact = (fact[0], fact[1] + 1, fact[2])
+        elif t is Context:
             names.update(n.vars)
             contexts = True
-        elif isinstance(n, (Next, Until, Yesterday, Since)):
-            gammas.update(n.gamma)
-            h += 2 if isinstance(n, Since) else isinstance(n, Yesterday)
-        nodes[id(n)] = (free, h, kinds)
+            fact = nodes[id(n.sub)]
+        elif t is Exists or t is Forall:
+            names.add(n.var)
+            free, h, kinds = nodes[id(n.sub)]
+            if n.var in free:
+                free = tuple([x for x in free if x != n.var])
+            fact = (free, h, kinds | (1 if t is Exists else 2))
+        elif t is Top:
+            fact = _LEAF
+        elif leaves and t not in _PLTL_ONLY:
+            fact = _LEAF
+        else:
+            raise TypeError(f"not a hyper formula node: {n!r}")
+        nodes[id(n)] = fact
     return nodes, frozenset(names), frozenset(gammas), contexts
 
 
@@ -339,15 +383,21 @@ Assignment = Mapping[str, PointedTrace]
 # (unknown); the Verdict object is built only at the top.  An Until hitting its
 # cutoff is the only bound evaluation has, so 2 always means "until-cutoff".
 #
-# Closures capture their children, memo dicts, constants and the step-table
-# owner, never the program (_Program), so a dropped program is freed by
-# reference counting.  Coordinates step through ``stutter.assign_succ`` or
+# A memoized closure (a Next, Yesterday, Until or Since step or walk, or a
+# quantifier) is made with a builder of its body and builds that body at its
+# first memo miss, so a run builds only the bodies it calls; boolean nodes,
+# atoms and the binder scoping are built eagerly.  Closures capture their
+# children, memo dicts, constants and the step-table owner, and builders the
+# program through one weak reference, never the program (_Program) itself,
+# so a dropped program is freed by reference counting, built bodies or not.
+# Coordinates step through ``stutter.assign_succ`` or
 # ``assign_pred`` with the owner (``stutter.StepTables``) of the program's
 # EvalCache: it hands out one pointed trace per (trace, position), keeps one
 # successor and one predecessor map per gamma, one changepoint-position table
 # per (trace, gamma) and the valuation-profile memos of every trace, for the
-# life of the cache.  The program reads the move function off the module
-# once and the closure keeps it, so a wrapper patched over
+# life of the cache.  The program reads the move functions off the module
+# once, when it is made, and every body it builds, during a run too, uses
+# that copy, so a wrapper patched over
 # ``stutter.assign_succ`` or ``assign_pred`` (a test's counter, a tracer) sees
 # the steps of exactly the programs built after it was put in place.  A step
 # names its coordinates in sorted order, so the maps a predecessor step fills
@@ -593,22 +643,31 @@ def _operands(n: Hyper, c: frozenset[str]) -> tuple[int, list[tuple[Hyper, froze
     return int(not conj), out
 
 
-def _memoized(raw, names: tuple[str, ...], memo: dict):
+def _memoized(make, names: tuple[str, ...], memo: dict):
+    # make builds the memoized closure at the first miss; until it has
+    # returned, the next miss calls it again
+    raw = None
     if len(names) == 1:
         (x,) = names
 
         def one(a):
+            nonlocal raw
             key = id(a[x])
             v = memo.get(key)
             if v is None:
+                if raw is None:
+                    raw = make()
                 v = memo[key] = raw(a)
             return v
         return one
 
     def many(a):
+        nonlocal raw
         key = tuple([id(a[x]) for x in names])
         v = memo.get(key)
         if v is None:
+            if raw is None:
+                raw = make()
             v = memo[key] = raw(a)
         return v
     return many
@@ -627,6 +686,11 @@ class _Program:
     defined and move each coordinate on its own, so that walk is the full
     walk restricted to the coordinates read; its keys are sub-tuples of the
     full ones and repeat no later.  Each compiled closure owns its memo.
+    A memoized closure builds its body at its first memo miss (_memoized),
+    through compile, so a node is still built at most once per context and
+    domain; its memo is registered when the closure is made, during a run
+    too, and the fold that refuses every node the program cannot build
+    (see EvalCache) covers the whole formula before any run.
 
     Binders are compiled a block at a time (_block): the maximal run of one
     kind of binder, exists ... exists or forall ... forall, over the
@@ -681,6 +745,8 @@ class _Program:
         self.starts: list[PointedTrace] = []
         self.built: dict[tuple, object] = {}
         self.per_run: list[dict] = []  # memos of nodes with a quantifier below
+        self._succ, self._pred = stutter.assign_succ, stutter.assign_pred
+        self._ref = weakref.ref(self)  # the builders' only way to the program
         missing = set(self.facts[id(f)][0]) - domain
         if missing:
             raise ValueError(f"free variables without bindings: {sorted(missing)}")
@@ -695,15 +761,15 @@ class _Program:
             hit = self.built[key] = self._build(n, c, dom)
         return hit
 
-    def _memo(self, n: Hyper, dom: frozenset[str], raw):
-        # compile builds each closure once, so this runs once per closure;
-        # free variables are always in dom (checked at the root, and every
-        # binder adds its own)
+    def _memo(self, n: Hyper, dom: frozenset[str], make):
+        # compile builds each closure once, so this runs once per closure,
+        # also when a body's builder makes it during a run; free variables
+        # are always in dom (checked at the root, and every binder adds its own)
         free, past, kinds = self.facts[id(n)]
         memo: dict = {}
         if kinds:
             self.per_run.append(memo)
-        return _memoized(raw, tuple(sorted(dom)) if past else free, memo)
+        return _memoized(make, tuple(sorted(dom)) if past else free, memo)
 
     def _block(self, n: Exists | Forall, c: frozenset[str], dom: frozenset[str]):
         """The maximal run of n's kind of binder from n, each scoped to the
@@ -714,11 +780,21 @@ class _Program:
             doms.append(doms[-1] | {n.var})
             n = n.sub
         chain, ops = _operands(n, c)
-        facts, v = self.facts, binders[-1].var
+        facts, v, ref, starts = self.facts, binders[-1].var, self._ref, self.starts
+        # (free, past, node, context) per operand, past being its horizon h,
+        # and (free, past, closure, None) per scoped quantifier
+        entries = [(*facts[id(x)][:2], x, cx) for x, cx in ops]
+
+        def quantifier(v: str, inner: list, dom: frozenset[str]):
+            # builds binder v over the chain of inner, at its first memo miss
+            def make():
+                subs = ref()._compiled(inner, dom)
+                return _quant(v, subs[0] if len(subs) == 1 else _chain(subs, chain), starts, win)
+            return make
+
         # nothing moves when every operand has past below or reads the
         # innermost binder, and the body of each outer binder reads it
-        for x, _ in ops:
-            free, h, _ = facts[id(x)]
+        for free, h, _, _ in entries:
             if not h and v not in free:
                 break
         else:
@@ -727,17 +803,11 @@ class _Program:
                 if not h and b.var not in free:
                     break
             else:
-                if len(ops) == 1:  # directly: one frame less per nesting level
-                    body = self.compile(*ops[0], doms[-1])
-                else:
-                    body = _chain(tuple([self.compile(x, cx, doms[-1]) for x, cx in ops]), chain)
                 for j in range(len(binders) - 1, -1, -1):
                     body = self._memo(binders[j], doms[j],
-                                      _quant(binders[j].var, body, self.starts, win))
+                                      quantifier(binders[j].var, entries, doms[j + 1]))
+                    entries = [(None, None, body, None)]
                 return body
-        # (free, past, node, context) per operand, past being its horizon h,
-        # and (free, past, closure, None) per scoped quantifier
-        entries = [(*facts[id(x)][:2], x, cx) for x, cx in ops]
         for j in range(len(binders) - 1, -1, -1):
             v, inner, outer, reads, past = binders[j].var, [], [], set(), 0
             for e in entries:
@@ -751,17 +821,15 @@ class _Program:
                 continue  # no operand reads v
             reads.discard(v)
             free = tuple(sorted(reads))
-            subs = self._compiled(inner, doms[j + 1])
-            body = subs[0] if len(subs) == 1 else _chain(subs, chain)
             memo: dict = {}
             self.per_run.append(memo)
-            quant = _memoized(_quant(v, body, self.starts, win),
+            quant = _memoized(quantifier(v, inner, doms[j + 1]),
                               tuple(sorted(doms[j])) if past else free, memo)
             entries = outer + [(free, past, quant, None)]
         subs = self._compiled(entries, dom)
         if len(entries) == 1 and entries[0][3] is None:
             return subs[0]  # a quantifier, which answers an empty universe itself
-        return _chain(subs, chain, self.starts, 1 - win)
+        return _chain(subs, chain, starts, 1 - win)
 
     def _compiled(self, entries: list, dom: frozenset[str]) -> tuple:
         return tuple([x if cx is None else self.compile(x, cx, dom) for _, _, x, cx in entries])
@@ -782,29 +850,34 @@ class _Program:
             return self.compile(n.sub, n.vars, dom)
         if t is Exists or t is Forall:
             return self._block(n, c, dom)
-        # a past-free node steps only the coordinates it reads (see _Program)
+        # Next, Until, Yesterday or Since (the fold refused every other
+        # class); a past-free node steps only the coordinates it reads (see
+        # _Program)
         free, h, _ = self.facts[id(n)]
         eff = tuple(sorted(c & dom if h else c & dom & set(free)))
-        future = t is Next or t is Until
-        move = stutter.assign_succ if future else stutter.assign_pred
         if t is Next or t is Yesterday:
-            sub = self.compile(n.sub, c, dom)
             if not eff:
-                return sub
-            return self._memo(n, dom, _step(move, n.gamma, eff, self.steps, sub))
-        if t is Until or t is Since:
-            right = self.compile(n.right, c, dom)
-            if not eff:
-                # no coordinate moves, so position 0 decides
-                return right
-            left = self.compile(n.left, c, dom)
-            key = None
-            if future and self.cfg.use_cycle_detection:
-                key = _config_key(eff, self.gammas, h + 1 if h else 0, self.canon, self.steps)
-            bound = range(self.cfg.until_cutoff + 1) if future else itertools.repeat(None)
-            return self._memo(n, dom, _walk(move, n.gamma, eff, self.steps, left, right,
-                                            bound, key))
-        raise TypeError(f"not a hyper formula node: {n!r}")
+                return self.compile(n.sub, c, dom)
+            move, steps, ref = self._succ if t is Next else self._pred, self.steps, self._ref
+            return self._memo(n, dom, lambda: _step(move, n.gamma, eff, steps,
+                                                    ref().compile(n.sub, c, dom)))
+        if not eff:
+            # no coordinate moves, so position 0 decides
+            return self.compile(n.right, c, dom)
+        future, ref = t is Until, self._ref
+
+        def make():
+            program = ref()
+            right = program.compile(n.right, c, dom)
+            left = program.compile(n.left, c, dom)
+            cfg, key = program.cfg, None
+            if future and cfg.use_cycle_detection:
+                key = _config_key(eff, program.gammas, h + 1 if h else 0, program.canon,
+                                  program.steps)
+            bound = range(cfg.until_cutoff + 1) if future else itertools.repeat(None)
+            return _walk(program._succ if future else program._pred, n.gamma, eff,
+                         program.steps, left, right, bound, key)
+        return self._memo(n, dom, make)
 
     def run(self, universe: Iterable[LassoTrace], a: dict[str, PointedTrace]) -> Verdict:
         steps = self.steps
@@ -829,6 +902,9 @@ class EvalCache:
     Entries are keyed on formula identity and hold the formula, so its id
     stays valid for the life of the cache.  Every structural query about a
     formula reads its one fold (see _facts), computed once per formula.
+    That fold also refuses every node class outside the hyper family, such as
+    an arithmetic atom, so a program's bodies, built during its runs, never
+    meet one, and a formula holding one is refused before any run.
     """
 
     def __init__(self) -> None:
@@ -839,7 +915,7 @@ class EvalCache:
     def _fold(self, f: Hyper) -> tuple:
         hit = self._folds.get(id(f))
         if hit is None:
-            hit = self._folds[id(f)] = (f, _facts(f))
+            hit = self._folds[id(f)] = (f, _facts(f, leaves=False))
         return hit[1]
 
     def all_vars(self, f: Hyper) -> frozenset[str]:

@@ -34,8 +34,8 @@ def _unscoped_build(real):
         if not isinstance(n, (hy.Exists, hy.Forall)):
             return real(self, n, c, dom)
         sub = self.compile(n.sub, c, dom | {n.var})
-        return self._memo(n, dom, hy._quant(n.var, sub, self.starts,
-                                            int(isinstance(n, hy.Exists))))
+        return self._memo(n, dom, lambda: hy._quant(n.var, sub, self.starts,
+                                                    int(isinstance(n, hy.Exists))))
     return build
 
 

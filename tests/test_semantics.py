@@ -369,20 +369,31 @@ def test_structural_queries_visit_shared_nodes_once(monkeypatch):
     for _ in range(18):
         f = hy.Or(f, f)
     f = hy.Forall("x", f)
-    calls = []
-    real = hy.children
+    calls, expanded = [], []
+    real = hy.postorder
 
     def counting(n):
-        calls.append(id(n))
-        return real(n)
+        out = real(n)
+        calls.extend(map(id, out))
+        return out
 
-    monkeypatch.setattr(hy, "children", counting)
+    class Operands(dict):
+        def get(self, cls, default=None):
+            expanded.append(cls)
+            return super().get(cls, default)
+
+    # the fold reads every node through the one walk, postorder, which looks
+    # up each node's operand fields once
+    monkeypatch.setattr(hy, "postorder", counting)
+    monkeypatch.setattr(hy, "_OPERANDS", Operands(hy._OPERANDS))
     for query, expected in [(hy.free_vars, frozenset()), (hy.quantifier_shape, "forall"),
                             (hy.all_vars, {"x"}), (hy.is_prenex, True)]:
         calls.clear()
+        expanded.clear()
         assert query(f) == expected
         visits = Counter(calls)
-        assert len(visits) == 20 and max(visits.values()) <= 2
+        assert len(visits) == 20 and max(visits.values()) == 1
+        assert len(expanded) == 20
 
 
 def test_long_conjunction_is_depth_safe():
@@ -834,7 +845,7 @@ def _wide_build(real):
         eff, move = tuple(sorted(c & dom)), ghyltl.stutter.assign_succ
         if isinstance(n, hy.Next):
             sub = self.compile(n.sub, c, dom)
-            return self._memo(n, dom, hy._step(move, n.gamma, eff, self.steps, sub)) \
+            return self._memo(n, dom, lambda: hy._step(move, n.gamma, eff, self.steps, sub)) \
                 if eff else sub
         right = self.compile(n.right, c, dom)
         if not eff:
@@ -842,8 +853,8 @@ def _wide_build(real):
         left = self.compile(n.left, c, dom)
         key = hy._config_key(eff, self.gammas, 1, self.canon, self.steps) \
             if self.cfg.use_cycle_detection else None
-        return self._memo(n, dom, hy._walk(move, n.gamma, eff, self.steps, left, right,
-                                           range(self.cfg.until_cutoff + 1), key))
+        return self._memo(n, dom, lambda: hy._walk(move, n.gamma, eff, self.steps, left, right,
+                                                   range(self.cfg.until_cutoff + 1), key))
     return build
 
 
