@@ -441,11 +441,9 @@ def check_prop(name: str, line: int = 1, col: int = 1) -> None:
     """Raise ParseError at (line, col) unless an atom can read the proposition
     name: it must be one identifier token other than ``true``, ``false`` and
     the operator names ``X Y F G O H U S``."""
-    try:
-        toks = tokenize(name) if isinstance(name, str) else []
-    except ParseError:
-        toks = []
-    if [t[:2] for t in toks] != [("id", name)]:
+    # \w+ is the tokenizer's identifier pattern, so a name matches it whole
+    # exactly when it tokenizes to the one identifier name
+    if not isinstance(name, str) or not re.fullmatch(r"\w+", name):
         raise ParseError(f"proposition name {name!r} is not a single identifier", line, col)
     if name in ("true", "false"):
         raise ParseError(f"proposition name {name!r} is reserved for a constant", line, col)

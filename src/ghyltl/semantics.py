@@ -216,12 +216,14 @@ def _facts(f: Hyper, leaves: bool = True) -> tuple[dict, frozenset[str], frozens
     the kinds of the quantifiers at or below it after negation polarity (0
     for none); then the variables of atoms, binders and context sets, the
     temporal index members, and whether a context operator occurs.  No other
-    walk answers a structural query about a hyper formula, or the quantifier
-    shape of an arithmetic one (its atoms are leaves); PLTL atoms and
-    temporal nodes, gamma members only, raise TypeError, and so does a node
-    of any class outside the hyper family when leaves is false (the
-    evaluator's fold, see EvalCache).  The fold dispatches on the exact
-    class and reads each node's operand fields itself (see _OPERANDS)."""
+    walk answers a structural query about a hyper formula (bounded_sat's
+    count of binder nodes, which it needs for exists-shaped sentences only,
+    is the one exception), or the quantifier shape of an arithmetic one (its
+    atoms are leaves); PLTL atoms and temporal nodes, gamma members only,
+    raise TypeError, and so does a node of any class outside the hyper
+    family when leaves is false (the evaluator's fold, see EvalCache).  The
+    fold dispatches on the exact class and reads each node's operand fields
+    itself (see _OPERANDS)."""
     nodes: dict[int, tuple[tuple[str, ...], int, int]] = {}
     names, gammas, contexts = set(), set(), False
     for n in postorder(f):
@@ -1011,24 +1013,58 @@ def bounded_sat(f: Hyper, max_traces: int, max_prefix: int, max_loop: int,
     """First trace set (by size, then lexicographic) satisfying the sentence.
 
     Candidates are the canonicalized lassos over ap within the bounds; None
-    when the search space is exhausted.  The sentence is compiled once and
-    shared by every candidate check.
+    when no candidate set of at most max_traces holds.  The first singleton
+    goes through check_traceset, which validates the sentence and compiles
+    it; every later set is one run of that cached program.
+
+    The search skips sets that cannot hold.  Only quantifiers read the
+    universe, and a quantifier is the max (exists) or min (forall) of its
+    body over it in the order fails < unknown < holds, which Kleene
+    connectives, steps and walks preserve.  So the verdict of a sentence
+    whose quantifiers are all existential after negation polarity (see
+    quantifier_shape) can only rise when the universe grows, and that of a
+    universal one can only fall.  Singletons are tried first, as for any
+    shape; when none holds:
+    - forall: a set that holds has singletons that hold, so None;
+    - exists: no set holds unless the set of all candidates does, so one
+      run over all of them, unless it holds, ends the search with None
+      (unknown included).  It tries up to N**k assignments for N candidates
+      and k binders; every one binds at most k traces, so when k <=
+      max_traces each is also tried by some set of the search and, when it
+      fails, the run costs about what the sets of two or more traces would
+      have.  Otherwise, and at max_traces 1, it is skipped.  k counts binder
+      nodes, an upper bound on the binders along any path.  A sentence with
+      a one-trace model never pays for this run; one whose first model has
+      two or more traces pays it on top of the search;
+    - mixed: every set is tried.
+    An evaluator that stops being monotone in the universe (a joint Since
+    closing a cycle early, say) could make this miss a model; None then
+    still reads as unknown, never as a wrong answer.
     """
     if max_traces < 1:
         raise ValueError("max_traces must be >= 1")
-    seen: set[LassoTrace] = set()
-    candidates: list[LassoTrace] = []
-    for t in enumerate_lassos(ap, max_prefix, max_loop):
-        n = normalize(t)
-        if n not in seen:
-            seen.add(n)
-            candidates.append(n)
-    candidates.sort(key=LassoTrace.sort_key)
+    # every lasso within the bounds normalizes to a canonical one within them,
+    # and normalize returns exactly those as is
+    candidates = [t for t in enumerate_lassos(ap, max_prefix, max_loop) if normalize(t) is t]
     cache = EvalCache()
-    for size in range(1, max_traces + 1):
-        for combo in itertools.combinations(candidates, size):
-            if check_traceset(list(combo), f, cfg, cache=cache).is_holds:
-                return list(combo)
+    if check_traceset(candidates[:1], f, cfg, cache=cache).is_holds:
+        return candidates[:1]
+    program = cache.program(f, cfg, cache.sentence_context(f), frozenset())
+    for t in candidates[1:]:
+        if program.run((t,), {}).is_holds:
+            return [t]
+    shape = _SHAPES[cache._fold(f)[0][id(f)][2]]
+    if shape == "forall" or max_traces == 1:
+        return None
+    # the binder count is the one structural query the fold does not answer
+    if shape == "exists" and sum(
+            type(n) is Exists or type(n) is Forall for n in postorder(f)) <= max_traces:
+        if not program.run(candidates, {}).is_holds:
+            return None
+    for size in range(2, max_traces + 1):
+        for s in itertools.combinations(candidates, size):
+            if program.run(s, {}).is_holds:
+                return list(s)
     return None
 
 

@@ -30,15 +30,16 @@ class LassoTrace:
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ap", frozenset(self.ap))
-        object.__setattr__(self, "prefix", tuple(_letter(p) for p in self.prefix))
-        object.__setattr__(self, "loop", tuple(_letter(p) for p in self.loop))
-        if not self.loop:
+        ap = frozenset(self.ap)
+        prefix, loop = tuple(map(frozenset, self.prefix)), tuple(map(frozenset, self.loop))
+        object.__setattr__(self, "ap", ap)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "loop", loop)
+        if not loop:
             raise ValueError("lasso loop must be nonempty")
-        for letter in itertools.chain(self.prefix, self.loop):
-            stray = letter - self.ap
-            if stray:
-                raise ValueError(f"letter mentions propositions outside ap: {sorted(stray)}")
+        if len(ap.union(*prefix, *loop)) != len(ap):
+            stray = next(s for s in (letter - ap for letter in prefix + loop) if s)
+            raise ValueError(f"letter mentions propositions outside ap: {sorted(stray)}")
 
     def letter(self, i: int) -> Letter:
         """Letter at position i of the denoted infinite trace."""
@@ -97,14 +98,17 @@ def normalize(t: LassoTrace) -> LassoTrace:
 
     Reduces the loop to its primitive root, then rolls trailing prefix letters
     into the loop.  Two lassos denote the same infinite word iff their
-    normalizations are equal.
+    normalizations are equal.  A lasso that already is canonical (a
+    primitive loop whose last letter differs from the prefix's) is returned
+    as is.
     """
-    loop = list(t.loop)
-    for d in range(1, len(loop) + 1):
-        if len(loop) % d == 0 and loop == loop[:d] * (len(loop) // d):
-            loop = loop[:d]
+    loop, n = t.loop, len(t.loop)
+    for d in range(1, n + 1):
+        if n % d == 0 and loop == loop[:d] * (n // d):
             break
-    prefix = list(t.prefix)
+    if d == n and not (t.prefix and t.prefix[-1] == loop[-1]):
+        return t  # already canonical
+    loop, prefix = list(loop[:d]), list(t.prefix)
     while prefix and prefix[-1] == loop[-1]:
         prefix.pop()
         loop = [loop[-1]] + loop[:-1]
@@ -126,20 +130,22 @@ def enumerate_lassos(ap: Iterable[str], max_prefix: int, max_loop: int) -> list[
     """All lasso representations with |prefix| <= max_prefix, 1 <= |loop| <= max_loop.
 
     Returns distinct representations (no canonicalization), in a deterministic
-    order: by prefix length, then loop length, then letters.
+    order: by prefix length, then loop length, then letters, which is
+    LassoTrace.sort_key order.  The letters are listed in the order of their
+    sorted members, so each product below runs in that order and nothing is
+    sorted afterwards.
     """
     if max_prefix < 0 or max_loop < 1:
         raise ValueError(f"need max_prefix >= 0 and max_loop >= 1, got {max_prefix}, {max_loop}")
     ap = frozenset(ap)
-    letters = [frozenset(c) for n in range(len(ap) + 1)
-               for c in itertools.combinations(sorted(ap), n)]
+    letters = sorted([frozenset(c) for n in range(len(ap) + 1)
+                      for c in itertools.combinations(sorted(ap), n)], key=sorted)
     out = []
     for a in range(max_prefix + 1):
-        for prefix in itertools.product(letters, repeat=a):
-            for b in range(1, max_loop + 1):
+        for b in range(1, max_loop + 1):
+            for prefix in itertools.product(letters, repeat=a):
                 for loop in itertools.product(letters, repeat=b):
                     out.append(LassoTrace(ap, prefix, loop))
-    out.sort(key=LassoTrace.sort_key)
     return out
 
 

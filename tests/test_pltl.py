@@ -160,6 +160,36 @@ def test_reserved_or_unreadable_proposition_names(name, problem):
         pl.check_prop(name, 3, 7)
 
 
+def test_check_prop_accepts_the_names_that_tokenize_to_themselves(monkeypatch):
+    # a name is readable when it tokenizes to the one identifier name;
+    # check_prop decides that without running the tokenizer
+    names = ["a", "a_1", "_b", "2", "\u00e9t\u00e9", "\u03b1\u03b2", "\u2115", "x\u0301",
+             "ab cd", " a", "a ", "a\n", "a\t", "", "(", "a-b", "a.b", "\u2200", "a\u200b", "X1"]
+    readable = {}
+    for name in names:
+        try:
+            toks = pl.tokenize(name)
+        except ParseError:
+            toks = []
+        readable[name] = [t[:2] for t in toks] == [("id", name)]
+    assert 0 < sum(readable.values()) < len(names)
+
+    def no_tokenizer(*args):
+        raise AssertionError("check_prop ran the tokenizer")
+
+    monkeypatch.setattr(pl, "tokenize", no_tokenizer)
+    for name in names:
+        if readable[name]:
+            pl.check_prop(name)
+        else:
+            with pytest.raises(ParseError, match="is not a single identifier"):
+                pl.check_prop(name, 2, 5)
+    for name in (5, None, b"p", ("p",)):
+        with pytest.raises(ParseError, match="is not a single identifier") as exc:
+            pl.check_prop(name, 2, 5)
+        assert (exc.value.line, exc.value.col) == (2, 5)
+
+
 def test_any_identifier_is_a_proposition_name():
     assert parse_pltl("a_1 & _b & 2", {"a_1", "_b", "2"}) == \
         pl.p_and(pl.p_and(pl.Atom("a_1"), pl.Atom("_b")), pl.Atom("2"))

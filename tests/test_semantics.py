@@ -241,24 +241,40 @@ def test_tautology_guard_is_constant():
 
 
 def test_bounded_sat_compiles_once(monkeypatch):
-    programs, checks = [], []
-    real_program, real_check = hy._Program, hy.check_traceset
-
-    def counting_program(*args):
-        programs.append(1)
-        return real_program(*args)
-
-    def counting_check(*args, **kwargs):
-        checks.append(1)
-        return real_check(*args, **kwargs)
-
-    monkeypatch.setattr(hy, "_Program", counting_program)
-    monkeypatch.setattr(hy, "check_traceset", counting_check)
-    f = parse_hyper("exists x. p_x & !p_x", {"p"})
-    assert bounded_sat(f, 2, 1, 1, {"p"}) is None
+    # one program and one check_traceset per search, then one run per
+    # candidate set the shape leaves to try
     n = len({normalize(t) for t in enumerate_lassos({"p"}, 1, 1)})
-    assert len(programs) == 1
-    assert len(checks) == n + math.comb(n, 2)
+    shapes = [
+        # exists with one binder <= max_traces: the singletons, then one
+        # run over every candidate
+        ("exists x. p_x & !p_x", n + 1),
+        # forall: the singletons only
+        ("forall x. p_x & !p_x", n),
+        # mixed: every set of up to two candidates
+        ("(exists x. p_x & !p_x) & (forall y. p_y)", n + math.comb(n, 2)),
+    ]
+    real_program, real_check, real_run = hy._Program, hy.check_traceset, hy._Program.run
+    for text, runs in shapes:
+        programs, checks, run_calls = [], [], []
+
+        def counting_program(*args):
+            programs.append(1)
+            return real_program(*args)
+
+        def counting_check(*args, **kwargs):
+            checks.append(1)
+            return real_check(*args, **kwargs)
+
+        def counting_run(self, *args):
+            run_calls.append(1)
+            return real_run(self, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(hy._Program, "run", counting_run)
+            m.setattr(hy, "_Program", counting_program)
+            m.setattr(hy, "check_traceset", counting_check)
+            assert bounded_sat(parse_hyper(text, {"p"}), 2, 1, 1, {"p"}) is None
+        assert (len(programs), len(checks), len(run_calls)) == (1, 1, runs), text
 
 
 # Counts the changepoint profiles one bounded_sat builds; the last conjunct

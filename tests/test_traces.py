@@ -41,6 +41,24 @@ def test_trace_validation():
         LassoTrace(frozenset(), (), ())
 
 
+def test_stray_propositions_are_named_from_the_first_offending_letter():
+    with pytest.raises(ValueError, match=r"outside ap: \['q'\]$"):
+        lasso({"p"}, [{"p"}, {"q", "p"}, {"r"}], [{"s"}])
+    with pytest.raises(ValueError, match=r"outside ap: \['s', 't'\]$"):
+        lasso({"p"}, [{"p"}], [set(), {"t", "s", "p"}, {"r"}])
+
+
+def test_enumerate_lassos_come_in_sort_key_order():
+    for ap, bounds in [((), (2, 2)), (("p",), (3, 2)), (("q", "p", "r"), (2, 2)),
+                       (("b", "a_1", "a"), (1, 3))]:
+        out = enumerate_lassos(ap, *bounds)
+        keys = [t.sort_key() for t in out]
+        assert keys == sorted(set(keys)), ap
+        letters = 2 ** len(ap)
+        assert len(out) == sum(letters ** a for a in range(bounds[0] + 1)) * \
+            sum(letters ** b for b in range(1, bounds[1] + 1))
+
+
 def test_enumerate_lassos_counts():
     assert len(enumerate_lassos(set(), 0, 1)) == 1
     assert len(enumerate_lassos({"hash"}, 0, 1)) == 2
@@ -67,6 +85,32 @@ def test_normalize_preserves_letters():
         n = normalize(t)
         for i in range(len(t.prefix) + 3 * len(t.loop) + 3):
             assert t.letter(i) == n.letter(i)
+
+
+def _normalize_by_rebuilding(t):
+    """normalize as it was before canonical lassos were returned as is."""
+    loop = list(t.loop)
+    for d in range(1, len(loop) + 1):
+        if len(loop) % d == 0 and loop == loop[:d] * (len(loop) // d):
+            loop = loop[:d]
+            break
+    prefix = list(t.prefix)
+    while prefix and prefix[-1] == loop[-1]:
+        prefix.pop()
+        loop = [loop[-1]] + loop[:-1]
+    return LassoTrace(t.ap, tuple(prefix), tuple(loop), t.name)
+
+
+def test_normalize_returns_a_canonical_lasso_as_is():
+    lassos = enumerate_lassos({"p", "q"}, 2, 3)
+    assert len(lassos) == 21 * 84
+    kept = 0
+    for t in lassos:
+        n, want = normalize(t), _normalize_by_rebuilding(t)
+        assert n == want and (n is t) == (want == t), t
+        assert normalize(n) is n
+        kept += n is t
+    assert 0 < kept < len(lassos)
 
 
 def test_pointwise_union():
