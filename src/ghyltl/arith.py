@@ -18,6 +18,7 @@ multiplicand.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import astuple, dataclass
 from typing import Iterable, Sequence
@@ -752,9 +753,29 @@ def _gadget(relation: str, encoding: str, strict_fidelity: bool = False) -> tupl
     return _RELATIONS[relation](*_GADGET_VARS), _compiler(encoding, _GADGET_VARS, strict_fidelity)
 
 
+def _fidelity_normalized(table):
+    """table, called with strict_fidelity as the bool its encoding reads:
+    False for stutter, which ignores it.  Its __wrapped__ is table's
+    builder, the one that builds a new formula on every call."""
+    @functools.wraps(table)
+    def normalized(relation: str, encoding: str, strict_fidelity: bool = False) -> hy.Hyper:
+        return table(relation, encoding, encoding != "stutter" and bool(strict_fidelity))
+    normalized.__wrapped__ = table.__wrapped__
+    return normalized
+
+
+@_fidelity_normalized
+@functools.cache
 def gadget_formula(relation: str, encoding: str, strict_fidelity: bool = False) -> hy.Hyper:
     """The compiled atom formula for y1 (+|*) y2 = y3, with free trace
-    variables x_y1, x_y2, x_y3."""
+    variables x_y1, x_y2, x_y3.
+
+    A table of constants like cli.build_parser, not a data cache: the
+    formula depends on names only, never on the gadget's values, so it is
+    built once per process and kept with the fold it carries (see
+    semantics._fold_of), and no trace, point or program.  strict_fidelity
+    is read as a bool, and as False for stutter, so the table holds at most
+    six immutable formulas; an unknown name raises and adds none."""
     atom, comp = _gadget(relation, encoding, strict_fidelity)
     return comp.compile(atom)
 
@@ -792,17 +813,20 @@ def verify_gadget(relation: str, n1: int, n2: int, n3: int, encoding: str,
                   cfg: EvalConfig | None = None,
                   strict_fidelity: bool = False) -> bool:
     """Evaluate the compiled addition/multiplication gadget on directly
-    constructed witness traces; True iff the gadget accepts (n1, n2, n3)."""
+    constructed witness traces; True iff the gadget accepts (n1, n2, n3).
+
+    The formula and its fold, which gives its variables, are built by the
+    first call per (relation, encoding, strict_fidelity) in a process; each
+    call compiles and runs it under a fresh EvalCache, so no program, trace
+    or point outlives the call."""
     _gadget(relation, encoding)  # an unknown name raises first
     if min(n1, n2, n3) < 0:
         raise ValueError("gadget arguments must be nonnegative")
     formula = gadget_formula(relation, encoding, strict_fidelity)
     assignment = gadget_assignment(encoding, n1, n2, n3)
     universe = gadget_universe(relation, encoding, n1, n2, n3)
-    cache = hy.EvalCache()
-    context = cache.all_vars(formula) | set(assignment)
-    verdict = evaluate(universe, assignment, context, formula,
-                       cfg or EvalConfig(), cache=cache)
+    context = hy.all_vars(formula) | set(assignment)
+    verdict = evaluate(universe, assignment, context, formula, cfg or EvalConfig())
     if verdict.is_unknown:
         raise GadgetBoundError(f"gadget evaluation hit a bound: {verdict.reason}")
     return verdict.is_holds

@@ -22,9 +22,17 @@ from .traces import LassoTrace
 
 
 class Pltl:
-    """Base class for PLTL AST nodes."""
+    """Base class for PLTL AST nodes.
+
+    A node that roots a hyper or arithmetic formula keeps that formula's
+    structural fold in its instance dict (see semantics._fold_of).  The fold
+    names nodes by id, so __getstate__ leaves it out: a copy, deep copy or
+    unpickled node folds itself anew."""
 
     __slots__ = ()
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_fold"}
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,11 @@ EMPTY_GAMMA: Gamma = frozenset()
 
 class Hyper:
     """Base class for hyper formula AST nodes.  True, negation and disjunction
-    are pltl's TRUE, Not and Or, shared by every family."""
+    are pltl's TRUE, Not and Or, shared by every family.  Like theirs, a
+    node's copies leave out the fold it keeps (see pltl.Pltl)."""
 
     __slots__ = ()
+    __getstate__ = pl.Pltl.__getstate__
 
 
 @dataclass(frozen=True)
@@ -208,7 +210,13 @@ _LEAF = ((), 0, 0)
 _PLTL_ONLY = (pl.Atom, pl.Next, pl.Until, pl.Yesterday, pl.Since)
 
 
-def _facts(f: Hyper, leaves: bool = True) -> tuple[dict, frozenset[str], frozenset, bool]:
+class _Fold(tuple):
+    """(nodes, names, gammas, contexts) of one fold (see _facts), and its
+    attribute foreign: the first node outside the hyper family in
+    postorder, or None."""
+
+
+def _facts(f: Hyper) -> _Fold:
     """(nodes, names, gammas, contexts) from one postorder fold: per node id
     its sorted free variables (its child's tuple when they are the same),
     its past horizon h (the heaviest path at or below it, a Yesterday
@@ -219,13 +227,15 @@ def _facts(f: Hyper, leaves: bool = True) -> tuple[dict, frozenset[str], frozens
     walk answers a structural query about a hyper formula (bounded_sat's
     count of binder nodes, which it needs for exists-shaped sentences only,
     is the one exception), or the quantifier shape of an arithmetic one (its
-    atoms are leaves); PLTL atoms and temporal nodes, gamma members only,
-    raise TypeError, and so does a node of any class outside the hyper
-    family when leaves is false (the evaluator's fold, see EvalCache).  The
-    fold dispatches on the exact class and reads each node's operand fields
-    itself (see _OPERANDS)."""
+    atoms are leaves).  PLTL atoms and temporal nodes, gamma members only,
+    raise TypeError.  A node of any other class outside the hyper family is
+    a leaf, and the first one is kept as the fold's foreign node, which the
+    evaluator refuses (see EvalCache).  The fold dispatches on the exact
+    class and reads each node's operand fields itself (see _OPERANDS).
+
+    Queries read the fold through _fold_of, which keeps it on the formula."""
     nodes: dict[int, tuple[tuple[str, ...], int, int]] = {}
-    names, gammas, contexts = set(), set(), False
+    names, gammas, contexts, foreign = set(), set(), False, None
     for n in postorder(f):
         t = type(n)
         if t is Not:
@@ -263,22 +273,50 @@ def _facts(f: Hyper, leaves: bool = True) -> tuple[dict, frozenset[str], frozens
             fact = (free, h, kinds | (1 if t is Exists else 2))
         elif t is Top:
             fact = _LEAF
-        elif leaves and t not in _PLTL_ONLY:
-            fact = _LEAF
-        else:
+        elif t in _PLTL_ONLY:
             raise TypeError(f"not a hyper formula node: {n!r}")
+        else:
+            fact = _LEAF
+            if foreign is None:
+                foreign = n
         nodes[id(n)] = fact
-    return nodes, frozenset(names), frozenset(gammas), contexts
+    fold = _Fold((nodes, frozenset(names), frozenset(gammas), contexts))
+    fold.foreign = foreign
+    return fold
+
+
+def _fold_of(f: Hyper) -> _Fold:
+    """f's fold, computed at the first query about f and kept on f for its
+    lifetime, as PointedTrace keeps its letter.  The formula owns it: its
+    node ids stay valid while f holds its subformulas, and a copy of f
+    does not inherit it (see pltl.Pltl).  A root outside the hyper family
+    (an arithmetic atom) keeps nothing; its fold is one node."""
+    try:
+        return f._fold
+    except AttributeError:
+        pass
+    fold = _facts(f)
+    if isinstance(f, (Hyper, pl.Pltl)):
+        object.__setattr__(f, "_fold", fold)
+    return fold
+
+
+def _hyper_fold(f: Hyper) -> _Fold:
+    """f's fold, after refusing a formula that holds a foreign node."""
+    fold = _fold_of(f)
+    if fold.foreign is not None:
+        raise TypeError(f"not a hyper formula node: {fold.foreign!r}")
+    return fold
 
 
 def free_vars(f: Hyper) -> frozenset[str]:
     """Variables read by atoms and not bound by a quantifier above the read."""
-    return frozenset(_facts(f)[0][id(f)][0])
+    return frozenset(_fold_of(f)[0][id(f)][0])
 
 
 def all_vars(f: Hyper) -> frozenset[str]:
     """Every variable mentioned anywhere: atoms, binders, and context sets."""
-    return _facts(f)[1]
+    return _fold_of(f)[1]
 
 
 def strip_prefix(f: Hyper) -> tuple[list[tuple[str, str]], Hyper]:
@@ -291,14 +329,14 @@ def strip_prefix(f: Hyper) -> tuple[list[tuple[str, str]], Hyper]:
 
 
 def is_prenex(f: Hyper) -> bool:
-    return not _facts(f)[0][id(strip_prefix(f)[1])][2]
+    return not _fold_of(f)[0][id(strip_prefix(f)[1])][2]
 
 
 def quantifier_shape(f) -> str:
     """'exists' when every quantifier occurrence of a hyper or arithmetic
     formula is existential after negation polarity, 'forall' dually, else
     'mixed'."""
-    return _SHAPES[_facts(f)[0][id(f)][2]]
+    return _SHAPES[_fold_of(f)[0][id(f)][2]]
 
 
 def bounded_answer_sound(f, holds: bool) -> bool:
@@ -317,7 +355,7 @@ def bounded_answer_sound(f, holds: bool) -> bool:
 
 def fragment_of(f: Hyper) -> str:
     """Most specific of HyperLTL, HyperLTL_S, HyperLTL_C, GHyLTL_S+C."""
-    nodes, _, gammas, contexts = _facts(f)
+    nodes, _, gammas, contexts = _fold_of(f)
     if nodes[id(strip_prefix(f)[1])][2] or nodes[id(f)][1]:
         return "GHyLTL_S+C"  # not prenex, or not past-free
     if not gammas:
@@ -691,8 +729,8 @@ class _Program:
     A memoized closure builds its body at its first memo miss (_memoized),
     through compile, so a node is still built at most once per context and
     domain; its memo is registered when the closure is made, during a run
-    too, and the fold that refuses every node the program cannot build
-    (see EvalCache) covers the whole formula before any run.
+    too, and the fold, whose refusals of every node the program cannot
+    build (see EvalCache) cover the whole formula, is read before any run.
 
     Binders are compiled a block at a time (_block): the maximal run of one
     kind of binder, exists ... exists or forall ... forall, over the
@@ -739,7 +777,7 @@ class _Program:
     """
 
     def __init__(self, f: Hyper, cfg: EvalConfig, context: frozenset[str],
-                 domain: frozenset[str], fold: tuple, steps: stutter.StepTables):
+                 domain: frozenset[str], fold: _Fold, steps: stutter.StepTables):
         self.cfg = cfg
         self.steps = steps
         self.facts, self.gammas = fold[0], tuple(fold[2])
@@ -852,9 +890,9 @@ class _Program:
             return self.compile(n.sub, n.vars, dom)
         if t is Exists or t is Forall:
             return self._block(n, c, dom)
-        # Next, Until, Yesterday or Since (the fold refused every other
-        # class); a past-free node steps only the coordinates it reads (see
-        # _Program)
+        # Next, Until, Yesterday or Since (every other class was refused
+        # with the fold); a past-free node steps only the coordinates it
+        # reads (see _Program)
         free, h, _ = self.facts[id(n)]
         eff = tuple(sorted(c & dom if h else c & dom & set(free)))
         if t is Next or t is Yesterday:
@@ -902,40 +940,30 @@ class EvalCache:
     (changepoint steps and valuation-profile memos) that they all use.
 
     Entries are keyed on formula identity and hold the formula, so its id
-    stays valid for the life of the cache.  Every structural query about a
-    formula reads its one fold (see _facts), computed once per formula.
-    That fold also refuses every node class outside the hyper family, such as
-    an arithmetic atom, so a program's bodies, built during its runs, never
-    meet one, and a formula holding one is refused before any run.
+    stays valid for the life of the cache.  Programs read the fold the
+    formula keeps (see _fold_of), so a formula evaluated under many caches
+    is folded once.  program and sentence_context refuse a formula whose
+    fold records a node outside the hyper family, such as an arithmetic
+    atom, so a program's bodies, built during its runs, never meet one, and
+    the refusal comes before any run.
     """
 
     def __init__(self) -> None:
         self.steps = stutter.StepTables()
         self._programs: dict[tuple, tuple[Hyper, _Program]] = {}
-        self._folds: dict[int, tuple[Hyper, tuple]] = {}
-
-    def _fold(self, f: Hyper) -> tuple:
-        hit = self._folds.get(id(f))
-        if hit is None:
-            hit = self._folds[id(f)] = (f, _facts(f, leaves=False))
-        return hit[1]
-
-    def all_vars(self, f: Hyper) -> frozenset[str]:
-        """all_vars(f), from the fold."""
-        return self._fold(f)[1]
 
     def program(self, f: Hyper, cfg: EvalConfig, context: frozenset[str],
                 domain: frozenset[str]) -> _Program:
         key = (id(f), cfg, context, domain)
         hit = self._programs.get(key)
         if hit is None:
-            program = _Program(f, cfg, context, domain, self._fold(f), self.steps)
+            program = _Program(f, cfg, context, domain, _hyper_fold(f), self.steps)
             hit = self._programs[key] = (f, program)
         return hit[1]
 
     def sentence_context(self, f: Hyper) -> frozenset[str]:
         """Every variable of the sentence f, after checking it is one."""
-        nodes, var, _, _ = self._fold(f)
+        nodes, var, _, _ = _hyper_fold(f)
         free = nodes[id(f)][0]
         if free:
             raise ValueError(f"not a sentence; free variables {list(free)}")
@@ -1053,7 +1081,7 @@ def bounded_sat(f: Hyper, max_traces: int, max_prefix: int, max_loop: int,
     for t in candidates[1:]:
         if program.run((t,), {}).is_holds:
             return [t]
-    shape = _SHAPES[cache._fold(f)[0][id(f)][2]]
+    shape = quantifier_shape(f)
     if shape == "forall" or max_traces == 1:
         return None
     # the binder count is the one structural query the fold does not answer

@@ -20,6 +20,13 @@ def _letter(props: Iterable[str]) -> Letter:
     return frozenset(props)
 
 
+def _letters(letters: Iterable[Iterable[str]]) -> tuple[Letter, ...]:
+    """letters as a tuple of frozensets: letters itself when it is one."""
+    if type(letters) is tuple and all(type(l) is frozenset for l in letters):
+        return letters
+    return tuple(map(frozenset, letters))
+
+
 @dataclass(frozen=True)
 class LassoTrace:
     """Ultimately periodic trace ``prefix . loop^omega`` over the alphabet 2^ap."""
@@ -30,11 +37,15 @@ class LassoTrace:
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        ap = frozenset(self.ap)
-        prefix, loop = tuple(map(frozenset, self.prefix)), tuple(map(frozenset, self.loop))
-        object.__setattr__(self, "ap", ap)
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "loop", loop)
+        # frozenset returns a frozenset as is; a field is set again only
+        # when converting changed it
+        ap, prefix, loop = frozenset(self.ap), _letters(self.prefix), _letters(self.loop)
+        if ap is not self.ap:
+            object.__setattr__(self, "ap", ap)
+        if prefix is not self.prefix:
+            object.__setattr__(self, "prefix", prefix)
+        if loop is not self.loop:
+            object.__setattr__(self, "loop", loop)
         if not loop:
             raise ValueError("lasso loop must be nonempty")
         if len(ap.union(*prefix, *loop)) != len(ap):

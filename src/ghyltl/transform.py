@@ -33,7 +33,7 @@ from typing import Iterable, Iterator
 from .pltl import TRUE, Not, Or, Top
 from .semantics import (
     EMPTY_GAMMA, Atom, Context, Exists, Forall, Hyper, Next, Since,
-    Until, Yesterday, _facts, all_vars, alw, children, ev, h_all, h_and, h_implies,
+    Until, Yesterday, _fold_of, all_vars, alw, children, ev, h_all, h_and, h_implies,
     once, postorder, rebuild, strip_prefix,
 )
 from .traces import LassoTrace, spike_trace
@@ -183,7 +183,7 @@ def hoist_prenex(f: Hyper) -> Hyper:
     a temporal operator; that case needs prenexify.
     """
     f = alpha_unique(f)
-    nodes = _facts(f)[0]
+    nodes = _fold_of(f)[0]
 
     def walk(n: Hyper) -> tuple[_Prefix, Hyper]:
         if isinstance(n, _BOOLEAN):
@@ -209,7 +209,7 @@ def prenexify(f: Hyper, ap: Iterable[str]) -> Hyper:
     Non-prenex input is rewritten over ap + {hash}; its evaluation needs the
     position traces added to the model (see pos_traces).
     """
-    nodes, names = _facts(f)[:2]
+    nodes, names = _fold_of(f)[:2]
     if nodes[id(f)][0]:
         raise ValueError(f"not a sentence; free variables {list(nodes[id(f)][0])}")
     if not nodes[id(strip_prefix(f)[1])][2]:

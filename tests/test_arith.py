@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from collections import Counter
 
@@ -365,6 +366,62 @@ def test_gadget_step_count_is_pinned(monkeypatch, n3, holds, steps):
     monkeypatch.setattr(stutter, "assign_succ", counting)
     assert verify_gadget("mul", 3, 7, n3, "context") is holds
     assert len(calls) == steps
+
+
+def _fresh_gadget(relation, n1, n2, n3, encoding, strict):
+    """verify_gadget without anything kept: the unmemoized builder, a fresh
+    fold for the context and a fresh evaluation."""
+    formula = gadget_formula.__wrapped__(relation, encoding, strict)
+    assert formula is not gadget_formula(relation, encoding, strict)
+    assignment = gadget_assignment(encoding, n1, n2, n3)
+    universe = arith.gadget_universe(relation, encoding, n1, n2, n3)
+    context = hy._facts(formula)[1] | set(assignment)
+    return evaluate(universe, assignment, context, formula).is_holds
+
+
+def test_gadget_reuse_matches_a_fresh_build():
+    for relation in ("add", "mul"):
+        for encoding in ("stutter", "context"):
+            for strict in (False, True):
+                for n1, n2, n3 in itertools.product(range(4), range(4), range(7)):
+                    got = verify_gadget(relation, n1, n2, n3, encoding, strict_fidelity=strict)
+                    assert got == _fresh_gadget(relation, n1, n2, n3, encoding, strict), \
+                        (relation, encoding, strict, n1, n2, n3)
+
+
+def test_gadget_formula_is_one_constant_per_normalized_key():
+    table = {}
+    for relation in ("add", "mul"):
+        for encoding in ("stutter", "context"):
+            for strict in (False, True, 0, 1, None, "yes"):
+                f = gadget_formula(relation, encoding, strict)
+                assert f is gadget_formula(relation, encoding, strict_fidelity=strict)
+                assert f == gadget_formula.__wrapped__(relation, encoding, bool(strict))
+                table.setdefault(id(f), f)
+            assert gadget_formula(relation, encoding) is gadget_formula(relation, encoding, False)
+    # stutter ignores strict_fidelity: six formulas in all
+    assert len(table) == 6
+    assert gadget_formula("mul", "stutter", True) is gadget_formula("mul", "stutter")
+
+
+def test_a_second_gadget_call_folds_and_builds_nothing(monkeypatch):
+    verify_gadget("mul", 3, 7, 21, "context")
+    folds, builds = [], []
+    real_facts, real_compile = hy._facts, arith._Compiler.compile
+
+    def facts(*args, **kwargs):
+        folds.append(args[0])
+        return real_facts(*args, **kwargs)
+
+    def compile_(self, f):
+        builds.append(f)
+        return real_compile(self, f)
+
+    monkeypatch.setattr(hy, "_facts", facts)
+    monkeypatch.setattr(arith._Compiler, "compile", compile_)
+    assert verify_gadget("mul", 3, 7, 21, "context")
+    assert not verify_gadget("mul", 2, 5, 11, "context")
+    assert folds == [] and builds == []
 
 
 def test_gadget_zero_annihilator():

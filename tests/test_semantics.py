@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -380,11 +381,14 @@ def test_chains_stop_at_the_first_decisive_operand(monkeypatch):
     assert len(steps) == 41
 
 
-def test_structural_queries_visit_shared_nodes_once(monkeypatch):
+def _shared_or_tower():
     f = hy.Atom("p", "x")
     for _ in range(18):
         f = hy.Or(f, f)
-    f = hy.Forall("x", f)
+    return hy.Forall("x", f)
+
+
+def test_structural_queries_visit_shared_nodes_once(monkeypatch):
     calls, expanded = [], []
     real = hy.postorder
 
@@ -399,17 +403,26 @@ def test_structural_queries_visit_shared_nodes_once(monkeypatch):
             return super().get(cls, default)
 
     # the fold reads every node through the one walk, postorder, which looks
-    # up each node's operand fields once
+    # up each node's operand fields once; each query runs on its own
+    # never-folded tower, and the formula keeps the fold for every later
+    # query, which walks nothing
     monkeypatch.setattr(hy, "postorder", counting)
     monkeypatch.setattr(hy, "_OPERANDS", Operands(hy._OPERANDS))
-    for query, expected in [(hy.free_vars, frozenset()), (hy.quantifier_shape, "forall"),
-                            (hy.all_vars, {"x"}), (hy.is_prenex, True)]:
+    queries = [(hy.free_vars, frozenset()), (hy.quantifier_shape, "forall"),
+               (hy.all_vars, {"x"}), (hy.is_prenex, True)]
+    for query, expected in queries:
+        f = _shared_or_tower()
         calls.clear()
         expanded.clear()
         assert query(f) == expected
         visits = Counter(calls)
         assert len(visits) == 20 and max(visits.values()) == 1
         assert len(expanded) == 20
+        calls.clear()
+        expanded.clear()
+        for again, want in queries:
+            assert again(f) == want
+        assert calls == [] and expanded == []
 
 
 def test_long_conjunction_is_depth_safe():
@@ -1271,6 +1284,33 @@ def test_fold_matches_the_separate_walks():
         memo = {}
         for n in walk:
             assert nodes[id(n)][0] == tuple(sorted(ref_free(n, memo)))
+
+
+_COPY_TEXT = "forall x. exists y. C{x,y} F[p] (p_x & X[] q_y) | !(O[q] p_x & G[] (exists z. q_z))"
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                    lambda f: pickle.loads(pickle.dumps(f))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_copy_of_a_folded_formula_folds_itself(copier):
+    # the fold names nodes by id, so a copy that kept its original's would
+    # read ids of the original's nodes, dropped and reused below
+    universe = [lasso(AP, [{"p"}], [{"q"}, set()]), lasso(AP, [], [{"p", "q"}])]
+    queries = [hy.free_vars, hy.quantifier_shape, fragment_of,
+               lambda g: check_traceset(universe, g)]
+    f = parse_hyper(_COPY_TEXT, AP)
+    folded = [query(f) for query in queries]
+    copies = [copier(f) for _ in range(3)]
+    del f
+    garbage = [parse_hyper(_COPY_TEXT, AP) for _ in range(20)]
+    gc.collect()
+    fresh = parse_hyper(_COPY_TEXT, AP)
+    want = [query(fresh) for query in queries]
+    assert want == folded
+    for g in copies:
+        assert g == fresh
+        assert [query(g) for query in queries] == want
+    del garbage
 
 
 # -- interned pointed traces --------------------------------------------------

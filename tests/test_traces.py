@@ -48,6 +48,18 @@ def test_stray_propositions_are_named_from_the_first_offending_letter():
         lasso({"p"}, [{"p"}], [set(), {"t", "s", "p"}, {"r"}])
 
 
+def test_a_lasso_keeps_the_tuples_of_frozensets_it_is_given():
+    ap = frozenset({"p", "q"})
+    prefix, loop = (frozenset({"p"}), frozenset()), (frozenset({"q"}), frozenset({"p", "q"}))
+    t = LassoTrace(ap, prefix, loop)
+    assert t.ap is ap and t.prefix is prefix and t.loop is loop
+    # lists, sets and tuples of sets are still converted
+    u = LassoTrace({"p", "q"}, [{"p"}, set()], ({"q"}, {"p", "q"}))
+    assert u == t and type(u.ap) is frozenset
+    assert type(u.prefix) is tuple and type(u.loop) is tuple
+    assert all(type(letter) is frozenset for letter in u.prefix + u.loop)
+
+
 def test_enumerate_lassos_come_in_sort_key_order():
     for ap, bounds in [((), (2, 2)), (("p",), (3, 2)), (("q", "p", "r"), (2, 2)),
                        (("b", "a_1", "a"), (1, 3))]:
