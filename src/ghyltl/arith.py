@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import threading
 from dataclasses import astuple, dataclass
 from typing import Iterable, Sequence
 
 from . import pltl as pl
 from . import semantics as hy
+from . import stutter
 from .pltl import Not, Or, p_and, token_pattern, tokenize
 from .semantics import EMPTY_GAMMA, EvalConfig, Exists, Forall, evaluate
 from .traces import LassoTrace, PointedTrace, TransitionSystem, pointwise_union, spike_trace
@@ -773,7 +775,8 @@ def gadget_formula(relation: str, encoding: str, strict_fidelity: bool = False) 
     A table of constants like cli.build_parser, not a data cache: the
     formula depends on names only, never on the gadget's values, so it is
     built once per process and kept with the fold it carries (see
-    semantics._fold_of), and no trace, point or program.  strict_fidelity
+    semantics._fold_of), and no trace or point; one kept EvalCache holds
+    the compiled program between verify_gadget calls.  strict_fidelity
     is read as a bool, and as False for stutter, so the table holds at most
     six immutable formulas; an unknown name raises and adds none."""
     atom, comp = _gadget(relation, encoding, strict_fidelity)
@@ -809,6 +812,42 @@ def gadget_universe(relation: str, encoding: str, n1: int, n2: int, n3: int) -> 
     return list(dict.fromkeys(traces))
 
 
+class _Kept:
+    """What a gadget formula keeps for verify_gadget in its instance dict,
+    as it keeps its fold (copies leave both out, see pltl.Pltl): one
+    EvalCache, the step functions it was made under, and the lock that
+    lends it to one call at a time."""
+
+    __slots__ = ("lock", "cache", "moves")
+
+    def __init__(self) -> None:
+        self.lock, self.cache, self.moves = threading.Lock(), None, None
+
+
+def _evaluate_kept(universe, assignment, context, formula: hy.Hyper,
+                   cfg: EvalConfig) -> hy.Verdict:
+    """evaluate under the EvalCache formula keeps, cleared of every trace,
+    point and memo entry when the call returns or raises.  A call that finds
+    it lent out (a reentrant call, or another thread's) evaluates under a
+    fresh one.  A program reads stutter's step functions once, when it is
+    made, so a kept cache made under other ones than the current (before a
+    counter or tracer was patched in, say) is replaced."""
+    state = formula.__dict__
+    kept = state.get("_kept") or state.setdefault("_kept", _Kept())
+    if not kept.lock.acquire(blocking=False):
+        return evaluate(universe, assignment, context, formula, cfg)
+    try:
+        moves = (stutter.assign_succ, stutter.assign_pred)
+        if kept.moves != moves:
+            kept.cache, kept.moves = hy.EvalCache(), moves
+        try:
+            return evaluate(universe, assignment, context, formula, cfg, cache=kept.cache)
+        finally:
+            kept.cache.clear()
+    finally:
+        kept.lock.release()
+
+
 def verify_gadget(relation: str, n1: int, n2: int, n3: int, encoding: str,
                   cfg: EvalConfig | None = None,
                   strict_fidelity: bool = False) -> bool:
@@ -816,9 +855,11 @@ def verify_gadget(relation: str, n1: int, n2: int, n3: int, encoding: str,
     constructed witness traces; True iff the gadget accepts (n1, n2, n3).
 
     The formula and its fold, which gives its variables, are built by the
-    first call per (relation, encoding, strict_fidelity) in a process; each
-    call compiles and runs it under a fresh EvalCache, so no program, trace
-    or point outlives the call."""
+    first call per (relation, encoding, strict_fidelity) in a process, and
+    the formula is compiled once per config under the EvalCache it keeps.
+    Each call borrows that cache and clears it when it returns, so no trace
+    or point outlives the call; the universe is new on every call, so a
+    memo entry could never be hit by a later one."""
     _gadget(relation, encoding)  # an unknown name raises first
     if min(n1, n2, n3) < 0:
         raise ValueError("gadget arguments must be nonnegative")
@@ -826,7 +867,7 @@ def verify_gadget(relation: str, n1: int, n2: int, n3: int, encoding: str,
     assignment = gadget_assignment(encoding, n1, n2, n3)
     universe = gadget_universe(relation, encoding, n1, n2, n3)
     context = hy.all_vars(formula) | set(assignment)
-    verdict = evaluate(universe, assignment, context, formula, cfg or EvalConfig())
+    verdict = _evaluate_kept(universe, assignment, context, formula, cfg or EvalConfig())
     if verdict.is_unknown:
         raise GadgetBoundError(f"gadget evaluation hit a bound: {verdict.reason}")
     return verdict.is_holds

@@ -25,14 +25,16 @@ class Pltl:
     """Base class for PLTL AST nodes.
 
     A node that roots a hyper or arithmetic formula keeps that formula's
-    structural fold in its instance dict (see semantics._fold_of).  The fold
-    names nodes by id, so __getstate__ leaves it out: a copy, deep copy or
-    unpickled node folds itself anew."""
+    structural fold in its instance dict (see semantics._fold_of), and a
+    gadget formula also keeps the EvalCache its calls borrow (see
+    arith.verify_gadget).  Both name nodes by id, so __getstate__ leaves
+    them out: a copy, deep copy or unpickled node folds itself anew and
+    keeps no cache."""
 
     __slots__ = ()
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_fold"}
+        return {k: v for k, v in self.__dict__.items() if k not in ("_fold", "_kept")}
 
 
 @dataclass(frozen=True)

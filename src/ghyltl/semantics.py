@@ -435,11 +435,14 @@ Assignment = Mapping[str, PointedTrace]
 # EvalCache: it hands out one pointed trace per (trace, position), keeps one
 # successor and one predecessor map per gamma, one changepoint-position table
 # per (trace, gamma) and the valuation-profile memos of every trace, for the
-# life of the cache.  The program reads the move functions off the module
-# once, when it is made, and every body it builds, during a run too, uses
-# that copy, so a wrapper patched over
+# life of the cache or until it is cleared.  The program reads the move
+# functions off the module once, when it is made, and every body it builds,
+# during a run too, uses that copy, so a wrapper patched over
 # ``stutter.assign_succ`` or ``assign_pred`` (a test's counter, a tracer) sees
-# the steps of exactly the programs built after it was put in place.  A step
+# the steps of exactly the programs built after it was put in place.  A cache
+# kept across calls (arith.verify_gadget's) records the move functions it was
+# made under and is replaced when they change, so such a wrapper sees the
+# steps of every later call there too.  A step
 # names its coordinates in sorted order, so the maps a predecessor step fills
 # before it stops do not depend on set order, that is, on the hash seed.
 #
@@ -447,11 +450,12 @@ Assignment = Mapping[str, PointedTrace]
 # owner's points: a run interns its assignment and takes its quantifier
 # starts from the owner, and every step returns an owner point.  Among those,
 # id(point) names a (trace, position) as (id(trace), pos) would, and the
-# owner holds every point and trace for the life of the cache, so no id is
-# reused while a key can name it.  A caller's point with an equal twin in the
-# owner is replaced by the twin; one of an equal trace of another identity
-# gets points and memo entries of its own, which costs misses, never a wrong
-# answer.  Each memoized closure owns one memo.  A memo outlives a run when
+# owner holds every point and trace for the life of the cache, or until
+# EvalCache.clear empties it together with every memo and canon table, so no
+# id is reused while a key can name it.  A caller's point with an equal twin
+# in the owner is replaced by the twin; one of an equal trace of another
+# identity gets points and memo entries of its own, which costs misses, never
+# a wrong answer.  Each memoized closure owns one memo.  A memo outlives a run when
 # no quantifier sits at or below its node: such a value depends on the
 # assignment only, not on the universe.  The memos of nodes with a
 # quantifier below are cleared when each run ends.
@@ -773,7 +777,8 @@ class _Program:
     _NOT).  A run clears the memos of nodes with a quantifier below and the
     start list when it ends, also when it raises.  The other memos and the
     canon table (keyed on id(trace)) are kept across runs; the owner holds
-    every trace and point whose id they use.
+    every trace and point whose id they use, until EvalCache.clear empties
+    them all (the program records every memo for it).
     """
 
     def __init__(self, f: Hyper, cfg: EvalConfig, context: frozenset[str],
@@ -784,6 +789,7 @@ class _Program:
         self.canon: dict[int, tuple[int, int]] = {}
         self.starts: list[PointedTrace] = []
         self.built: dict[tuple, object] = {}
+        self.memos: list[dict] = []  # every memo, for EvalCache.clear
         self.per_run: list[dict] = []  # memos of nodes with a quantifier below
         self._succ, self._pred = stutter.assign_succ, stutter.assign_pred
         self._ref = weakref.ref(self)  # the builders' only way to the program
@@ -807,6 +813,7 @@ class _Program:
         # are always in dom (checked at the root, and every binder adds its own)
         free, past, kinds = self.facts[id(n)]
         memo: dict = {}
+        self.memos.append(memo)
         if kinds:
             self.per_run.append(memo)
         return _memoized(make, tuple(sorted(dom)) if past else free, memo)
@@ -862,6 +869,7 @@ class _Program:
             reads.discard(v)
             free = tuple(sorted(reads))
             memo: dict = {}
+            self.memos.append(memo)
             self.per_run.append(memo)
             quant = _memoized(quantifier(v, inner, doms[j + 1]),
                               tuple(sorted(doms[j])) if past else free, memo)
@@ -938,6 +946,9 @@ class EvalCache:
     """Compiled programs shared across evaluate/check_traceset calls, e.g. the
     candidate sets of one bounded_sat search, and the one step-table owner
     (changepoint steps and valuation-profile memos) that they all use.
+    clear forgets every trace and point and keeps the programs, so a formula
+    can be compiled once and run over the traces of many calls (see
+    arith.verify_gadget).
 
     Entries are keyed on formula identity and hold the formula, so its id
     stays valid for the life of the cache.  Programs read the fold the
@@ -970,6 +981,21 @@ class EvalCache:
         if not var:
             raise ValueError("formula mentions no trace variables")
         return var
+
+    def clear(self) -> None:
+        """Empty every memo and canon table of every program, then the
+        step-table owner, all in place, since the closures capture the dicts
+        and the owner; the compiled closures, bodies built during runs
+        included, are kept.
+
+        Invariant: memo and canon keys are ids of owner-held objects (points
+        and traces).  Clearing them together with the owner keeps the rule
+        that no id is reused while a key can name it."""
+        for _, program in self._programs.values():
+            for m in program.memos:
+                m.clear()
+            program.canon.clear()
+        self.steps.clear()
 
 
 def evaluate(universe: Iterable[LassoTrace], assignment: Assignment,

@@ -78,7 +78,9 @@ class StepTables:
     alive its id is no owner point's, so a lookup misses and falls back to
     succ or pred, which intern it first.  A foreign point with an equal twin
     costs a miss, never a wrong answer.  An equal trace or gamma of another
-    identity gets its own points and maps.
+    identity gets its own points and maps.  clear forgets them all at once,
+    in place, so an owner can serve the calls of many universes; memos keyed
+    on its points must be cleared with it (see semantics.EvalCache.clear).
     """
 
     def __init__(self) -> None:
@@ -89,6 +91,12 @@ class StepTables:
         # (id(trace), id(gamma)) -> (successor positions, predecessor
         # positions, limit, period)
         self._tables: dict[tuple[int, int], tuple[list, list, int, int]] = {}
+
+    def clear(self) -> None:
+        """Forget every trace, point, step map and position table."""
+        self._traces.clear()
+        self._maps.clear()
+        self._tables.clear()
 
     def _entry(self, trace: LassoTrace) -> tuple:
         hit = self._traces.get(id(trace))

@@ -1,6 +1,12 @@
+import copy
+import gc
 import hashlib
 import itertools
+import pickle
 import random
+import sys
+import threading
+import weakref
 from collections import Counter
 
 import pytest
@@ -422,6 +428,208 @@ def test_a_second_gadget_call_folds_and_builds_nothing(monkeypatch):
     assert verify_gadget("mul", 3, 7, 21, "context")
     assert not verify_gadget("mul", 2, 5, 11, "context")
     assert folds == [] and builds == []
+
+
+# -- the EvalCache a gadget formula keeps --------------------------------------
+
+
+def _kept_cache(relation="mul", encoding="context"):
+    return gadget_formula(relation, encoding)._kept.cache
+
+
+def _assert_empty(cache):
+    steps = cache.steps
+    assert steps._traces == {} and steps._maps == {} and steps._tables == {}
+    programs = [p for _, p in cache._programs.values()]
+    assert programs and all(p.memos for p in programs)
+    for p in programs:
+        assert all(m == {} for m in p.memos)
+        assert p.canon == {} and p.starts == []
+
+
+def test_a_sweep_compiles_one_program_per_formula_and_config(monkeypatch):
+    # configs no other test uses, so every program of the sweep is new
+    made = Counter()
+    real = hy._Program
+
+    def recording(f, cfg, *rest):
+        made[id(f), cfg] += 1
+        return real(f, cfg, *rest)
+
+    monkeypatch.setattr(hy, "_Program", recording)
+    configs = [EvalConfig(until_cutoff=199), EvalConfig(until_cutoff=198)]
+    for relation in ("add", "mul"):
+        for encoding in ("stutter", "context"):
+            for cfg in configs:
+                for n1, n2, n3 in itertools.product(range(3), range(3), range(4)):
+                    verify_gadget(relation, n1, n2, n3, encoding, cfg)
+    assert len(made) == 8 and set(made.values()) == {1}
+
+
+def test_a_repeated_call_builds_no_closure(monkeypatch):
+    verify_gadget("mul", 3, 7, 21, "context")
+    compiled = []
+    real = hy._Program.compile
+
+    def compile_(self, *args):
+        compiled.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(hy._Program, "compile", compile_)
+    assert verify_gadget("mul", 3, 7, 21, "context")
+    assert compiled == []
+
+
+def test_the_kept_cache_holds_nothing_after_a_call(monkeypatch):
+    assert verify_gadget("mul", 3, 7, 21, "context")
+    _assert_empty(_kept_cache())
+    assert not verify_gadget("mul", 3, 7, 20, "context")
+    _assert_empty(_kept_cache())
+    with pytest.raises(GadgetBoundError):
+        verify_gadget("mul", 3, 7, 21, "context", cfg=EvalConfig(until_cutoff=1))
+    _assert_empty(_kept_cache())
+    # a step that raises mid-run
+    real, calls = stutter.assign_succ, []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 100:
+            raise RuntimeError("step failed")
+        return real(*args)
+
+    monkeypatch.setattr(stutter, "assign_succ", failing)
+    with pytest.raises(RuntimeError, match="step failed"):
+        verify_gadget("mul", 3, 7, 21, "context")
+    _assert_empty(_kept_cache())
+
+
+def test_gadget_traces_are_freed_when_the_call_returns(monkeypatch):
+    refs = []
+    real = arith.gadget_universe
+
+    def recording(*args):
+        universe = real(*args)
+        refs.extend(weakref.ref(t) for t in universe)
+        return universe
+
+    monkeypatch.setattr(arith, "gadget_universe", recording)
+    gc.disable()
+    try:
+        assert verify_gadget("mul", 3, 7, 21, "context")
+        assert not verify_gadget("mul", 2, 5, 11, "context")
+        assert refs and all(r() is None for r in refs)
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("n3,holds,steps", [(21, True, 870), (20, False, 610)])
+def test_the_step_count_pin_holds_after_an_earlier_call(monkeypatch, n3, holds, steps):
+    # the kept cache was made under the real step function; a counter
+    # patched in later still sees every step of the next call
+    verify_gadget("mul", 3, 7, n3, "context")
+    calls = []
+    real = stutter.assign_succ
+
+    def counting(a, gamma, c, owner=None):
+        calls.append(1)
+        return real(a, gamma, c, owner)
+
+    monkeypatch.setattr(stutter, "assign_succ", counting)
+    assert verify_gadget("mul", 3, 7, n3, "context") is holds
+    assert len(calls) == steps
+
+
+_INNER = [(2, 5, 10), (2, 5, 11), (4, 3, 12)]
+
+
+def _calling_during_a_step(monkeypatch, call, at=200):
+    """Patch the successor step so that its at-th call, in the thread that
+    patched it, makes call(); the outer call holds the kept cache then."""
+    real, count, me = stutter.assign_succ, [], threading.get_ident()
+
+    def stepping(*args):
+        if threading.get_ident() == me:
+            count.append(1)
+            if len(count) == at:
+                call()
+        return real(*args)
+
+    monkeypatch.setattr(stutter, "assign_succ", stepping)
+
+
+def test_a_reentrant_call_gets_a_fresh_build(monkeypatch):
+    inner = []
+    _calling_during_a_step(monkeypatch, lambda: inner.extend(
+        verify_gadget("mul", *args, "context") for args in _INNER))
+    assert verify_gadget("mul", 3, 7, 21, "context")
+    assert not verify_gadget("mul", 3, 7, 20, "context")
+    assert inner == [_fresh_gadget("mul", *args, "context", False) for args in _INNER]
+    _assert_empty(_kept_cache())
+
+
+def test_a_call_from_another_thread_gets_a_fresh_build(monkeypatch):
+    inner = []
+
+    def in_a_thread():
+        t = threading.Thread(target=lambda: inner.extend(
+            verify_gadget("mul", *args, "context") for args in _INNER))
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive()
+
+    _calling_during_a_step(monkeypatch, in_a_thread)
+    assert verify_gadget("mul", 3, 7, 21, "context")
+    assert not verify_gadget("mul", 3, 7, 20, "context")
+    assert inner == [_fresh_gadget("mul", *args, "context", False) for args in _INNER]
+    _assert_empty(_kept_cache())
+
+
+def test_threads_sharing_a_gadget_formula_get_its_answers():
+    # more threads than cores, switching often: each call either holds the
+    # kept cache alone or builds afresh, so every answer is n1 * n2 == n3
+    cases = [(n1, n2, n3) for n1 in range(4) for n2 in range(4) for n3 in (n1 * n2, n1 + n2 + 1)]
+    wrong, done = [], []
+
+    def work(k):
+        for n1, n2, n3 in cases[k::2] + cases[k::3]:
+            if verify_gadget("mul", n1, n2, n3, "context") != (n1 * n2 == n3):
+                wrong.append((n1, n2, n3))
+        done.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == list(range(6)) and wrong == []
+    _assert_empty(_kept_cache())
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                    lambda f: pickle.loads(pickle.dumps(f))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_copy_of_a_gadget_formula_keeps_neither_fold_nor_cache(copier):
+    # closures and the lock do not pickle, so a kept cache that leaked into
+    # the state would raise here
+    f = gadget_formula("mul", "context")
+    assert verify_gadget("mul", 3, 7, 21, "context")
+    assert {"_fold", "_kept"} <= set(vars(f))
+    g = copier(f)
+    assert g == f and "_fold" not in vars(g) and "_kept" not in vars(g)
+    for args in [(3, 7, 21), (3, 7, 20)]:
+        assignment = gadget_assignment("context", *args)
+        universe = arith.gadget_universe("mul", "context", *args)
+        context = hy.all_vars(f) | set(assignment)
+        want = evaluate(universe, assignment, context, f)
+        assert evaluate(universe, assignment, context, g) == want
+        assert want.is_holds is verify_gadget("mul", *args, "context")
+    assert "_kept" not in vars(g)
 
 
 def test_gadget_zero_annihilator():

@@ -7,7 +7,8 @@ the module's __all__; a name imported only for other modules to take from
 this one is listed in _REEXPORTS.
 
 Caches are owned by an explicit object (an EvalCache, a step-table owner,
-the formula that keeps its fold), not by module globals.  functools.cache
+the formula that keeps its fold, the gadget formula that keeps the
+EvalCache its verify_gadget calls borrow), not by module globals.  functools.cache
 and functools.lru_cache may decorate only the functions in _CONSTANT_TABLES,
 which take names, not data, so their tables stay bounded.
 """
